@@ -97,8 +97,10 @@ def _cmd_simulate(args) -> int:
     out = args.output or cfg.output or (Path(args.scenario).stem + ".csv")
     write_trajectory(result.trajectory, out, cfg.sample_every)
     traj = result.trajectory
+    # a stable collapse datum takes no steps, so there may be no residuals
+    residual = np.max(np.abs(traj.mass_residuals), initial=0.0)
     print(f"mode={cfg.mode} steps={len(traj.step_times)} "
-          f"max_mass_residual={np.max(np.abs(traj.mass_residuals)):.3e} "
+          f"max_mass_residual={residual:.3e} "
           f"events={len(traj.events)}")
     print(f"wrote {out}")
     return 0

@@ -39,11 +39,15 @@ class WeightedGraph:
 
     Edges are stored once per unordered pair, sorted by vertex-id pair, and
     the weighted degrees d_x = sum of incident weights are cached.  Instances
-    are immutable after construction and safe to share between solver runs.
+    are immutable after construction and safe to share between solver runs;
+    the only lazily filled slot is the sparse elimination plan of the
+    Newton solve (see :mod:`graphsand.ldl`), which lives and dies with the
+    graph.
     """
 
     __slots__ = ("vertices", "index", "edges", "edge_index", "weights",
-                 "degrees", "neighbors", "guard_vertices", "_weight_map")
+                 "degrees", "neighbors", "guard_vertices", "_weight_map",
+                 "_elimination_plan")
 
     def __init__(self, edge_list, guard_vertices: Iterable[str] = ()):
         cleaned = []
@@ -88,6 +92,7 @@ class WeightedGraph:
         self.degrees = degrees
         self.neighbors = tuple(tuple(sorted(n)) for n in nbrs)
         self._weight_map = {(a, b): w for a, b, w in cleaned}
+        self._elimination_plan = None
 
         self._check_connected()
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .calculus import abs_power, model_weight_factor, signed_power
 from .graph import WeightedGraph, field_values
+from .ldl import elimination_plan
 
 __all__ = [
     "ConstraintSet",
@@ -330,7 +331,9 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
     """Resolvent of the p-energy: minimize (1/2)||v - z||_nu^2 + lam * J_p(v).
 
     Damped Newton with Armijo backtracking; stops once the gradient in the
-    nu-weighted norm is below tol.  lam == 0 returns z itself.
+    nu-weighted norm is below tol.  The Newton step solves the Hessian
+    system, which has the graph's sparsity pattern, with a sparse LDL^T
+    factorization (:mod:`graphsand.ldl`).  lam == 0 returns z itself.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -344,6 +347,7 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
     D = g.degrees
     wf = model_weight_factor(g, p, model)
     n = g.n_vertices
+    plan = elimination_plan(g)
 
     def energy(v):
         gaps = v[j] - v[i]
@@ -353,13 +357,13 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
     def grad(v):
         gaps = v[j] - v[i]
         flux = wf * signed_power(gaps, p - 1.0)
-        eg = np.zeros(n)
-        np.add.at(eg, i, flux)
-        np.add.at(eg, j, -flux)
+        eg = np.bincount(i, weights=flux, minlength=n) \
+            - np.bincount(j, weights=flux, minlength=n)
         return D * (v - zv) - lam * eg, gaps
 
     v = zv.copy()
     scale = max(1.0, float(np.sqrt(np.dot(D, zv * zv))))
+    phi0 = energy(v)
     for _ in range(max_iter):
         gr, gaps = grad(v)
         if not np.all(np.isfinite(gr)):
@@ -368,24 +372,18 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
         gn = float(np.sqrt(np.dot(gr * gr, 1.0 / D)))
         if gn <= tol * scale:
             return v
+        # Hessian diag(D) + B' diag(coeff) B, kept in the graph's sparsity
         coeff = lam * (p - 1.0) * wf * abs_power(gaps, p - 2.0)
-        hess = np.zeros((n, n))
-        np.add.at(hess, (i, i), coeff)
-        np.add.at(hess, (j, j), coeff)
-        np.add.at(hess, (i, j), -coeff)
-        np.add.at(hess, (j, i), -coeff)
-        hess[np.arange(n), np.arange(n)] += D
-        eps = 1e-12 * (1.0 + np.max(np.abs(np.diag(hess))))
-        hess[np.arange(n), np.arange(n)] += eps
-        try:
-            step = np.linalg.solve(hess, -gr)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise ResolventError(f"singular Hessian at p={p}: {exc}")
+        diag = D + np.bincount(i, weights=coeff, minlength=n) \
+            + np.bincount(j, weights=coeff, minlength=n)
+        diag += 1e-12 * (1.0 + np.max(diag))
+        step = plan.solve(diag, -coeff, -gr)
+        if not np.all(np.isfinite(step)):
+            raise ResolventError(f"nonfinite Newton step at p={p}, lam={lam}")
         slope = float(np.dot(gr, step))
         if slope >= 0:  # numerical loss of descent; fall back to -gradient
             step = -gr / np.max(np.abs(gr))
             slope = float(np.dot(gr, step))
-        phi0 = energy(v)
         t = 1.0
         accepted = None
         for _ in range(70):
@@ -398,7 +396,7 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
                 break
             t *= 0.5
         made_progress = (accepted is not None
-                         and energy(accepted) < phi0 - 1e-15 * max(1.0, abs(phi0)))
+                         and phi < phi0 - 1e-15 * max(1.0, abs(phi0)))
         if not made_progress:
             # stationary at floating-point accuracy: the gradient floor of
             # the log-form powers can sit above an absolute tolerance
@@ -408,5 +406,6 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
                 f"line search stalled at p={p}, lam={lam}: phi0={phi0:.6e}, "
                 f"|grad|_nu={gn:.3e}, last step {t:.1e}")
         v = accepted
+        phi0 = phi
     raise ResolventError(f"Newton did not converge in {max_iter} iterations "
                          f"(p={p}, lam={lam})")

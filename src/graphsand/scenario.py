@@ -278,7 +278,7 @@ def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
         raise ValueError(f"{path}: not a trajectory CSV")
     by_time: dict[float, dict[str, float]] = {}
     order: list[float] = []
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}  # insertion-ordered set
     for line in lines[1:]:
         ts, v, x = line.split(",")
         t = float(ts)
@@ -286,7 +286,6 @@ def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
             by_time[t] = {}
             order.append(t)
         by_time[t][v] = float(x)
-        if v not in vertices:
-            vertices.append(v)
+        vertices[v] = None
     states = np.array([[by_time[t][v] for v in vertices] for t in order])
-    return np.asarray(order), vertices, states
+    return np.asarray(order), list(vertices), states

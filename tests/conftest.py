@@ -41,3 +41,15 @@ def random_connected_graph(rng, n_max=5, w_lo=0.5, w_hi=2.0):
 
 def random_field(rng, g, scale=2.0):
     return rng.normal(scale=scale, size=g.n_vertices)
+
+
+def grid_graph(m, w_lo=1.0, w_hi=1.0, rng=None):
+    """m x m grid; unit weights, or uniform in [w_lo, w_hi] drawn from rng."""
+    edges = []
+    for a in range(m):
+        for b in range(m):
+            for a2, b2 in ((a + 1, b), (a, b + 1)):
+                if a2 < m and b2 < m:
+                    w = 1.0 if rng is None else float(rng.uniform(w_lo, w_hi))
+                    edges.append((f"g{a}_{b}", f"g{a2}_{b2}", w))
+    return build_graph(edges)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from graphsand import (ConstraintSet, VertexField, build_graph, build_path,
-                       is_stable, max_relative_slope, nu_norm, project,
-                       project_oracle, resolvent_p)
+                       is_stable, max_relative_slope, nu_norm, p_laplacian,
+                       project, project_oracle, resolvent_p)
 from graphsand.proximal import DykstraProjector, ProjectionError
-from conftest import random_connected_graph, random_field
+from conftest import grid_graph, random_connected_graph, random_field
 
 
 @pytest.fixture
@@ -262,6 +262,20 @@ def test_resolvent_large_p_from_steep_data(p4):
     u = resolvent_p(p4, 128.0, "G", 1e-3, np.array([0.0, 3.0, 0.0, 1.0]))
     assert np.all(np.isfinite(u))
     assert max_relative_slope(u, ConstraintSet.uniform(p4)) < 3.0
+
+
+def test_resolvent_first_order_condition_on_grid():
+    # a non-tree graph whose elimination creates fill
+    rng = np.random.default_rng(31)
+    g = grid_graph(24, 0.5, 2.0, rng)
+    z = random_field(rng, g, scale=1.0)
+    lam = 0.05
+    for p, model in ((4.0, "G"), (16.0, "w")):
+        u = resolvent_p(g, p, model, lam, z)
+        # stationarity of (1/2)|v - z|_nu^2 + lam J_p(v): v - z = lam Delta_p v
+        resid = u - z - lam * p_laplacian(g, u, p, model)
+        assert nu_norm(g, resid) <= 1e-8 * max(1.0, nu_norm(g, z))
+        assert abs(np.dot(g.degrees, u - z)) <= 1e-8
 
 
 def test_resolvent_validation(p4):

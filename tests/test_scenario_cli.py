@@ -139,6 +139,25 @@ def test_cli_collapse_reports_final_state(tmp_path, monkeypatch, capsys):
     assert np.allclose(values, [0.8, 1.8, 0.8, 1.0], atol=1e-2)
 
 
+def test_cli_simulate_stable_collapse_datum(tmp_path, monkeypatch, capsys):
+    # an already stable datum collapses in zero steps: nothing to reduce over
+    monkeypatch.chdir(tmp_path)
+    scenario = {
+        "graph": {"kind": "path", "n": 4},
+        "mode": "collapse",
+        "u0": {"x2": 0.5},
+        "source": [],
+        "T": 1.0,
+    }
+    (tmp_path / "s.json").write_text(json.dumps(scenario))
+    rc = run_command(["simulate", "s.json", "--output", "s.csv"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "steps=0 max_mass_residual=0.000e+00" in out
+    times, vertices, states = read_trajectory(tmp_path / "s.csv")
+    assert states.tolist() == [[0.0, 0.5, 0.0, 0.0]]
+
+
 def test_cli_converge_p_table(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = run_command(["converge-p", str(SCENARIOS / "z_lattice.json"),
