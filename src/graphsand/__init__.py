@@ -7,11 +7,10 @@ states against exact transport-duality certificates.
 
 from .graph import (WeightedGraph, VertexField, build_graph, load_graph,
                     parse_edge_lines, field_values, nu_mass, inner_product_nu,
-                    nu_norm, graph_distance, constraint_distance,
+                    nu_norm, distance_rows, graph_distance, constraint_distance,
                     nonlocal_boundary, build_path, build_star, build_truncated_z)
 from .calculus import (EdgeField, nonlocal_gradient, divergence, laplacian,
-                       p_laplacian, p_laplacian_G, p_laplacian_w, energy_Jp,
-                       integration_by_parts_residual)
+                       p_laplacian, energy_Jp, integration_by_parts_residual)
 from .proximal import (ConstraintSet, DykstraProjector, ProjectionError,
                        ResolventError, is_stable, max_relative_slope, project,
                        project_oracle, resolvent_p)

@@ -19,8 +19,6 @@ __all__ = [
     "divergence",
     "laplacian",
     "p_laplacian",
-    "p_laplacian_G",
-    "p_laplacian_w",
     "energy_Jp",
     "integration_by_parts_residual",
 ]
@@ -135,14 +133,6 @@ def p_laplacian(g: WeightedGraph, u, p: float, model: str = "G") -> np.ndarray:
     np.add.at(out, i, flux)
     np.add.at(out, j, -flux)
     return out / g.degrees
-
-
-def p_laplacian_G(g: WeightedGraph, u, p: float) -> np.ndarray:
-    return p_laplacian(g, u, p, "G")
-
-
-def p_laplacian_w(g: WeightedGraph, u, p: float) -> np.ndarray:
-    return p_laplacian(g, u, p, "w")
 
 
 def energy_Jp(g: WeightedGraph, u, p: float, model: str = "G") -> float:

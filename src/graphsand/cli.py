@@ -162,9 +162,7 @@ def _cmd_transport_check(args) -> int:
         raise ScenarioError("mode: transport-check needs a growth scenario")
     if not 0 < args.t <= cfg.T:
         raise ScenarioError(f"--t: must lie in (0, {cfg.T}]")
-    from .evolution import solve_growth
-    traj = solve_growth(cfg.graph, cfg.constraint_set(), cfg.u0, cfg.source,
-                        cfg.T, cfg.dt, tol=cfg.tol)
+    traj = run_scenario(cfg).trajectory
     k = int(np.searchsorted(traj.times, args.t - 1e-12))
     k = max(1, min(k, traj.n_samples - 1))
     h = traj.times[k] - traj.times[k - 1]

@@ -179,16 +179,14 @@ def _binding_set(proj: DykstraProjector, values: np.ndarray, tol: float) -> np.n
     return proj.binding_mask(values, _EVENT_BAND * tol)
 
 
-def _check_guard(g: WeightedGraph, values: np.ndarray, exact: bool):
-    if not g.guard_vertices:
-        return
-    idx = [g.vertex_id(v) for v in sorted(g.guard_vertices)]
-    band = np.abs(values[idx])
-    bad = band > 0.0 if exact else band > 1e-12
-    if np.any(bad):
-        raise TruncationError(
-            "truncation too small: the active support reached the guard band "
-            f"(max |u| there {band.max():.3e})")
+def _check_guard(g: WeightedGraph, values: np.ndarray, limit: float, t: float):
+    """Raise unless |u| <= limit on every guard vertex of g."""
+    for i in g.guard_index:
+        if abs(values[i]) > limit:
+            raise TruncationError(
+                "truncation too small: the active support reached the guard "
+                f"band at t={float(t)!r} (|u| = {abs(values[i]):.3e} at "
+                f"{g.vertices[i]!r})")
 
 
 def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
@@ -227,6 +225,7 @@ def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
         fv = f(t0)
         z = u + h * fv
         u = proj.project(z, tol=tol, max_iter=max_iter, warm=True)
+        _check_guard(g, u, 0.0, t1)
         residuals[n] = float(np.dot(deg, u - states[n]) - h * np.dot(deg, fv))
         now = _binding_set(proj, u, tol)
         if not np.array_equal(now, binding):
@@ -235,7 +234,6 @@ def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
                 events.append((float(t1), g.edges[e], kind))
             binding = now
         states[n + 1] = u
-    _check_guard(g, u, exact=True)
     return Trajectory(g, grid, states, grid[1:], residuals, events)
 
 
@@ -271,6 +269,7 @@ def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
         fv = v / t0  # semi-implicit: source evaluated at the step start
         z = v + h * fv
         v = proj.project(z, tol=tol, max_iter=max_iter, warm=True)
+        _check_guard(g, v, 0.0, t1)
         residuals[n] = float(np.dot(deg, v - states[n]) - h * np.dot(deg, fv))
         now = _binding_set(proj, v, tol)
         if not np.array_equal(now, binding):
@@ -279,7 +278,6 @@ def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
                 events.append((float(t1), g.edges[e], kind))
             binding = now
         states[n + 1] = v
-    _check_guard(g, v, exact=True)
     traj = Trajectory(g, grid, states, grid[1:], residuals, events)
     return v, traj
 
@@ -303,9 +301,9 @@ def solve_p_flow(g: WeightedGraph, p: float, model: str, u0, f: SourceSchedule,
         h = t1 - t0
         fv = f(t0)
         u = resolvent_p(g, p, model, h, u + h * fv, tol=tol)
+        _check_guard(g, u, 1e-12, t1)
         residuals[n] = float(np.dot(deg, u - states[n]) - h * np.dot(deg, fv))
         states[n + 1] = u
-    _check_guard(g, u, exact=False)
     return Trajectory(g, grid, states, grid[1:], residuals)
 
 

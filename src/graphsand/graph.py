@@ -25,6 +25,7 @@ __all__ = [
     "nu_mass",
     "inner_product_nu",
     "nu_norm",
+    "distance_rows",
     "graph_distance",
     "constraint_distance",
     "nonlocal_boundary",
@@ -46,8 +47,8 @@ class WeightedGraph:
     """
 
     __slots__ = ("vertices", "index", "edges", "edge_index", "weights",
-                 "degrees", "neighbors", "guard_vertices", "_weight_map",
-                 "_elimination_plan")
+                 "degrees", "neighbors", "guard_vertices", "guard_index",
+                 "_weight_map", "_elimination_plan")
 
     def __init__(self, edge_list, guard_vertices: Iterable[str] = ()):
         cleaned = []
@@ -101,6 +102,7 @@ class WeightedGraph:
         if unknown:
             raise ValueError(f"guard vertices {sorted(unknown)} not in graph")
         self.guard_vertices = guard
+        self.guard_index = tuple(sorted(index[v] for v in guard))
 
     def _check_connected(self):
         n = len(self.vertices)
@@ -124,11 +126,6 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def max_weight(self) -> float:
-        """Recorded weight bound (finite graphs always have one)."""
-        return float(self.weights.max())
 
     def vertex_id(self, vertex) -> int:
         try:
@@ -260,25 +257,59 @@ def nu_norm(g: WeightedGraph, u, ord: float = 2) -> float:
     raise ValueError(f"unsupported norm order {ord!r}")
 
 
+def distance_rows(g: WeightedGraph, lengths=None, sources=None):
+    """Yield (source, row) for each source vertex id (default: all), where
+    row[k] is the shortest-path distance from the source to vertex k.
+
+    `lengths=None` is the hop metric (breadth-first search); per-edge lengths,
+    given as `constraint_distance` takes them, use Dijkstra.  Adjacency and
+    lengths are built once per call and each row is a fresh length-n array,
+    so memory stays O(n + E) however many rows are drawn.
+    """
+    n = g.n_vertices
+    hop = lengths is None
+    if hop:
+        adj = [[j for j, _ in nbrs] for nbrs in g.neighbors]
+    else:
+        adj = [[] for _ in range(n)]
+        edge_lengths = _edge_lengths(g, lengths).tolist()
+        for (i, j), c in zip(g.edge_index.tolist(), edge_lengths):
+            adj[i].append((j, c))
+            adj[j].append((i, c))
+    for src in range(n) if sources is None else sources:
+        dist = [np.inf] * n
+        dist[src] = 0.0
+        if hop:
+            order = [src]
+            for i in order:  # grows while scanned: the BFS queue
+                for j in adj[i]:
+                    if dist[j] == np.inf:
+                        dist[j] = dist[i] + 1.0
+                        order.append(j)
+        else:
+            done = [False] * n
+            heap = [(0.0, src)]
+            while heap:
+                d, i = heapq.heappop(heap)
+                if done[i]:
+                    continue
+                done[i] = True
+                for j, c in adj[i]:
+                    nd = d + c
+                    if nd < dist[j]:
+                        dist[j] = nd
+                        heapq.heappush(heap, (nd, j))
+        yield src, np.array(dist)
+
+
 def graph_distance(g: WeightedGraph, x, y) -> int:
     """Hop metric: minimum number of edges on a path from x to y.
 
     Independent of the weights by definition.
     """
     src, dst = g.vertex_id(x), g.vertex_id(y)
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        i = queue.popleft()
-        for j, _ in g.neighbors[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                if j == dst:
-                    return dist[j]
-                queue.append(j)
-    raise RuntimeError("unreachable vertex in a connected graph")  # pragma: no cover
+    (_, row), = distance_rows(g, None, [src])
+    return int(row[dst])
 
 
 def _edge_lengths(g: WeightedGraph, c) -> np.ndarray:
@@ -310,30 +341,9 @@ def constraint_distance(g: WeightedGraph, c, x, y) -> float:
     With c = 1/sqrt(w) this is the weighted metric of the second model; with
     c identically 1 it coincides with graph_distance.
     """
-    lengths = _edge_lengths(g, c)
     src, dst = g.vertex_id(x), g.vertex_id(y)
-    if src == dst:
-        return 0.0
-    length_of = {}
-    for k, (i, j) in enumerate(g.edge_index):
-        length_of[(int(i), int(j))] = lengths[k]
-        length_of[(int(j), int(i))] = lengths[k]
-    dist = {src: 0.0}
-    done = set()
-    heap = [(0.0, src)]
-    while heap:
-        d, i = heapq.heappop(heap)
-        if i in done:
-            continue
-        if i == dst:
-            return d
-        done.add(i)
-        for j, _ in g.neighbors[i]:
-            nd = d + length_of[(i, j)]
-            if nd < dist.get(j, np.inf):
-                dist[j] = nd
-                heapq.heappush(heap, (nd, j))
-    raise RuntimeError("unreachable vertex in a connected graph")  # pragma: no cover
+    (_, row), = distance_rows(g, c, [src])
+    return float(row[dst])
 
 
 def nonlocal_boundary(g: WeightedGraph, A: Iterable) -> set[str]:
@@ -375,7 +385,7 @@ def build_truncated_z(radius: int) -> WeightedGraph:
     """Finite window {-R..R} of the unit-weight integer lattice.
 
     The outermost two rings on each side are recorded as the guard band:
-    solver runs error out unless the final state is exactly zero there.
+    solver runs error out as soon as a step leaves a nonzero value there.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")

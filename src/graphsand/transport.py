@@ -12,11 +12,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .graph import WeightedGraph, constraint_distance, field_values, graph_distance
+from .graph import WeightedGraph, distance_rows, field_values
 
 __all__ = [
     "TransportInstance",
@@ -34,25 +34,27 @@ _DENOMINATOR_BOUND = 10 ** 9
 
 def distance_table(g: WeightedGraph, bounds=None) -> dict[tuple[str, str], float]:
     """All-pairs metric: hop distance, or shortest paths with edge lengths."""
-    table: dict[tuple[str, str], float] = {}
-    for x in g.vertices:
-        for y in g.vertices:
-            if bounds is None:
-                table[(x, y)] = float(graph_distance(g, x, y))
-            else:
-                table[(x, y)] = constraint_distance(g, bounds, x, y)
-    return table
+    verts = g.vertices
+    return {(verts[a], y): float(d)
+            for a, row in distance_rows(g, bounds) for y, d in zip(verts, row)}
 
 
-def _dist_fn(g: WeightedGraph, dist) -> Callable[[str, str], float]:
-    if dist is None or (isinstance(dist, str) and dist == "graph"):
-        return lambda x, y: float(graph_distance(g, x, y))
-    if isinstance(dist, Mapping):
-        return lambda x, y: float(dist[(x, y)])
-    if callable(dist):
-        return dist
-    # interpret anything else as per-edge lengths
-    return lambda x, y: constraint_distance(g, dist, x, y)
+def _metric_rows(g: WeightedGraph, dist, sources):
+    """(source, row) pairs of the metric `dist` for the given vertex ids.
+
+    "graph" (or None) is the hop metric and anything else that is neither a
+    Mapping nor callable is per-edge lengths; both take one search per
+    source.  An explicit Mapping table over all ordered vertex pairs, or a
+    callable d(x, y), is looked up pair by pair.
+    """
+    if isinstance(dist, Mapping) or callable(dist):
+        d = (lambda x, y: float(dist[(x, y)])) if isinstance(dist, Mapping) else dist
+        verts = g.vertices
+        for a in sources:
+            yield a, np.array([d(verts[a], y) for y in verts], dtype=float)
+        return
+    hop = dist is None or (isinstance(dist, str) and dist == "graph")
+    yield from distance_rows(g, None if hop else dist, sources)
 
 
 @dataclass(frozen=True)
@@ -82,18 +84,23 @@ class TransportInstance:
         object.__setattr__(self, "f1", f1)
 
     def dist(self, x, y) -> float:
-        return _dist_fn(self.graph, self.distance)(x, y)
+        (_, row), = _metric_rows(self.graph, self.distance,
+                                 [self.graph.vertex_id(x)])
+        return float(row[self.graph.vertex_id(y)])
 
 
 def is_lipschitz_wrt(g: WeightedGraph, dist, u, tol: float = 1e-9) -> bool:
-    """True iff |u(x) - u(y)| <= dist(x, y) for every vertex pair."""
+    """True iff |u(x) - u(y)| <= dist(x, y) + tol for every vertex pair.
+
+    One distance row per source vertex, checked against the vertices after
+    it and dropped; stops at the first violating pair.  The check is the
+    pairwise one: an edgewise bound would let the slack tol add up along a
+    path.
+    """
     vals = field_values(g, u)
-    d = _dist_fn(g, dist)
-    verts = g.vertices
-    for a in range(g.n_vertices):
-        for b in range(a + 1, g.n_vertices):
-            if abs(vals[a] - vals[b]) > d(verts[a], verts[b]) + tol:
-                return False
+    for a, row in _metric_rows(g, dist, range(g.n_vertices - 1)):
+        if np.any(np.abs(vals[a] - vals[a + 1:]) > row[a + 1:] + tol):
+            return False
     return True
 
 
@@ -248,9 +255,8 @@ def ot_cost_oracle(instance: TransportInstance) -> float:
     gap = sum(supply) - sum(demand)
     if gap:  # repair rounding drift on the heaviest entry
         demand[int(np.argmax(demand))] += gap
-    dfun = _dist_fn(g, instance.distance)
-    cost = np.array([[dfun(g.vertices[a], g.vertices[b]) for b in supp1]
-                     for a in supp0])
+    cost = np.array([row[supp1]
+                     for _, row in _metric_rows(g, instance.distance, supp0)])
     scaled = _min_cost_flow(supply, demand, cost)
     return scaled / _scale
 
@@ -281,12 +287,11 @@ def verify_dual_criteria(g: WeightedGraph, dist, u, T_map: Mapping, f0,
         return False
     uu = field_values(g, u)
     f0v = field_values(g, f0)
-    d = _dist_fn(g, dist)
     diffs = []
-    for k in np.flatnonzero(f0v > 0):
+    for k, row in _metric_rows(g, dist, np.flatnonzero(f0v > 0)):
         x = g.vertices[k]
-        tx = str(T_map[x]) if x in T_map else x
-        diffs.append((float(uu[k] - uu[g.vertex_id(tx)]), d(x, tx)))
+        tk = g.vertex_id(T_map[x]) if x in T_map else k
+        diffs.append((float(uu[k] - uu[tk]), float(row[tk])))
     for sign in (1.0, -1.0):
         if all(abs(sign * du - dd) <= tol for du, dd in diffs):
             return True

@@ -3,8 +3,7 @@ import pytest
 
 from graphsand import (VertexField, build_graph, divergence, energy_Jp,
                        inner_product_nu, integration_by_parts_residual,
-                       laplacian, nonlocal_gradient, p_laplacian,
-                       p_laplacian_G, p_laplacian_w)
+                       laplacian, nonlocal_gradient, p_laplacian)
 from graphsand.calculus import EdgeField
 from conftest import random_connected_graph, random_field
 
@@ -70,17 +69,17 @@ def test_p_laplacian_matches_laplacian_at_p2():
     for _ in range(10):
         g = random_connected_graph(rng)
         u = random_field(rng, g)
-        assert np.allclose(p_laplacian_G(g, u, 2.0), laplacian(g, u))
+        assert np.allclose(p_laplacian(g, u, 2.0, "G"), laplacian(g, u))
 
 
 def test_p_laplacian_single_edge(edge):
-    out = p_laplacian_G(edge, np.array([0.0, 1.0]), 3.0)
+    out = p_laplacian(edge, np.array([0.0, 1.0]), 3.0, "G")
     assert np.allclose(out, [1.0, -1.0])
 
 
 def test_p_laplacian_w_single_edge():
     g = build_graph([("a", "b", 4.0)])
-    out = p_laplacian_w(g, np.array([0.0, 1.0]), 3.0)
+    out = p_laplacian(g, np.array([0.0, 1.0]), 3.0, "w")
     assert out[0] == pytest.approx(2.0)
     assert out[1] == pytest.approx(-2.0)
 
@@ -89,7 +88,7 @@ def test_p_laplacian_w_reduces_to_G_for_unit_weights(p4):
     rng = np.random.default_rng(13)
     for p in (2.0, 3.0, 4.5, 8.0):
         u = random_field(rng, p4)
-        assert np.allclose(p_laplacian_w(p4, u, p), p_laplacian_G(p4, u, p))
+        assert np.allclose(p_laplacian(p4, u, p, "w"), p_laplacian(p4, u, p, "G"))
 
 
 def test_p_laplacian_constant_and_validation(p4):

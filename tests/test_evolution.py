@@ -172,6 +172,18 @@ def test_growth_guard_band_violation():
         solve_growth(g, K, np.zeros(g.n_vertices), f, 2.0, 1e-2)
 
 
+def test_growth_guard_band_touched_mid_run():
+    # a spike raised on a guard vertex and dug out again; with dyadic steps
+    # and source values the final state is exactly zero, so only a check at
+    # every step sees the band being reached (first at t = 1/8)
+    g = build_truncated_z(3)
+    K = ConstraintSet.uniform(g)
+    up = VertexField.from_dict(g, {"2": 1.0}).values
+    f = SourceSchedule(g, ((0.0, 0.5, up), (0.5, 1.0, -up)))
+    with pytest.raises(TruncationError, match=r"guard band at t=0\.125 "):
+        solve_growth(g, K, np.zeros(g.n_vertices), f, 1.0, 0.125)
+
+
 def test_growth_segment_boundary_is_split(p4, p4_uniform):
     # boundary at an off-grid time: the step is split there, keeping the
     # piecewise-constant source integrated exactly

@@ -210,6 +210,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     }
     (tmp_path / "tiny.json").write_text(json.dumps(scenario))
     assert run_command(["simulate", "tiny.json"]) == 2
+    # the band is reached mid-run and left again by the final step
+    scenario = {
+        "graph": {"kind": "truncated_z", "radius": 3},
+        "mode": "growth",
+        "source": [{"start": 0.0, "end": 0.5, "values": {"2": 1.0}},
+                   {"start": 0.5, "end": 1.0, "values": {"2": -1.0}}],
+        "T": 1.0, "dt": 0.125,
+    }
+    (tmp_path / "touch.json").write_text(json.dumps(scenario))
+    assert run_command(["simulate", "touch.json"]) == 2
+    assert "guard band at t=0.125" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):
