@@ -21,7 +21,7 @@ from .evolution import (SourceSchedule, Trajectory, MassBalanceReport,
 from .transport import (TransportInstance, distance_table, is_lipschitz_wrt,
                         kantorovich_pairing, ot_cost_oracle, verify_potential,
                         verify_dual_criteria)
-from .scenario import (ScenarioConfig, ScenarioError, RunResult, parse_scenario,
+from .scenario import (ScenarioConfig, ScenarioError, parse_scenario,
                        load_scenario, run_scenario, write_trajectory,
                        read_trajectory)
 

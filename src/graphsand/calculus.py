@@ -15,6 +15,10 @@ from .graph import WeightedGraph, field_values
 
 __all__ = [
     "EdgeField",
+    "edge_gaps",
+    "scatter",
+    "p_flux",
+    "p_energy",
     "nonlocal_gradient",
     "divergence",
     "laplacian",
@@ -88,11 +92,33 @@ class EdgeField:
         raise KeyError(f"({x!r}, {y!r}) is not an oriented edge")
 
 
+def edge_gaps(g: WeightedGraph, vals: np.ndarray) -> np.ndarray:
+    """u(y) - u(x) on every canonical edge (x, y)."""
+    ends = vals[g.edge_index]  # one gather: cheaper than two column views
+    return ends[:, 1] - ends[:, 0]
+
+
+def scatter(g: WeightedGraph, flux: np.ndarray) -> np.ndarray:
+    """Per-vertex sum of +flux over edges leaving x minus flux over edges
+    entering x (canonical orientation)."""
+    n = g.n_vertices
+    return np.bincount(g.edge_index[:, 0], weights=flux, minlength=n) \
+        - np.bincount(g.edge_index[:, 1], weights=flux, minlength=n)
+
+
+def p_flux(gaps: np.ndarray, p: float, wf: np.ndarray) -> np.ndarray:
+    """wf * |g|^(p-2) g per edge."""
+    return wf * signed_power(gaps, p - 1.0)
+
+
+def p_energy(gaps: np.ndarray, p: float, wf: np.ndarray) -> float:
+    """sum over canonical edges of wf * |g|^p / p."""
+    return float(np.sum(wf * abs_power(gaps, float(p))) / p)
+
+
 def nonlocal_gradient(g: WeightedGraph, u) -> EdgeField:
     """grad u(x, y) = u(y) - u(x) on both orientations of every edge."""
-    vals = field_values(g, u)
-    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    forward = vals[j] - vals[i]
+    forward = edge_gaps(g, field_values(g, u))
     return EdgeField(g, np.stack([forward, -forward], axis=1))
 
 
@@ -100,39 +126,26 @@ def divergence(g: WeightedGraph, z: EdgeField) -> np.ndarray:
     """div z(x) = (1 / 2 d_x) * sum_{y~x} (z(x,y) - z(y,x)) w_xy."""
     if z.graph is not g:
         raise ValueError("edge field belongs to a different graph")
-    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
     skew = (z.values[:, 0] - z.values[:, 1]) * g.weights
-    out = np.zeros(g.n_vertices)
-    np.add.at(out, i, skew)
-    np.add.at(out, j, -skew)
-    return out / (2.0 * g.degrees)
+    return scatter(g, skew) / (2.0 * g.degrees)
 
 
 def laplacian(g: WeightedGraph, u) -> np.ndarray:
     """Normalized graph Laplacian (1/d_x) sum_y w_xy (u(y) - u(x))."""
-    vals = field_values(g, u)
-    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    flux = g.weights * (vals[j] - vals[i])
-    out = np.zeros(g.n_vertices)
-    np.add.at(out, i, flux)
-    np.add.at(out, j, -flux)
-    return out / g.degrees
+    flux = g.weights * edge_gaps(g, field_values(g, u))
+    return scatter(g, flux) / g.degrees
 
 
 def p_laplacian(g: WeightedGraph, u, p: float, model: str = "G") -> np.ndarray:
     """Degree-normalized p-Laplacian for either model; p is real, >= 2."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    vals = field_values(g, u)
-    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    flux = model_weight_factor(g, p, model) * signed_power(vals[j] - vals[i], p - 1.0)
+    gaps = edge_gaps(g, field_values(g, u))
+    flux = p_flux(gaps, p, model_weight_factor(g, p, model))
     if not np.all(np.isfinite(flux)):
         raise FloatingPointError(
             f"p-Laplacian overflow at p={p}: slope magnitudes too large")
-    out = np.zeros(g.n_vertices)
-    np.add.at(out, i, flux)
-    np.add.at(out, j, -flux)
-    return out / g.degrees
+    return scatter(g, flux) / g.degrees
 
 
 def energy_Jp(g: WeightedGraph, u, p: float, model: str = "G") -> float:
@@ -140,14 +153,12 @@ def energy_Jp(g: WeightedGraph, u, p: float, model: str = "G") -> float:
     model weight factor; raises on overflow rather than saturating."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    vals = field_values(g, u)
-    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    wf = model_weight_factor(g, p, model)
-    # both orientations contribute equally, hence the leading 2
-    total = 2.0 * np.sum(wf * abs_power(vals[j] - vals[i], float(p)))
+    # both orientations contribute equally: the canonical-edge sum over p
+    total = p_energy(edge_gaps(g, field_values(g, u)), p,
+                     model_weight_factor(g, p, model))
     if not np.isfinite(total):
         raise FloatingPointError(f"p-energy overflow at p={p}")
-    return float(total / (2.0 * p))
+    return total
 
 
 def integration_by_parts_residual(g: WeightedGraph, u, v, p: float,
@@ -159,10 +170,7 @@ def integration_by_parts_residual(g: WeightedGraph, u, v, p: float,
     uv = field_values(g, u)
     vv = field_values(g, v)
     lhs = float(np.dot(p_laplacian(g, uv, p, model) * g.degrees, vv))
-    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    gu = uv[j] - uv[i]
-    gv = vv[j] - vv[i]
     wf = model_weight_factor(g, p, model)
     # ordered-pair sum: both orientations give the same product
-    rhs = 0.5 * 2.0 * float(np.sum(wf * signed_power(gu, p - 1.0) * gv))
+    rhs = float(np.sum(p_flux(edge_gaps(g, uv), p, wf) * edge_gaps(g, vv)))
     return abs(lhs + rhs)

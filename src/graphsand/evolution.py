@@ -1,7 +1,9 @@
 """Time integrators: p-Laplacian flows, the two slope-constrained growth
 models, collapse of unstable data, and the convergence experiments.
 
-All schemes are proximal/projected backward Euler with a fixed step.  The
+All schemes are proximal/projected backward Euler with a fixed step, run by
+one driver: growth and collapse differ only in the source (f(t) against the
+rescaled state v/t), and the p-flows only in the step map.  The
 exact solutions of the growth models are piecewise linear in time, so the
 global error is O(dt) and concentrated at the critical times where the
 active edge set changes.
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import WeightedGraph, field_values, nu_norm
-from .proximal import ConstraintSet, DykstraProjector, is_stable, \
-    max_relative_slope, resolvent_p
+from .proximal import CONSTRAINT_KINDS, ConstraintSet, DykstraProjector, \
+    is_stable, max_relative_slope, resolvent_p
 
 __all__ = [
     "SourceSchedule",
@@ -175,23 +177,59 @@ def time_grid(t_start: float, t_end: float, dt: float,
     return np.asarray(times)
 
 
-def _binding_set(proj: DykstraProjector, values: np.ndarray, tol: float) -> np.ndarray:
-    return proj.binding_mask(values, _EVENT_BAND * tol)
+def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
+               advance, guard_limit: float, sample_every: int,
+               proj: DykstraProjector | None = None,
+               tol: float = 0.0) -> Trajectory:
+    """The backward-Euler driver shared by every solver.
 
-
-def _check_guard(g: WeightedGraph, values: np.ndarray, limit: float, t: float):
-    """Raise unless |u| <= limit on every guard vertex of g."""
-    for i in g.guard_index:
-        if abs(values[i]) > limit:
-            raise TruncationError(
-                "truncation too small: the active support reached the guard "
-                f"band at t={float(t)!r} (|u| = {abs(values[i]):.3e} at "
-                f"{g.vertices[i]!r})")
+    Step n maps u to advance(u + h * source(t_n, u), h) with h the step
+    length, checks |u| <= guard_limit on the guard band, and records the
+    nu-mass residual of the step.  With a projector, slope constraints that
+    switch between binding and free are recorded as events.  The state is
+    kept at steps that are multiples of sample_every and at the last step.
+    """
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+    steps = len(grid) - 1
+    kept = list(range(0, steps, sample_every)) + [steps]
+    states = np.empty((len(kept), g.n_vertices))
+    states[0] = u
+    slot = 1
+    deg = g.degrees
+    residuals = np.empty(steps)
+    events: list = []
+    band = _EVENT_BAND * tol
+    binding = None if proj is None else proj.binding_mask(u, band)
+    for n in range(steps):
+        t0, t1 = grid[n], grid[n + 1]
+        h = t1 - t0
+        fv = source(t0, u)
+        new = advance(u + h * fv, h)
+        for i in g.guard_index:
+            if abs(new[i]) > guard_limit:
+                raise TruncationError(
+                    "truncation too small: the active support reached the "
+                    f"guard band at t={float(t1)!r} (|u| = {abs(new[i]):.3e} "
+                    f"at {g.vertices[i]!r})")
+        residuals[n] = float(np.dot(deg, new - u) - h * np.dot(deg, fv))
+        u = new
+        if proj is not None:
+            now = proj.binding_mask(u, band)
+            if not np.array_equal(now, binding):
+                for e in np.flatnonzero(now != binding):
+                    kind = "activated" if now[e] else "deactivated"
+                    events.append((float(t1), g.edges[e], kind))
+                binding = now
+        if (n + 1) % sample_every == 0 or n + 1 == steps:
+            states[slot] = u
+            slot += 1
+    return Trajectory(g, grid[kept], states, grid[1:], residuals, events)
 
 
 def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
                  T: float, dt: float, tol: float = 1e-10,
-                 max_iter: int = 100_000) -> Trajectory:
+                 max_iter: int = 100_000, sample_every: int = 1) -> Trajectory:
     """Projected backward Euler for the slope-constrained growth model.
 
     Parameters
@@ -201,121 +239,76 @@ def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
     f : piecewise-constant source schedule, sampled at the left endpoint of
         every step (the grid is split at segment boundaries).
     T, dt : final time and step size.
+    sample_every : keep every k-th state (and the last one).
 
     Returns
     -------
-    Trajectory with one sample per step, per-step mass residuals, and
+    Trajectory with the kept samples, per-step mass residuals, and
     activation events.
     """
     u = field_values(g, u0).copy()
     if not is_stable(u, K, 1e-8):
         raise ValueError("initial datum not stable for the constraint set")
-    grid = time_grid(0.0, T, dt, f.boundaries())
     proj = DykstraProjector(g, K)
-    deg = g.degrees
-
-    states = np.empty((len(grid), g.n_vertices))
-    states[0] = u
-    residuals = np.empty(len(grid) - 1)
-    events: list = []
-    binding = _binding_set(proj, u, tol)
-    for n in range(len(grid) - 1):
-        t0, t1 = grid[n], grid[n + 1]
-        h = t1 - t0
-        fv = f(t0)
-        z = u + h * fv
-        u = proj.project(z, tol=tol, max_iter=max_iter, warm=True)
-        _check_guard(g, u, 0.0, t1)
-        residuals[n] = float(np.dot(deg, u - states[n]) - h * np.dot(deg, fv))
-        now = _binding_set(proj, u, tol)
-        if not np.array_equal(now, binding):
-            for e in np.flatnonzero(now != binding):
-                kind = "activated" if now[e] else "deactivated"
-                events.append((float(t1), g.edges[e], kind))
-            binding = now
-        states[n + 1] = u
-    return Trajectory(g, grid, states, grid[1:], residuals, events)
+    return _integrate(
+        g, u, time_grid(0.0, T, dt, f.boundaries()), lambda t, _: f(t),
+        lambda z, h: proj.project(z, tol=tol, max_iter=max_iter, warm=True),
+        0.0, sample_every, proj, tol)
 
 
 def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
-                   tol: float = 1e-10,
-                   max_iter: int = 100_000) -> tuple[np.ndarray, Trajectory]:
+                   tol: float = 1e-10, max_iter: int = 100_000,
+                   sample_every: int = 1) -> tuple[np.ndarray, Trajectory]:
     """Collapse of an unstable datum through the rescaled projected flow.
 
     With L the maximal relative slope of u0, integrates the projected flow
-    driven by the source v/t from v(1/L) = u0/L up to t = 1 and returns
-    (v(1), trajectory).  A datum that is already stable (L <= 1) is returned
-    unchanged with a single-sample trajectory.
+    driven by the source v/t (evaluated at the step start) from
+    v(1/L) = u0/L up to t = 1 and returns (v(1), trajectory).  A datum that
+    is already stable (L <= 1) is returned unchanged with a single-sample
+    trajectory.
     """
     u0v = field_values(g, u0).copy()
     L = max_relative_slope(u0v, K)
     if L <= 1.0:
-        empty = Trajectory(g, np.array([1.0]), u0v[None, :].copy())
-        return u0v, empty
-    tau = 1.0 / L
-    grid = time_grid(tau, 1.0, dt)
+        grid, v = np.array([1.0]), u0v
+    else:  # start at tau = 1/L from u0 * tau
+        grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
     proj = DykstraProjector(g, K)
-    deg = g.degrees
-
-    v = tau * u0v
-    states = np.empty((len(grid), g.n_vertices))
-    states[0] = v
-    residuals = np.empty(len(grid) - 1)
-    events: list = []
-    binding = _binding_set(proj, v, tol)
-    for n in range(len(grid) - 1):
-        t0, t1 = grid[n], grid[n + 1]
-        h = t1 - t0
-        fv = v / t0  # semi-implicit: source evaluated at the step start
-        z = v + h * fv
-        v = proj.project(z, tol=tol, max_iter=max_iter, warm=True)
-        _check_guard(g, v, 0.0, t1)
-        residuals[n] = float(np.dot(deg, v - states[n]) - h * np.dot(deg, fv))
-        now = _binding_set(proj, v, tol)
-        if not np.array_equal(now, binding):
-            for e in np.flatnonzero(now != binding):
-                kind = "activated" if now[e] else "deactivated"
-                events.append((float(t1), g.edges[e], kind))
-            binding = now
-        states[n + 1] = v
-    traj = Trajectory(g, grid, states, grid[1:], residuals, events)
-    return v, traj
+    traj = _integrate(
+        g, v, grid, lambda t, v: v / t,
+        lambda z, h: proj.project(z, tol=tol, max_iter=max_iter, warm=True),
+        0.0, sample_every, proj, tol)
+    return traj.final_state(), traj
 
 
 def solve_p_flow(g: WeightedGraph, p: float, model: str, u0, f: SourceSchedule,
-                 T: float, dt: float, tol: float = 1e-10) -> Trajectory:
+                 T: float, dt: float, tol: float = 1e-10,
+                 sample_every: int = 1) -> Trajectory:
     """Backward Euler for the p-Laplacian flow u' = Delta_p u + f.
 
     Each step is one resolvent evaluation with lambda equal to the step
     length.  The smooth flow has no finite propagation speed, so on
     truncated lattices the guard check allows magnitudes up to 1e-12.
     """
-    u = field_values(g, u0).copy()
-    grid = time_grid(0.0, T, dt, f.boundaries())
-    deg = g.degrees
-    states = np.empty((len(grid), g.n_vertices))
-    states[0] = u
-    residuals = np.empty(len(grid) - 1)
-    for n in range(len(grid) - 1):
-        t0, t1 = grid[n], grid[n + 1]
-        h = t1 - t0
-        fv = f(t0)
-        u = resolvent_p(g, p, model, h, u + h * fv, tol=tol)
-        _check_guard(g, u, 1e-12, t1)
-        residuals[n] = float(np.dot(deg, u - states[n]) - h * np.dot(deg, fv))
-        states[n + 1] = u
-    return Trajectory(g, grid, states, grid[1:], residuals)
+    return _integrate(
+        g, field_values(g, u0).copy(), time_grid(0.0, T, dt, f.boundaries()),
+        lambda t, _: f(t),
+        lambda z, h: resolvent_p(g, p, model, h, z, tol=tol),
+        1e-12, sample_every)
 
 
 def mass_balance(traj: Trajectory, f: SourceSchedule | None,
                  g: WeightedGraph) -> MassBalanceReport:
-    """Recompute per-step mass residuals from the sampled trajectory.
+    """Recompute per-step mass residuals from a trajectory sampled at every
+    step.
 
     r_n = sum_x (u^{n+1} - u^n) d_x  -  h * sum_x f(t_n) d_x; for collapse
     trajectories pass f=None and the source is the rescaled state v^n / t_n.
     """
     deg = g.degrees
     times, states = traj.times, traj.states
+    if len(traj.step_times) != len(times) - 1:
+        raise ValueError("mass_balance needs a trajectory kept at every step")
     res = np.empty(len(times) - 1)
     for n in range(len(times) - 1):
         h = times[n + 1] - times[n]
@@ -338,8 +331,10 @@ def converge_p_experiment(g: WeightedGraph, model: str, u0, f: SourceSchedule,
     p_list = list(p_list)
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be increasing")
-    K = ConstraintSet.uniform(g) if model == "G" \
-        else ConstraintSet.inverse_sqrt_weight(g)
+    kinds = [k for k, spec in CONSTRAINT_KINDS.items() if spec.model == model]
+    if not kinds:
+        raise ValueError(f"no constraint kind has the p-energy model {model!r}")
+    K = ConstraintSet.from_kind(g, kinds[0])
     if not is_stable(u0, K, 1e-8):
         raise ValueError("initial datum not stable for the matching constraint set")
     limit = solve_growth(g, K, u0, f, T, dt, tol=tol)
@@ -362,7 +357,6 @@ def collapse_via_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, p: float,
     if not probes or probes[0] <= 0:
         raise ValueError("probe times must be positive")
     u_inf, _ = solve_collapse(g, K, u0, dt, tol=tol)
-    model = K.model()
-    flow = solve_p_flow(g, p, model, u0, SourceSchedule.zero(g), probes[-1], dt,
+    flow = solve_p_flow(g, p, K.model(), u0, SourceSchedule.zero(g), probes[-1], dt,
                         tol=tol)
     return [(t, nu_norm(g, flow.state_at(t, atol=dt) - u_inf)) for t in probes]

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import abs_power, model_weight_factor, signed_power
+from .calculus import abs_power, edge_gaps, model_weight_factor, p_energy, \
+    p_flux, scatter
 from .graph import WeightedGraph, field_values
 from .ldl import elimination_plan
 
 __all__ = [
+    "CONSTRAINT_KINDS",
     "ConstraintSet",
     "ProjectionError",
     "ResolventError",
@@ -32,7 +35,20 @@ __all__ = [
     "resolvent_p",
 ]
 
-KINDS = ("uniform", "inverse_sqrt_weight", "inverse_weight", "custom")
+
+class ConstraintKind(NamedTuple):
+    token: str           # spelling in scenario files and on the command line
+    bounds: Callable[[WeightedGraph], np.ndarray]  # slope bounds from weights
+    model: str | None    # p-energy model whose p -> infinity limit this is
+
+
+# the named stable sets; "custom" (a user table of bounds) is the only other
+CONSTRAINT_KINDS = {
+    "uniform": ConstraintKind("uniform", lambda g: np.ones(g.n_edges), "G"),
+    "inverse_sqrt_weight": ConstraintKind(
+        "inv-sqrt-w", lambda g: 1.0 / np.sqrt(g.weights), "w"),
+    "inverse_weight": ConstraintKind("inv-w", lambda g: 1.0 / g.weights, None),
+}
 
 
 class ProjectionError(RuntimeError):
@@ -47,8 +63,9 @@ class ResolventError(RuntimeError):
 class ConstraintSet:
     """Per-edge slope bounds c_xy > 0 encoding a stable-configuration set.
 
-    kind "uniform" bounds every slope by 1; "inverse_sqrt_weight" by
-    1/sqrt(w_xy); "inverse_weight" by 1/w_xy; "custom" takes a user table.
+    kind is a key of CONSTRAINT_KINDS ("uniform" bounds every slope by 1,
+    "inverse_sqrt_weight" by 1/sqrt(w_xy), "inverse_weight" by 1/w_xy) or
+    "custom", a user table.
     """
 
     graph: WeightedGraph
@@ -56,7 +73,7 @@ class ConstraintSet:
     bounds: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind != "custom" and self.kind not in CONSTRAINT_KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         b = np.asarray(self.bounds, dtype=float)
         if b.shape != (self.graph.n_edges,):
@@ -67,15 +84,15 @@ class ConstraintSet:
 
     @classmethod
     def uniform(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls(g, "uniform", np.ones(g.n_edges))
+        return cls.from_kind(g, "uniform")
 
     @classmethod
     def inverse_sqrt_weight(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls(g, "inverse_sqrt_weight", 1.0 / np.sqrt(g.weights))
+        return cls.from_kind(g, "inverse_sqrt_weight")
 
     @classmethod
     def inverse_weight(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls(g, "inverse_weight", 1.0 / g.weights)
+        return cls.from_kind(g, "inverse_weight")
 
     @classmethod
     def custom(cls, g: WeightedGraph, bounds) -> "ConstraintSet":
@@ -84,39 +101,31 @@ class ConstraintSet:
 
     @classmethod
     def from_kind(cls, g: WeightedGraph, kind: str) -> "ConstraintSet":
-        aliases = {"uniform": cls.uniform,
-                   "inverse_sqrt_weight": cls.inverse_sqrt_weight,
-                   "inv-sqrt-w": cls.inverse_sqrt_weight,
-                   "inverse_weight": cls.inverse_weight,
-                   "inv-w": cls.inverse_weight}
-        try:
-            return aliases[kind](g)
-        except KeyError:
-            raise ValueError(f"unknown constraint kind {kind!r}")
+        """Named constraint set; kind is a CONSTRAINT_KINDS key or token."""
+        for name, spec in CONSTRAINT_KINDS.items():
+            if kind in (name, spec.token):
+                return cls(g, name, spec.bounds(g))
+        raise ValueError(f"unknown constraint kind {kind!r}")
 
     def model(self) -> str:
         """p-energy model whose limit this constraint set is."""
-        if self.kind == "uniform":
-            return "G"
-        if self.kind == "inverse_sqrt_weight":
-            return "w"
-        raise ValueError(f"no p-energy model matches constraint kind {self.kind!r}")
-
-    def gaps(self, values: np.ndarray) -> np.ndarray:
-        idx = self.graph.edge_index
-        return values[idx[:, 1]] - values[idx[:, 0]]
+        spec = CONSTRAINT_KINDS.get(self.kind)
+        if spec is None or spec.model is None:
+            raise ValueError(
+                f"no p-energy model matches constraint kind {self.kind!r}")
+        return spec.model
 
 
 def is_stable(u, K: ConstraintSet, tol: float = 1e-9) -> bool:
     """True iff |u(y) - u(x)| <= c_xy + tol on every edge."""
     vals = field_values(K.graph, u)
-    return bool(np.all(np.abs(K.gaps(vals)) <= K.bounds + tol))
+    return bool(np.all(np.abs(edge_gaps(K.graph, vals)) <= K.bounds + tol))
 
 
 def max_relative_slope(u, K: ConstraintSet) -> float:
     """max over edges of |u(y) - u(x)| / c_xy: the L of the collapse setup."""
     vals = field_values(K.graph, u)
-    return float(np.max(np.abs(K.gaps(vals)) / K.bounds))
+    return float(np.max(np.abs(edge_gaps(K.graph, vals)) / K.bounds))
 
 
 class DykstraProjector:
@@ -132,22 +141,19 @@ class DykstraProjector:
             raise ValueError("constraint set belongs to a different graph")
         self.graph = g
         self.K = K
-        idx = g.edge_index
-        self._i = idx[:, 0]
-        self._j = idx[:, 1]
+        self._i, self._j = g.edge_index.T
         deg = g.degrees
         inv_di = 1.0 / deg[self._i]
         inv_dj = 1.0 / deg[self._j]
-        self._invsum = inv_di + inv_dj
-        self._coef = 1.0 / self._invsum
-        self._bounds = K.bounds
-        # plain-float copies for the sweep loop
+        invsum = inv_di + inv_dj
+        # plain-float copies: the sweep loop indexes scalars, which is
+        # much slower on numpy arrays
         self._il = [int(k) for k in self._i]
         self._jl = [int(k) for k in self._j]
         self._invdil = [float(x) for x in inv_di]
         self._invdjl = [float(x) for x in inv_dj]
-        self._invsuml = [float(x) for x in self._invsum]
-        self._coefl = [float(x) for x in self._coef]
+        self._invsuml = [float(x) for x in invsum]
+        self._coefl = [float(x) for x in 1.0 / invsum]
         self._cl = [float(x) for x in K.bounds]
         self.mu = [0.0] * g.n_edges
 
@@ -156,12 +162,10 @@ class DykstraProjector:
 
     def binding_mask(self, values: np.ndarray, band: float) -> np.ndarray:
         """Edges whose gap magnitude is within `band` of the bound (or past it)."""
-        gaps = np.abs(values[self._j] - values[self._i])
-        return gaps >= self._bounds - band
+        return np.abs(edge_gaps(self.graph, values)) >= self.K.bounds - band
 
     def _violations(self, values: np.ndarray, tol: float) -> np.ndarray:
-        gaps = values[self._j] - values[self._i]
-        return np.abs(gaps) > self._bounds + tol
+        return np.abs(edge_gaps(self.graph, values)) > self.K.bounds + tol
 
     def project(self, z, tol: float = 1e-10, max_iter: int = 100_000,
                 warm: bool = False) -> np.ndarray:
@@ -231,10 +235,11 @@ class DykstraProjector:
             # their bound; fold them in and continue until globally stable
             v = np.asarray(vl)
             newly = np.flatnonzero(self._violations(v, tol))
-            fresh = [int(k) for k in newly if k not in set(active)]
+            active_set = set(active)
+            fresh = [int(k) for k in newly if k not in active_set]
             if not fresh:
                 break
-            active = sorted(set(active).union(fresh))
+            active = sorted(active_set.union(fresh))
         self.mu = mu
         return v
 
@@ -263,8 +268,7 @@ def project_oracle(g: WeightedGraph, K: ConstraintSet, z) -> np.ndarray:
     c = K.bounds
     D = g.degrees
 
-    gaps0 = zv[idx[:, 1]] - zv[idx[:, 0]]
-    if np.all(np.abs(gaps0) <= c + 1e-12):
+    if np.all(np.abs(edge_gaps(g, zv)) <= c + 1e-12):
         return zv.copy()
 
     def objective(v):
@@ -343,23 +347,19 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
     if lam == 0.0:
         return zv.copy()
 
-    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    i, j = g.edge_index.T
     D = g.degrees
     wf = model_weight_factor(g, p, model)
     n = g.n_vertices
     plan = elimination_plan(g)
 
     def energy(v):
-        gaps = v[j] - v[i]
-        jp = np.sum(wf * abs_power(gaps, float(p))) / p
-        return 0.5 * float(np.dot(D, (v - zv) ** 2)) + lam * float(jp)
+        jp = p_energy(edge_gaps(g, v), p, wf)
+        return 0.5 * float(np.dot(D, (v - zv) ** 2)) + lam * jp
 
     def grad(v):
-        gaps = v[j] - v[i]
-        flux = wf * signed_power(gaps, p - 1.0)
-        eg = np.bincount(i, weights=flux, minlength=n) \
-            - np.bincount(j, weights=flux, minlength=n)
-        return D * (v - zv) - lam * eg, gaps
+        gaps = edge_gaps(g, v)
+        return D * (v - zv) - lam * scatter(g, p_flux(gaps, p, wf)), gaps
 
     v = zv.copy()
     scale = max(1.0, float(np.sqrt(np.dot(D, zv * zv))))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +20,11 @@ from .evolution import SourceSchedule, Trajectory, solve_collapse, solve_growth,
     solve_p_flow
 from .graph import WeightedGraph, build_graph, build_path, build_star, \
     build_truncated_z, load_graph
-from .proximal import ConstraintSet, is_stable
+from .proximal import CONSTRAINT_KINDS, ConstraintSet, is_stable
 
 __all__ = [
     "ScenarioError",
     "ScenarioConfig",
-    "RunResult",
     "parse_scenario",
     "load_scenario",
     "run_scenario",
@@ -34,7 +33,11 @@ __all__ = [
 ]
 
 MODES = ("growth", "p-flow", "collapse")
-CONSTRAINT_TOKENS = ("uniform", "inv-sqrt-w", "inv-w")
+_DOCUMENT_KEYS = ("graph", "constraint", "mode", "u0", "source", "T", "dt",
+                  "tol", "p", "sample_every", "output", "runtime_budget_s")
+_GRAPH_KEYS = {"edges": ("edges",), "file": ("path",), "path": ("n", "weights"),
+               "star": ("weights",), "truncated_z": ("radius",)}
+_SEGMENT_KEYS = ("start", "end", "values")
 
 
 class ScenarioError(ValueError):
@@ -43,6 +46,12 @@ class ScenarioError(ValueError):
 
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
+
+
+def _known_keys(node: dict, allowed, path: str):
+    for key in node:
+        if key not in allowed:
+            _fail(f"{path}.{key}" if path else key, "unknown key")
 
 
 def _number(val, path, default=None, positive=False):
@@ -63,7 +72,7 @@ class ScenarioConfig:
     """Validated scenario: graph, constraint kind, mode, data, and steps."""
 
     graph: WeightedGraph
-    constraint: str          # one of CONSTRAINT_TOKENS
+    constraint: str          # a CONSTRAINT_KINDS token
     mode: str                # one of MODES
     u0: np.ndarray
     source: SourceSchedule
@@ -83,6 +92,9 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
     if not isinstance(node, dict):
         _fail(path, "expected an object")
     kind = node.get("kind")
+    if not isinstance(kind, str) or kind not in _GRAPH_KEYS:
+        _fail(f"{path}.kind", f"unknown graph kind {kind!r}")
+    _known_keys(node, ("kind",) + _GRAPH_KEYS[kind], path)
     if kind == "edges":
         edges = node.get("edges")
         if not isinstance(edges, list) or not edges:
@@ -109,12 +121,10 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
         if not isinstance(weights, list) or len(weights) < 2:
             _fail(f"{path}.weights", "expected a list of at least 2 weights")
         return build_star(weights)
-    if kind == "truncated_z":
-        radius = node.get("radius")
-        if not isinstance(radius, int) or radius < 1:
-            _fail(f"{path}.radius", "expected an integer >= 1")
-        return build_truncated_z(radius)
-    _fail(f"{path}.kind", f"unknown graph kind {kind!r}")
+    radius = node.get("radius")
+    if not isinstance(radius, int) or radius < 1:
+        _fail(f"{path}.radius", "expected an integer >= 1")
+    return build_truncated_z(radius)
 
 
 def _sparse_field(g: WeightedGraph, doc, path: str) -> np.ndarray:
@@ -141,12 +151,14 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         raise ScenarioError(f"document: not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise ScenarioError("document: expected a JSON object")
+    _known_keys(doc, _DOCUMENT_KEYS, "")
 
     g = _build_scenario_graph(doc.get("graph"), base_dir)
 
+    tokens = {spec.token: spec for spec in CONSTRAINT_KINDS.values()}
     constraint = doc.get("constraint", "uniform")
-    if constraint not in CONSTRAINT_TOKENS:
-        _fail("constraint", f"expected one of {CONSTRAINT_TOKENS}, got {constraint!r}")
+    if not isinstance(constraint, str) or constraint not in tokens:
+        _fail("constraint", f"expected one of {tuple(tokens)}, got {constraint!r}")
 
     mode = doc.get("mode")
     if mode not in MODES:
@@ -157,8 +169,9 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         p = _number(doc.get("p"), "p")
         if p is None or p < 2:
             _fail("p", "p-flow mode needs p >= 2")
-        if constraint == "inv-w":
-            _fail("constraint", "p-flow supports 'uniform' and 'inv-sqrt-w' only")
+        if tokens[constraint].model is None:
+            with_model = tuple(t for t, spec in tokens.items() if spec.model)
+            _fail("constraint", f"p-flow supports {with_model} only")
 
     u0 = _sparse_field(g, doc.get("u0"), "u0")
 
@@ -170,6 +183,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         spath = f"source[{k}]"
         if not isinstance(seg, dict):
             _fail(spath, "expected an object")
+        _known_keys(seg, _SEGMENT_KEYS, spath)
         t0 = _number(seg.get("start"), f"{spath}.start")
         t1 = _number(seg.get("end"), f"{spath}.end")
         if t0 is None or t1 is None:
@@ -185,16 +199,19 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     T = _number(doc.get("T"), "T", positive=True)
     if T is None:
         _fail("T", "required")
-    dt = _number(doc.get("dt", 1e-3), "dt", positive=True)
-    tol = _number(doc.get("tol", 1e-10), "tol", positive=True)
+    dt = _number(doc.get("dt"), "dt", default=1e-3, positive=True)
+    tol = _number(doc.get("tol"), "tol", default=1e-10, positive=True)
 
     sample_every = doc.get("sample_every", 1)
-    if not isinstance(sample_every, int) or sample_every < 1:
+    if not isinstance(sample_every, int) or isinstance(sample_every, bool) \
+            or sample_every < 1:
         _fail("sample_every", "expected a positive integer")
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         _fail("output", "expected a path string")
+    # a wall-time budget for tests and benchmarks; the library ignores it
+    _number(doc.get("runtime_budget_s"), "runtime_budget_s", positive=True)
 
     cfg = ScenarioConfig(g, constraint, mode, u0, schedule, T, dt, tol, p,
                          output, sample_every)
@@ -208,40 +225,20 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
-@dataclass
-class RunResult:
-    config: ScenarioConfig
-    trajectory: Trajectory
-    final_state: np.ndarray
-    extras: dict = field(default_factory=dict)
-
-
-def _thin(traj: Trajectory, every: int) -> Trajectory:
-    if every <= 1:
-        return traj
-    keep = list(range(0, traj.n_samples, every))
-    if keep[-1] != traj.n_samples - 1:
-        keep.append(traj.n_samples - 1)
-    return Trajectory(traj.graph, traj.times[keep], traj.states[keep],
-                      traj.step_times, traj.mass_residuals, traj.events)
-
-
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    """Execute a scenario in its declared mode."""
-    g = cfg.graph
+def run_scenario(cfg: ScenarioConfig) -> Trajectory:
+    """Execute a scenario in its declared mode, keeping every
+    cfg.sample_every-th state and the last one."""
+    g, every = cfg.graph, cfg.sample_every
     if cfg.mode == "growth":
-        traj = solve_growth(g, cfg.constraint_set(), cfg.u0, cfg.source,
-                            cfg.T, cfg.dt, tol=cfg.tol)
-        return RunResult(cfg, traj, traj.final_state())
+        return solve_growth(g, cfg.constraint_set(), cfg.u0, cfg.source,
+                            cfg.T, cfg.dt, tol=cfg.tol, sample_every=every)
     if cfg.mode == "p-flow":
-        model = "G" if cfg.constraint == "uniform" else "w"
-        traj = solve_p_flow(g, cfg.p, model, cfg.u0, cfg.source, cfg.T, cfg.dt,
-                            tol=cfg.tol)
-        return RunResult(cfg, traj, traj.final_state())
+        return solve_p_flow(g, cfg.p, cfg.constraint_set().model(), cfg.u0,
+                            cfg.source, cfg.T, cfg.dt, tol=cfg.tol,
+                            sample_every=every)
     if cfg.mode == "collapse":
-        u_inf, traj = solve_collapse(g, cfg.constraint_set(), cfg.u0, cfg.dt,
-                                     tol=cfg.tol)
-        return RunResult(cfg, traj, u_inf, {"u_infinity": u_inf})
+        return solve_collapse(g, cfg.constraint_set(), cfg.u0, cfg.dt,
+                              tol=cfg.tol, sample_every=every)[1]
     raise ScenarioError(f"mode: unknown mode {cfg.mode!r}")  # pragma: no cover
 
 
@@ -250,14 +247,13 @@ def _mass_path(path: Path) -> Path:
         else Path(str(path) + ".mass.csv")
 
 
-def write_trajectory(traj: Trajectory, path, sample_every: int = 1) -> Path:
+def write_trajectory(traj: Trajectory, path) -> Path:
     """Write `t,vertex,u` rows plus the sibling mass-residual CSV."""
     path = Path(path)
-    out = _thin(traj, sample_every)
     buf = io.StringIO()
     buf.write("t,vertex,u\n")
     vertices = traj.graph.vertices
-    for t, state in zip(out.times, out.states):
+    for t, state in zip(traj.times, traj.states):
         ts = repr(float(t))
         for v, x in zip(vertices, state):
             buf.write(f"{ts},{v},{repr(float(x))}\n")

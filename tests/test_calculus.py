@@ -4,7 +4,7 @@ import pytest
 from graphsand import (VertexField, build_graph, divergence, energy_Jp,
                        inner_product_nu, integration_by_parts_residual,
                        laplacian, nonlocal_gradient, p_laplacian)
-from graphsand.calculus import EdgeField
+from graphsand.calculus import EdgeField, edge_gaps, scatter
 from conftest import random_connected_graph, random_field
 
 
@@ -42,6 +42,26 @@ def test_divergence_single_edge(edge):
     div = divergence(edge, z)
     assert div[0] == pytest.approx(0.5)
     assert div[1] == pytest.approx(-0.5)
+
+
+def test_edge_kernel_matches_loop_reference():
+    # scatter sums the two ends separately, so the order of additions
+    # differs from a per-edge loop; allow a few ulps of the summed magnitude
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = random_connected_graph(rng, n_max=8)
+        u = random_field(rng, g)
+        flux = rng.normal(scale=3.0, size=g.n_edges)
+        gaps = np.array([u[j] - u[i] for i, j in g.edge_index])
+        ref = np.zeros(g.n_vertices)
+        mag = np.zeros(g.n_vertices)
+        for (i, j), q in zip(g.edge_index, flux):
+            ref[i] += q
+            ref[j] -= q
+            mag[i] += abs(q)
+            mag[j] += abs(q)
+        assert np.array_equal(edge_gaps(g, u), gaps)
+        assert np.all(np.abs(scatter(g, flux) - ref) <= 8 * np.finfo(float).eps * mag)
 
 
 def test_div_grad_is_laplacian():

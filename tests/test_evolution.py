@@ -325,3 +325,50 @@ def test_collapse_via_p_stable_datum(p4, p4_uniform):
     table = collapse_via_p_experiment(p4, p4_uniform, u0, 32.0, [0.5, 1.0], 1e-2)
     # stable datum: the limit is u0 itself and the flow stays nearly frozen
     assert all(dist < 0.1 for _, dist in table)
+
+
+# -- sampling inside the driver -------------------------------------------
+
+
+def assert_sampled(full, thin, k):
+    """thin keeps states 0, k, 2k, ... and the last of full, bit for bit,
+    with the per-step records untouched."""
+    keep = list(range(0, full.n_samples, k))
+    if keep[-1] != full.n_samples - 1:
+        keep.append(full.n_samples - 1)
+    assert np.array_equal(thin.times, full.times[keep])
+    assert np.array_equal(thin.states, full.states[keep])
+    assert np.array_equal(thin.step_times, full.step_times)
+    assert np.array_equal(thin.mass_residuals, full.mass_residuals)
+    assert thin.events == full.events
+
+
+def test_growth_sample_every_with_breakpoints(p4, p4_uniform):
+    f = SourceSchedule(p4, ((0.0, 0.33, np.array([0, 6.0, 0, 0])),
+                            (0.33, 1.0, np.array([0, 0, 3.0, 0]))))
+    full = solve_growth(p4, p4_uniform, np.zeros(4), f, 1.0, 0.01)
+    assert len(full.step_times) == 100 and full.events
+    for k in (4, 7):
+        assert_sampled(full, solve_growth(p4, p4_uniform, np.zeros(4), f, 1.0,
+                                          0.01, sample_every=k), k)
+    with pytest.raises(ValueError, match="sample_every"):
+        solve_growth(p4, p4_uniform, np.zeros(4), f, 1.0, 0.01, sample_every=0)
+
+
+def test_collapse_sample_every_off_multiple(p4, p4_uniform):
+    u0 = VertexField.from_dict(p4, {"x2": 3.0, "x4": 1.0})
+    u_full, full = solve_collapse(p4, p4_uniform, u0, 1e-3)
+    assert len(full.step_times) % 10 != 0
+    u_thin, thin = solve_collapse(p4, p4_uniform, u0, 1e-3, sample_every=10)
+    assert_sampled(full, thin, 10)
+    assert np.array_equal(u_thin, u_full)
+    with pytest.raises(ValueError, match="every step"):
+        mass_balance(thin, None, p4)
+
+
+def test_p_flow_sample_every(p4):
+    f = SourceSchedule.constant(p4, {"x2": 1.0})
+    full = solve_p_flow(p4, 4.0, "G", np.zeros(4), f, 0.3, 0.01)
+    assert len(full.step_times) == 30
+    thin = solve_p_flow(p4, 4.0, "G", np.zeros(4), f, 0.3, 0.01, sample_every=4)
+    assert_sampled(full, thin, 4)

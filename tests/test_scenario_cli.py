@@ -35,6 +35,9 @@ def test_parse_missing_dt_default():
     doc = dict(MINIMAL)
     assert "dt" not in doc
     assert parse_scenario(json.dumps(doc)).dt == 1e-3
+    # an explicit null is the default too, not a crash in the solver
+    cfg = parse_scenario(json.dumps(dict(doc, dt=None, tol=None)))
+    assert (cfg.dt, cfg.tol) == (1e-3, 1e-10)
 
 
 @pytest.mark.parametrize("mutate, path_fragment", [
@@ -47,6 +50,10 @@ def test_parse_missing_dt_default():
     (lambda d: d.update(constraint="weird"), "constraint"),
     (lambda d: d.update(mode="p-flow"), "p"),
     (lambda d: d.update(graph={"kind": "mystery"}), "graph.kind"),
+    (lambda d: d.update(dT=0.5), "dT"),
+    (lambda d: d.update(graph={"kind": "path", "nn": 4}), "graph.nn"),
+    (lambda d: d["source"][0].update(valuez={}), "source[0].valuez"),
+    (lambda d: d.update(runtime_budget_s=-1.0), "runtime_budget_s"),
 ])
 def test_parse_schema_errors(mutate, path_fragment):
     doc = json.loads(json.dumps(MINIMAL))
@@ -96,7 +103,7 @@ def test_shipped_scenarios_validate_and_run(tmp_path, monkeypatch):
         result = run_scenario(cfg)
         elapsed = time.perf_counter() - start
         assert elapsed <= budget, f"{path.name} exceeded its runtime budget"
-        assert result.trajectory.n_samples >= 1
+        assert result.n_samples >= 1
 
 
 def test_cli_simulate_writes_csv(tmp_path, monkeypatch):
@@ -196,6 +203,19 @@ def test_cli_transport_check(tmp_path, monkeypatch, capsys):
     assert "verified" in capsys.readouterr().out
 
 
+def test_cli_transport_check_keeps_every_step(tmp_path, monkeypatch, capsys):
+    # the rate at t needs the step just before t, whatever the sampling
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((SCENARIOS / "z_lattice.json").read_text())
+    assert doc.pop("sample_every") > 1
+    (tmp_path / "z.json").write_text(json.dumps(doc))
+    outs = []
+    for path in (SCENARIOS / "z_lattice.json", tmp_path / "z.json"):
+        assert run_command(["transport-check", str(path), "--t", "9"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_command(["simulate", "does_not_exist.json"]) == 1
@@ -221,6 +241,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     (tmp_path / "touch.json").write_text(json.dumps(scenario))
     assert run_command(["simulate", "touch.json"]) == 2
     assert "guard band at t=0.125" in capsys.readouterr().err
+    # inv-w has no p-energy model, so there is no p-flow to compare against
+    scenario = {
+        "graph": {"kind": "path", "n": 3, "weights": [1.0, 4.0]},
+        "constraint": "inv-w",
+        "mode": "growth",
+        "source": [{"start": 0.0, "end": 1.0, "values": {"x2": 1.0}}],
+        "T": 1.0, "dt": 0.01,
+    }
+    (tmp_path / "invw.json").write_text(json.dumps(scenario))
+    assert run_command(["converge-p", "invw.json", "--p-list", "8"]) == 1
+    assert "no p-energy model matches" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):
