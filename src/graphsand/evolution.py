@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calculus import edge_gaps
 from .graph import WeightedGraph, field_values, nu_norm
 from .proximal import CONSTRAINT_KINDS, ConstraintSet, DykstraProjector, \
     is_stable, max_relative_slope, resolvent_p
@@ -199,8 +200,8 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     deg = g.degrees
     residuals = np.empty(steps)
     events: list = []
-    band = _EVENT_BAND * tol
-    binding = None if proj is None else proj.binding_mask(u, band)
+    threshold = None if proj is None else proj.K.bounds - _EVENT_BAND * tol
+    binding = None if proj is None else np.abs(edge_gaps(g, u)) >= threshold
     for n in range(steps):
         t0, t1 = grid[n], grid[n + 1]
         h = t1 - t0
@@ -215,8 +216,8 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         residuals[n] = float(np.dot(deg, new - u) - h * np.dot(deg, fv))
         u = new
         if proj is not None:
-            now = proj.binding_mask(u, band)
-            if not np.array_equal(now, binding):
+            now = proj.abs_gaps >= threshold
+            if (now != binding).any():
                 for e in np.flatnonzero(now != binding):
                     kind = "activated" if now[e] else "deactivated"
                     events.append((float(t1), g.edges[e], kind))

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def field_values(g: WeightedGraph, u) -> np.ndarray:
     if vals.shape != (g.n_vertices,):
         raise ValueError(f"field shape {vals.shape} does not match "
                          f"{g.n_vertices} vertices")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("field values must be finite")
     return vals
 

@@ -133,7 +133,9 @@ class DykstraProjector:
 
     A fresh instance performs the standard cold-start iteration.  Solvers
     keep one instance per run and pass warm=True so the multipliers carry
-    over between consecutive, nearly identical projections.
+    over between consecutive, nearly identical projections.  The active
+    list is carried too; it holds every edge with mu != 0, since mu is only
+    written in the sweep over it.  abs_gaps holds |gaps| of the last result.
     """
 
     def __init__(self, g: WeightedGraph, K: ConstraintSet):
@@ -141,31 +143,27 @@ class DykstraProjector:
             raise ValueError("constraint set belongs to a different graph")
         self.graph = g
         self.K = K
-        self._i, self._j = g.edge_index.T
+        i, j = g.edge_index.T
         deg = g.degrees
-        inv_di = 1.0 / deg[self._i]
-        inv_dj = 1.0 / deg[self._j]
+        inv_di = 1.0 / deg[i]
+        inv_dj = 1.0 / deg[j]
         invsum = inv_di + inv_dj
         # plain-float copies: the sweep loop indexes scalars, which is
         # much slower on numpy arrays
-        self._il = [int(k) for k in self._i]
-        self._jl = [int(k) for k in self._j]
-        self._invdil = [float(x) for x in inv_di]
-        self._invdjl = [float(x) for x in inv_dj]
-        self._invsuml = [float(x) for x in invsum]
-        self._coefl = [float(x) for x in 1.0 / invsum]
-        self._cl = [float(x) for x in K.bounds]
-        self.mu = [0.0] * g.n_edges
+        self._il = i.tolist()
+        self._jl = j.tolist()
+        self._degl = deg.tolist()
+        self._invdil = inv_di.tolist()
+        self._invdjl = inv_dj.tolist()
+        self._invsuml = invsum.tolist()
+        self._coefl = (1.0 / invsum).tolist()
+        self._cl = K.bounds.tolist()
+        self.abs_gaps = None
+        self.reset()
 
     def reset(self):
         self.mu = [0.0] * self.graph.n_edges
-
-    def binding_mask(self, values: np.ndarray, band: float) -> np.ndarray:
-        """Edges whose gap magnitude is within `band` of the bound (or past it)."""
-        return np.abs(edge_gaps(self.graph, values)) >= self.K.bounds - band
-
-    def _violations(self, values: np.ndarray, tol: float) -> np.ndarray:
-        return np.abs(edge_gaps(self.graph, values)) > self.K.bounds + tol
+        self._active = []
 
     def project(self, z, tol: float = 1e-10, max_iter: int = 100_000,
                 warm: bool = False) -> np.ndarray:
@@ -175,30 +173,32 @@ class DykstraProjector:
         Stops when a full sweep moves the iterate by at most tol in the
         weighted norm and the result is stable at tol.
         """
-        zv = field_values(self.graph, z)
+        v = field_values(self.graph, z).copy()
         if not warm:
             self.reset()
-            if not np.any(self._violations(zv, tol)):
-                # tolerance-inclusive membership: binding input is returned as is
-                return zv.copy()
-
-        v = zv.copy()
         mu = self.mu
-        if warm and any(m != 0.0 for m in mu):
-            np.add.at(v, self._i, np.asarray(mu) / self.graph.degrees[self._i])
-            np.add.at(v, self._j, -np.asarray(mu) / self.graph.degrees[self._j])
+        il, jl, deg = self._il, self._jl, self._degl
+        # fold the nonzero multipliers into v in edge order, all i-ends
+        # first: the additions of a scatter over every edge less its +0.0s
+        support = [e for e in self._active if mu[e] != 0.0]
+        for e in support:
+            v[il[e]] += mu[e] / deg[il[e]]
+        for e in support:
+            v[jl[e]] += -mu[e] / deg[jl[e]]
 
-        active = sorted(set(
-            [k for k, m in enumerate(mu) if m != 0.0]
-            + [int(k) for k in np.flatnonzero(self._violations(v, tol))]))
+        limit = self.K.bounds + tol
+        a = np.abs(edge_gaps(self.graph, v))
+        over = a > limit
+        active = self._active = sorted(set(support).union(
+            over.nonzero()[0].tolist())) if over.any() else support
         if not active:
-            self.mu = mu
+            # tolerance-inclusive membership: binding input is returned as is
+            self.abs_gaps = a
             return v
 
-        il, jl = self._il, self._jl
         invdi, invdj = self._invdil, self._invdjl
         invsum, coef, cl = self._invsuml, self._coefl, self._cl
-        vl = [float(x) for x in v]
+        vl = v.tolist()
         tol_sq = tol * tol
         sweeps = 0
         change = np.inf
@@ -231,16 +231,21 @@ class DykstraProjector:
                         mu[e] = m_new
                 if change <= tol_sq:
                     break
+            # the sweep moved only the ends of active edges
+            for e in active:
+                v[il[e]] = vl[il[e]]
+                v[jl[e]] = vl[jl[e]]
             # constraints outside the active list may have been pushed past
             # their bound; fold them in and continue until globally stable
-            v = np.asarray(vl)
-            newly = np.flatnonzero(self._violations(v, tol))
-            active_set = set(active)
-            fresh = [int(k) for k in newly if k not in active_set]
-            if not fresh:
+            a = np.abs(edge_gaps(self.graph, v))
+            over = a > limit
+            if not over.any():
                 break
-            active = sorted(active_set.union(fresh))
-        self.mu = mu
+            grown = sorted(set(active).union(over.nonzero()[0].tolist()))
+            if len(grown) == len(active):
+                break
+            active = self._active = grown
+        self.abs_gaps = a
         return v
 
 

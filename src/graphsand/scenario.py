@@ -32,9 +32,16 @@ __all__ = [
     "read_trajectory",
 ]
 
-MODES = ("growth", "p-flow", "collapse")
-_DOCUMENT_KEYS = ("graph", "constraint", "mode", "u0", "source", "T", "dt",
-                  "tol", "p", "sample_every", "output", "runtime_budget_s")
+_COMMON_KEYS = ("graph", "constraint", "mode", "u0", "dt", "tol",
+                "sample_every", "output", "runtime_budget_s")
+# the document keys each mode reads; collapse runs from the rescaled datum
+# up to t = 1 without a source, and accepts only "source": [] and "T": 1
+_MODE_KEYS = {
+    "growth": _COMMON_KEYS + ("source", "T"),
+    "p-flow": _COMMON_KEYS + ("source", "T", "p"),
+    "collapse": _COMMON_KEYS + ("source", "T"),
+}
+MODES = tuple(_MODE_KEYS)
 _GRAPH_KEYS = {"edges": ("edges",), "file": ("path",), "path": ("n", "weights"),
                "star": ("weights",), "truncated_z": ("radius",)}
 _SEGMENT_KEYS = ("start", "end", "values")
@@ -48,10 +55,10 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
-def _known_keys(node: dict, allowed, path: str):
+def _known_keys(node: dict, allowed, path: str, where: str = ""):
     for key in node:
         if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown key")
+            _fail(f"{path}.{key}" if path else key, "unknown key" + where)
 
 
 def _number(val, path, default=None, positive=False):
@@ -151,7 +158,10 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         raise ScenarioError(f"document: not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise ScenarioError("document: expected a JSON object")
-    _known_keys(doc, _DOCUMENT_KEYS, "")
+    mode = doc.get("mode")
+    if mode not in MODES:
+        _fail("mode", f"expected one of {MODES}, got {mode!r}")
+    _known_keys(doc, _MODE_KEYS[mode], "", f" in {mode} mode")
 
     g = _build_scenario_graph(doc.get("graph"), base_dir)
 
@@ -159,10 +169,6 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     constraint = doc.get("constraint", "uniform")
     if not isinstance(constraint, str) or constraint not in tokens:
         _fail("constraint", f"expected one of {tuple(tokens)}, got {constraint!r}")
-
-    mode = doc.get("mode")
-    if mode not in MODES:
-        _fail("mode", f"expected one of {MODES}, got {mode!r}")
 
     p = None
     if mode == "p-flow":
@@ -191,14 +197,19 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         if not t0 < t1:
             _fail(spath, f"empty time interval [{t0}, {t1})")
         segments.append((t0, t1, _sparse_field(g, seg.get("values"), f"{spath}.values")))
+    if mode == "collapse" and segments:
+        _fail("source", "collapse mode takes no source")
     try:
         schedule = SourceSchedule(g, tuple(segments))
     except ValueError as exc:
         _fail("source", str(exc))
 
-    T = _number(doc.get("T"), "T", positive=True)
+    T = _number(doc.get("T"), "T", default=1.0 if mode == "collapse" else None,
+                positive=True)
     if T is None:
         _fail("T", "required")
+    if mode == "collapse" and T != 1.0:
+        _fail("T", f"collapse mode ends at T = 1, got {T}")
     dt = _number(doc.get("dt"), "dt", default=1e-3, positive=True)
     tol = _number(doc.get("tol"), "tol", default=1e-10, positive=True)
 

@@ -54,12 +54,29 @@ def test_parse_missing_dt_default():
     (lambda d: d.update(graph={"kind": "path", "nn": 4}), "graph.nn"),
     (lambda d: d["source"][0].update(valuez={}), "source[0].valuez"),
     (lambda d: d.update(runtime_budget_s=-1.0), "runtime_budget_s"),
+    # each mode accepts only the keys it reads
+    (lambda d: d.update(p=4.0), "p: unknown key in growth mode"),
+    (lambda d: d.update(mode="collapse"), "source: collapse mode takes no"),
+    (lambda d: d.update(mode="collapse", source=[], T=5.0), "T: collapse"),
+    (lambda d: d.update(mode="collapse", source=[], T=True), "T"),
+    (lambda d: d.update(mode="collapse", source=[], p=1.0),
+     "p: unknown key in collapse mode"),
 ])
 def test_parse_schema_errors(mutate, path_fragment):
     doc = json.loads(json.dumps(MINIMAL))
     mutate(doc)
     with pytest.raises(ScenarioError, match=path_fragment.replace("[", r"\[")):
         parse_scenario(json.dumps(doc))
+
+
+def test_parse_collapse_source_and_horizon():
+    # collapse ends at t = 1 without a source: both keys may be left out,
+    # and the values the shipped collapse scenarios carry are accepted
+    doc = {"graph": {"kind": "path", "n": 4}, "mode": "collapse",
+           "u0": {"x2": 3.0}}
+    for extra in ({}, {"source": [], "T": 1.0}, {"T": 1}):
+        cfg = parse_scenario(json.dumps(dict(doc, **extra)))
+        assert cfg.T == 1.0 and cfg.source.segments == ()
 
 
 def test_parse_unstable_growth_datum():
@@ -252,6 +269,21 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     (tmp_path / "invw.json").write_text(json.dumps(scenario))
     assert run_command(["converge-p", "invw.json", "--p-list", "8"]) == 1
     assert "no p-energy model matches" in capsys.readouterr().err
+    # keys a mode does not read are refused, not ignored
+    collapse = {"graph": {"kind": "path", "n": 4}, "mode": "collapse",
+                "u0": {"x2": 3.0}, "source": [], "T": 1.0}
+    for extra, message in (
+            ({"source": [{"start": 0, "end": 5, "values": {"x1": 7.0}}]},
+             "source: collapse mode takes no source"),
+            ({"T": 5.0}, "T: collapse mode ends at T = 1"),
+            ({"p": 1.0}, "p: unknown key in collapse mode")):
+        (tmp_path / "c.json").write_text(json.dumps(dict(collapse, **extra)))
+        for command in ("simulate", "collapse"):
+            assert run_command([command, "c.json"]) == 1
+            assert message in capsys.readouterr().err
+    (tmp_path / "g.json").write_text(json.dumps(dict(MINIMAL, p=4.0)))
+    assert run_command(["simulate", "g.json"]) == 1
+    assert "p: unknown key in growth mode" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):
