@@ -58,7 +58,8 @@ def test_parse_missing_dt_default():
     (lambda d: d.update(p=4.0), "p: unknown key in growth mode"),
     (lambda d: d.update(mode="collapse"), "source: collapse mode takes no"),
     (lambda d: d.update(mode="collapse", source=[], T=5.0), "T: collapse"),
-    (lambda d: d.update(mode="collapse", source=[], T=True), "T"),
+    (lambda d: d.update(mode="collapse", source=[], T=True),
+     "T: expected a number"),
     (lambda d: d.update(mode="collapse", source=[], p=1.0),
      "p: unknown key in collapse mode"),
 ])
