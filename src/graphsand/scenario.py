@@ -8,7 +8,6 @@ round trip reproduces every value bit for bit and reruns are byte-identical.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -261,38 +260,99 @@ def _mass_path(path: Path) -> Path:
 def write_trajectory(traj: Trajectory, path) -> Path:
     """Write `t,vertex,u` rows plus the sibling mass-residual CSV."""
     path = Path(path)
-    buf = io.StringIO()
-    buf.write("t,vertex,u\n")
-    vertices = traj.graph.vertices
-    for t, state in zip(traj.times, traj.states):
-        ts = repr(float(t))
-        for v, x in zip(vertices, state):
-            buf.write(f"{ts},{v},{repr(float(x))}\n")
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    labels = [f",{v}," for v in traj.graph.vertices]
+    parts = ["t,vertex,u\n"]
+    for t, row in zip(traj.times.tolist(), traj.states.tolist()):
+        ts = repr(t)
+        parts.append("".join([f"{ts}{lab}{x!r}\n" for lab, x in zip(labels, row)]))
+    path.write_text("".join(parts), encoding="utf-8")
 
-    mbuf = io.StringIO()
-    mbuf.write("t,residual\n")
-    for t, r in zip(traj.step_times, traj.mass_residuals):
-        mbuf.write(f"{repr(float(t))},{repr(float(r))}\n")
-    _mass_path(path).write_text(mbuf.getvalue(), encoding="utf-8")
+    rows = zip(traj.step_times.tolist(), traj.mass_residuals.tolist())
+    _mass_path(path).write_text(
+        "t,residual\n" + "".join([f"{t!r},{r!r}\n" for t, r in rows]),
+        encoding="utf-8")
     return path
 
 
+def _floats(path, cells, what, line_of) -> np.ndarray:
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        for k, s in enumerate(cells):
+            try:
+                float(s)
+            except ValueError:
+                raise ValueError(f"{path}: line {line_of(k)}: {what} {s!r} "
+                                 "is not a number") from None
+        raise
+
+
+def _bad_row(path, lines, first_line):
+    for k, line in enumerate(lines):
+        text = line.rstrip("\n")
+        if text.count(",") != 2:
+            got = "a blank line" if not text.strip() else \
+                f"{text.count(',') + 1} fields in {text[:80]!r}"
+            raise ValueError(f"{path}: line {first_line + k}: expected "
+                             f"t,vertex,u, got {got}")
+
+
 def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Read a trajectory CSV back as (times, vertices, states)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "t,vertex,u":
-        raise ValueError(f"{path}: not a trajectory CSV")
-    by_time: dict[float, dict[str, float]] = {}
-    order: list[float] = []
-    vertices: dict[str, None] = {}  # insertion-ordered set
-    for line in lines[1:]:
-        ts, v, x = line.split(",")
-        t = float(ts)
-        if t not in by_time:
-            by_time[t] = {}
-            order.append(t)
-        by_time[t][v] = float(x)
-        vertices[v] = None
-    states = np.array([[by_time[t][v] for v in vertices] for t in order])
-    return np.asarray(order), list(vertices), states
+    """Read a trajectory CSV back as (times, vertices, states).
+
+    The file is read in chunks of about 64 KiB of lines, so memory stays a
+    small multiple of the file size.  Every sample time needs exactly one cell
+    per vertex; a row without three fields, a cell that is not a number, and
+    a missing or duplicated cell raise ValueError naming the path and the
+    line, time or vertex.  A header-only file gives states of shape (0, 0).
+    """
+    tkeys: dict[str, int] = {}  # time text -> id, in first-seen order
+    vkeys: dict[str, int] = {}
+    # seeded so that a header-only file concatenates to empty arrays
+    tids, vids, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != "t,vertex,u":
+            raise ValueError(f"{path}: not a trajectory CSV (header {header[:80]!r})")
+        first_line = 2
+        while lines := fh.readlines(1 << 16):
+            if not lines[-1].endswith("\n"):
+                lines[-1] += "\n"
+            # a well-formed line splits into the four cells t, vertex, u, "\n"
+            cells = "".join(lines).replace("\n", ",\n,").split(",")
+            del cells[-1]
+            if len(cells) != 4 * len(lines) or cells[3::4].count("\n") != len(lines):
+                _bad_row(path, lines, first_line)
+            tids.append(np.array([tkeys.setdefault(s, len(tkeys)) for s in cells[0::4]],
+                                 dtype=np.int32))
+            vids.append(np.array([vkeys.setdefault(s, len(vkeys)) for s in cells[1::4]],
+                                 dtype=np.int32))
+            vals.append(_floats(path, cells[2::4], "value",
+                                lambda k: first_line + k))
+            first_line += len(lines)
+    tid, vid, val = np.concatenate(tids), np.concatenate(vids), np.concatenate(vals)
+    del tids, vids, vals  # free the chunks before the states are built
+
+    raw = _floats(path, list(tkeys), "time",
+                  lambda k: 2 + int(np.argmax(tid == k)))
+    # one time written two ways ("1.0", "1.00") is one sample
+    by_value: dict[float, int] = {}
+    merged = [by_value.setdefault(t, len(by_value)) for t in raw.tolist()]
+    times, tid = np.array(list(by_value)), np.array(merged, dtype=np.intp)[tid]
+    vertices = list(vkeys)
+
+    filled = np.zeros((len(times), len(vertices)), dtype=bool)
+    filled[tid, vid] = True
+    if np.count_nonzero(filled) < len(tid):
+        seen = np.zeros(len(tid), dtype=bool)
+        seen[np.unique(tid * len(vertices) + vid, return_index=True)[1]] = True
+        row = int(np.argmin(seen))
+        raise ValueError(f"{path}: line {row + 2}: second cell for "
+                         f"t={times[tid[row]].item()!r}, vertex {vertices[vid[row]]!r}")
+    if not filled.all():
+        i, j = np.argwhere(~filled)[0]
+        raise ValueError(f"{path}: no cell for t={times[i].item()!r}, "
+                         f"vertex {vertices[j]!r}")
+    states = np.empty(filled.shape)
+    states[tid, vid] = val
+    return times, vertices, states

@@ -107,6 +107,8 @@ def test_empty_trajectory_header_only(tmp_path, p4):
     write_trajectory(traj, out)
     assert out.read_text() == "t,vertex,u\n"
     assert (tmp_path / "empty.mass.csv").read_text() == "t,residual\n"
+    times, vertices, states = read_trajectory(out)
+    assert times.shape == (0,) and vertices == [] and states.shape == (0, 0)
     single = Trajectory(p4, np.array([0.0]), np.zeros((1, 4)))
     write_trajectory(single, tmp_path / "one.csv")
     assert len((tmp_path / "one.csv").read_text().splitlines()) == 1 + 4
