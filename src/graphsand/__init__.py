@@ -5,12 +5,10 @@ Simulates p-Laplacian gradient flows and their slope-constrained limits
 states against exact transport-duality certificates.
 """
 
-from .graph import (WeightedGraph, VertexField, build_graph, load_graph,
-                    parse_edge_lines, field_values, nu_mass, inner_product_nu,
-                    nu_norm, distance_rows, graph_distance, constraint_distance,
-                    nonlocal_boundary, build_path, build_star, build_truncated_z)
-from .calculus import (EdgeField, nonlocal_gradient, divergence, laplacian,
-                       p_laplacian, energy_Jp, integration_by_parts_residual)
+from .graph import (WeightedGraph, build_graph, load_graph, parse_edge_lines,
+                    field_values, nu_norm, distance_rows, build_path, build_star,
+                    build_truncated_z)
+from .calculus import p_laplacian
 from .proximal import (ConstraintSet, DykstraProjector, ProjectionError,
                        ResolventError, is_stable, max_relative_slope, project,
                        project_oracle, resolvent_p)
@@ -18,9 +16,8 @@ from .evolution import (SourceSchedule, Trajectory, MassBalanceReport,
                         TruncationError, solve_p_flow, solve_growth,
                         solve_collapse, mass_balance, converge_p_experiment,
                         collapse_via_p_experiment)
-from .transport import (TransportInstance, distance_table, is_lipschitz_wrt,
-                        kantorovich_pairing, ot_cost_oracle, verify_potential,
-                        verify_dual_criteria)
+from .transport import (TransportInstance, is_lipschitz_wrt, kantorovich_pairing,
+                        ot_cost_oracle, verify_potential, verify_dual_criteria)
 from .scenario import (ScenarioConfig, ScenarioError, parse_scenario,
                        load_scenario, run_scenario, write_trajectory,
                        read_trajectory)

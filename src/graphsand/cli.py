@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .evolution import TruncationError, converge_p_experiment
-from .graph import load_graph
+from .graph import field_values, load_graph
 from .proximal import CONSTRAINT_KINDS, ConstraintSet, ProjectionError, \
     ResolventError, project
 from .scenario import ScenarioError, load_scenario, run_scenario, write_trajectory
@@ -53,10 +53,7 @@ def _read_field_file(g, path):
         if len(parts) != 2:
             raise ScenarioError(f"{path}:{lineno}: expected '<vertex> <value>'")
         vals[parts[0]] = float(parts[1])
-    out = np.zeros(g.n_vertices)
-    for vertex, value in vals.items():
-        out[g.vertex_id(vertex)] = value
-    return out
+    return field_values(g, vals)
 
 
 def _cmd_simulate(args) -> int:

@@ -112,7 +112,7 @@ class Trajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):  # also refuses NaN times
             raise ValueError("sample times must be strictly increasing")
 
     @property

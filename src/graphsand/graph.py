@@ -2,8 +2,8 @@
 
 Vertices are opaque string labels; the global vertex order is lexicographic
 and fixed at construction, so every sweep and every CSV row is reproducible.
-Vertex fields are numpy arrays aligned with ``graph.vertices``; the
-:class:`VertexField` wrapper carries the labels for IO boundaries.
+Vertex fields are numpy arrays aligned with ``graph.vertices``, or
+``{vertex: value}`` mappings (zero elsewhere) at the API edge.
 """
 
 from __future__ import annotations
@@ -11,24 +11,17 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "WeightedGraph",
-    "VertexField",
     "build_graph",
     "parse_edge_lines",
     "load_graph",
     "field_values",
-    "nu_mass",
-    "inner_product_nu",
     "nu_norm",
     "distance_rows",
-    "graph_distance",
-    "constraint_distance",
-    "nonlocal_boundary",
     "build_path",
     "build_star",
     "build_truncated_z",
@@ -48,7 +41,7 @@ class WeightedGraph:
 
     __slots__ = ("vertices", "index", "edges", "edge_index", "weights",
                  "degrees", "neighbors", "guard_vertices", "guard_index",
-                 "_weight_map", "_elimination_plan")
+                 "_elimination_plan")
 
     def __init__(self, edge_list, guard_vertices: Iterable[str] = ()):
         cleaned = []
@@ -74,6 +67,10 @@ class WeightedGraph:
 
         cleaned.sort(key=lambda e: (e[0], e[1]))
         vertices = sorted({v for a, b, _ in cleaned for v in (a, b)})
+        # labels are written unquoted into `t,vertex,u` CSV rows
+        bad = next((v for v in vertices if "," in v or "\r" in v or "\n" in v), None)
+        if bad is not None:
+            raise ValueError(f"vertex label {bad!r} contains ',' or a line break")
         index = {v: k for k, v in enumerate(vertices)}
 
         self.vertices = tuple(vertices)
@@ -92,7 +89,6 @@ class WeightedGraph:
             nbrs[j].append((int(i), float(w)))
         self.degrees = degrees
         self.neighbors = tuple(tuple(sorted(n)) for n in nbrs)
-        self._weight_map = {(a, b): w for a, b, w in cleaned}
         self._elimination_plan = None
 
         self._check_connected()
@@ -133,59 +129,19 @@ class WeightedGraph:
         except KeyError:
             raise KeyError(f"unknown vertex {vertex!r}")
 
-    def degree(self, vertex) -> float:
-        return float(self.degrees[self.vertex_id(vertex)])
-
-    def weight(self, x, y) -> float:
-        """w_xy, or 0.0 when x and y are not adjacent."""
-        a, b = str(x), str(y)
-        if b < a:
-            a, b = b, a
-        return self._weight_map.get((a, b), 0.0)
-
     def __repr__(self):
         return f"WeightedGraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
 
-@dataclass(frozen=True)
-class VertexField:
-    """Real-valued vertex function (sand height, datum, source slice)."""
-
-    graph: WeightedGraph
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.graph.n_vertices,):
-            raise ValueError(f"field shape {vals.shape} does not match "
-                             f"{self.graph.n_vertices} vertices")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_dict(cls, graph: WeightedGraph, mapping: Mapping, default: float = 0.0):
-        vals = np.full(graph.n_vertices, float(default))
-        for vertex, value in mapping.items():
-            vals[graph.vertex_id(vertex)] = float(value)
-        return cls(graph, vals)
-
-    def as_dict(self) -> dict[str, float]:
-        return {v: float(x) for v, x in zip(self.graph.vertices, self.values)}
-
-    def __getitem__(self, vertex) -> float:
-        return float(self.values[self.graph.vertex_id(vertex)])
-
-
 def field_values(g: WeightedGraph, u) -> np.ndarray:
-    """Coerce a VertexField, mapping, or array-like to an aligned float array."""
-    if isinstance(u, VertexField):
-        if u.graph is not g:
-            raise ValueError("field belongs to a different graph")
-        return u.values
+    """Coerce a {vertex: value} mapping (zero elsewhere) or an array-like
+    aligned with g.vertices to a float array."""
     if isinstance(u, Mapping):
-        return VertexField.from_dict(g, u).values
-    vals = np.asarray(u, dtype=float)
+        vals = np.zeros(g.n_vertices)
+        for vertex, value in u.items():
+            vals[g.vertex_id(vertex)] = float(value)
+    else:
+        vals = np.asarray(u, dtype=float)
     if vals.shape != (g.n_vertices,):
         raise ValueError(f"field shape {vals.shape} does not match "
                          f"{g.n_vertices} vertices")
@@ -230,21 +186,6 @@ def load_graph(path) -> WeightedGraph:
         return parse_edge_lines(fh.read())
 
 
-def nu_mass(g: WeightedGraph, A: Iterable) -> float:
-    """nu(A) = sum of weighted degrees over the vertex set A."""
-    total = 0.0
-    for v in A:
-        total += g.degrees[g.vertex_id(v)]
-    return float(total)
-
-
-def inner_product_nu(g: WeightedGraph, u, v) -> float:
-    """Degree-weighted pairing sum_x u(x) v(x) d_x."""
-    uu = field_values(g, u)
-    vv = field_values(g, v)
-    return float(np.dot(uu * g.degrees, vv))
-
-
 def nu_norm(g: WeightedGraph, u, ord: float = 2) -> float:
     """Norm of a vertex field: nu-weighted for ord in {1, 2}, sup for inf."""
     vals = field_values(g, u)
@@ -262,18 +203,22 @@ def distance_rows(g: WeightedGraph, lengths=None, sources=None):
     row[k] is the shortest-path distance from the source to vertex k.
 
     `lengths=None` is the hop metric (breadth-first search); per-edge lengths,
-    given as `constraint_distance` takes them, use Dijkstra.  Adjacency and
-    lengths are built once per call and each row is a fresh length-n array,
-    so memory stays O(n + E) however many rows are drawn.
+    an array aligned with g.edges, use Dijkstra.  Adjacency and lengths are
+    built once per call and each row is a fresh length-n array, so memory
+    stays O(n + E) however many rows are drawn.
     """
     n = g.n_vertices
     hop = lengths is None
     if hop:
         adj = [[j for j, _ in nbrs] for nbrs in g.neighbors]
     else:
+        lengths = np.asarray(lengths, dtype=float)
+        if lengths.shape != (g.n_edges,):
+            raise ValueError(f"expected {g.n_edges} edge lengths, got {lengths.shape}")
+        if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
+            raise ValueError("edge lengths must be strictly positive")
         adj = [[] for _ in range(n)]
-        edge_lengths = _edge_lengths(g, lengths).tolist()
-        for (i, j), c in zip(g.edge_index.tolist(), edge_lengths):
+        for (i, j), c in zip(g.edge_index.tolist(), lengths.tolist()):
             adj[i].append((j, c))
             adj[j].append((i, c))
     for src in range(n) if sources is None else sources:
@@ -300,61 +245,6 @@ def distance_rows(g: WeightedGraph, lengths=None, sources=None):
                         dist[j] = nd
                         heapq.heappush(heap, (nd, j))
         yield src, np.array(dist)
-
-
-def graph_distance(g: WeightedGraph, x, y) -> int:
-    """Hop metric: minimum number of edges on a path from x to y.
-
-    Independent of the weights by definition.
-    """
-    src, dst = g.vertex_id(x), g.vertex_id(y)
-    (_, row), = distance_rows(g, None, [src])
-    return int(row[dst])
-
-
-def _edge_lengths(g: WeightedGraph, c) -> np.ndarray:
-    """Coerce per-edge lengths: array aligned with g.edges, a mapping on
-    vertex pairs, or an object exposing `.bounds` (a ConstraintSet)."""
-    if hasattr(c, "bounds"):
-        c = c.bounds
-    if isinstance(c, Mapping):
-        out = np.empty(g.n_edges)
-        for k, (a, b) in enumerate(g.edges):
-            if (a, b) in c:
-                out[k] = c[(a, b)]
-            elif (b, a) in c:
-                out[k] = c[(b, a)]
-            else:
-                raise KeyError(f"no length for edge ({a!r}, {b!r})")
-    else:
-        out = np.asarray(c, dtype=float)
-        if out.shape != (g.n_edges,):
-            raise ValueError(f"expected {g.n_edges} edge lengths, got {out.shape}")
-    if np.any(out <= 0) or not np.all(np.isfinite(out)):
-        raise ValueError("edge lengths must be strictly positive")
-    return out
-
-
-def constraint_distance(g: WeightedGraph, c, x, y) -> float:
-    """Shortest-path distance with per-edge lengths c_xy (Dijkstra).
-
-    With c = 1/sqrt(w) this is the weighted metric of the second model; with
-    c identically 1 it coincides with graph_distance.
-    """
-    src, dst = g.vertex_id(x), g.vertex_id(y)
-    (_, row), = distance_rows(g, c, [src])
-    return float(row[dst])
-
-
-def nonlocal_boundary(g: WeightedGraph, A: Iterable) -> set[str]:
-    """{y not in A : y ~ x for some x in A}."""
-    inside = {g.vertex_id(v) for v in A}
-    out = set()
-    for i in inside:
-        for j, _ in g.neighbors[i]:
-            if j not in inside:
-                out.add(g.vertices[j])
-    return out
 
 
 def build_path(n: int, weights: Sequence[float] | None = None) -> WeightedGraph:

@@ -96,8 +96,7 @@ class ConstraintSet:
 
     @classmethod
     def custom(cls, g: WeightedGraph, bounds) -> "ConstraintSet":
-        from .graph import _edge_lengths
-        return cls(g, "custom", _edge_lengths(g, bounds))
+        return cls(g, "custom", bounds)
 
     @classmethod
     def from_kind(cls, g: WeightedGraph, kind: str) -> "ConstraintSet":

@@ -65,12 +65,30 @@ def _number(val, path, default=None, positive=False):
         return default
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         _fail(path, f"expected a number, got {val!r}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        val = math.inf if val > 0 else -math.inf
     if positive and val <= 0:
         _fail(path, f"must be positive, got {val}")
     if not math.isfinite(val):
         _fail(path, "must be finite")
     return val
+
+
+def _required(val, path, positive=False):
+    """A number that must be present: null is not a number here."""
+    if val is None:
+        _fail(path, "expected a number, got None")
+    return _number(val, path, positive=positive)
+
+
+def _weights(node, path, count=None):
+    """A list of positive edge weights: `count` of them, or at least 2."""
+    if not isinstance(node, list) or \
+            (len(node) != count if count else len(node) < 2):
+        _fail(path, f"expected a list of {count or 'at least 2'} weights")
+    return [_required(w, f"{path}[{k}]", positive=True) for k, w in enumerate(node)]
 
 
 @dataclass
@@ -105,8 +123,13 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
         edges = node.get("edges")
         if not isinstance(edges, list) or not edges:
             _fail(f"{path}.edges", "expected a non-empty list")
+        for k, e in enumerate(edges):
+            if not isinstance(e, list) or len(e) != 3:
+                _fail(f"{path}.edges[{k}]", "expected [vertex, vertex, weight]")
+        triples = [(a, b, _required(w, f"{path}.edges[{k}][2]", positive=True))
+                   for k, (a, b, w) in enumerate(edges)]
         try:
-            return build_graph([tuple(e) for e in edges])
+            return build_graph(triples)
         except ValueError as exc:
             _fail(f"{path}.edges", str(exc))
     if kind == "file":
@@ -119,16 +142,16 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
             _fail(f"{path}.path", str(exc))
     if kind == "path":
         n = node.get("n")
-        if not isinstance(n, int) or n < 2:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             _fail(f"{path}.n", "expected an integer >= 2")
-        return build_path(n, node.get("weights"))
-    if kind == "star":
         weights = node.get("weights")
-        if not isinstance(weights, list) or len(weights) < 2:
-            _fail(f"{path}.weights", "expected a list of at least 2 weights")
-        return build_star(weights)
+        if weights is not None:
+            weights = _weights(weights, f"{path}.weights", n - 1)
+        return build_path(n, weights)
+    if kind == "star":
+        return build_star(_weights(node.get("weights"), f"{path}.weights"))
     radius = node.get("radius")
-    if not isinstance(radius, int) or radius < 1:
+    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
         _fail(f"{path}.radius", "expected an integer >= 1")
     return build_truncated_z(radius)
 
@@ -144,7 +167,7 @@ def _sparse_field(g: WeightedGraph, doc, path: str) -> np.ndarray:
             k = g.vertex_id(vertex)
         except KeyError:
             _fail(f"{path}.{vertex}", "unknown vertex")
-        vals[k] = _number(value, f"{path}.{vertex}")
+        vals[k] = _required(value, f"{path}.{vertex}")
     return vals
 
 
@@ -153,7 +176,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     base_dir = Path(base_dir)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep or too long a numeral
         raise ScenarioError(f"document: not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise ScenarioError("document: expected a JSON object")

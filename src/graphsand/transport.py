@@ -20,7 +20,6 @@ from .graph import WeightedGraph, distance_rows, field_values
 
 __all__ = [
     "TransportInstance",
-    "distance_table",
     "is_lipschitz_wrt",
     "kantorovich_pairing",
     "ot_cost_oracle",
@@ -32,28 +31,10 @@ _SUPPORT_LIMIT = 50
 _DENOMINATOR_BOUND = 10 ** 9
 
 
-def distance_table(g: WeightedGraph, bounds=None) -> dict[tuple[str, str], float]:
-    """All-pairs metric: hop distance, or shortest paths with edge lengths."""
-    verts = g.vertices
-    return {(verts[a], y): float(d)
-            for a, row in distance_rows(g, bounds) for y, d in zip(verts, row)}
-
-
 def _metric_rows(g: WeightedGraph, dist, sources):
-    """(source, row) pairs of the metric `dist` for the given vertex ids.
-
-    "graph" (or None) is the hop metric and anything else that is neither a
-    Mapping nor callable is per-edge lengths; both take one search per
-    source.  An explicit Mapping table over all ordered vertex pairs, or a
-    callable d(x, y), is looked up pair by pair.
-    """
-    if isinstance(dist, Mapping) or callable(dist):
-        d = (lambda x, y: float(dist[(x, y)])) if isinstance(dist, Mapping) else dist
-        verts = g.vertices
-        for a in sources:
-            yield a, np.array([d(verts[a], y) for y in verts], dtype=float)
-        return
-    hop = dist is None or (isinstance(dist, str) and dist == "graph")
+    """(source, row) pairs of the metric `dist` for the given vertex ids:
+    "graph" is the hop metric, an array of per-edge lengths the weighted one."""
+    hop = isinstance(dist, str) and dist == "graph"
     yield from distance_rows(g, None if hop else dist, sources)
 
 
@@ -61,8 +42,8 @@ def _metric_rows(g: WeightedGraph, dist, sources):
 class TransportInstance:
     """Two nonnegative densities of equal nu-mass plus a metric choice.
 
-    `distance` is "graph" for the hop metric, or per-edge lengths / a bounds
-    object for the weighted metric.
+    `distance` is "graph" for the hop metric, or an array of per-edge lengths
+    for the weighted metric.
     """
 
     graph: WeightedGraph
@@ -82,11 +63,6 @@ class TransportInstance:
             raise ValueError(f"densities must have equal mass ({m0} vs {m1})")
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)
-
-    def dist(self, x, y) -> float:
-        (_, row), = _metric_rows(self.graph, self.distance,
-                                 [self.graph.vertex_id(x)])
-        return float(row[self.graph.vertex_id(y)])
 
 
 def is_lipschitz_wrt(g: WeightedGraph, dist, u, tol: float = 1e-9) -> bool:

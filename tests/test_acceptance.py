@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from graphsand import (ConstraintSet, SourceSchedule, TransportInstance,
-                       VertexField, build_path, build_star, build_truncated_z,
+                       build_path, build_star, build_truncated_z,
                        collapse_via_p_experiment, converge_p_experiment,
-                       distance_table, is_lipschitz_wrt, is_stable,
+                       is_lipschitz_wrt, is_stable,
                        kantorovich_pairing, nu_norm, ot_cost_oracle, project,
                        project_oracle, resolvent_p, solve_collapse,
                        solve_growth, verify_dual_criteria, verify_potential)
 from conftest import random_connected_graph, random_field
-from test_transport import dyadic_masses, random_lipschitz
+from test_transport import dyadic_masses, hop_table, random_lipschitz
 
 
 def report(num: int, ok: bool, detail: str):
@@ -79,12 +79,11 @@ def collapse_runs():
     K4 = ConstraintSet.uniform(p4)
     for label, spec in [("b1", {"x2": 3.0, "x4": 1.0}),
                         ("b2", {"x2": 3.0, "x4": 2.0})]:
-        u0 = VertexField.from_dict(p4, spec)
         start = time.perf_counter()
-        u_inf, traj = solve_collapse(p4, K4, u0, 1e-4)
+        u_inf, traj = solve_collapse(p4, K4, spec, 1e-4)
         out[label] = (u_inf, traj, time.perf_counter() - start)
     p6 = build_path(6)
-    u0 = VertexField.from_dict(p6, {"x2": 3.0, "x4": 9 / 5, "x5": 2.0})
+    u0 = {"x2": 3.0, "x4": 9 / 5, "x5": 2.0}
     start = time.perf_counter()
     u_inf, traj = solve_collapse(p6, ConstraintSet.uniform(p6), u0, 1e-4)
     out["p6"] = (u_inf, traj, time.perf_counter() - start)
@@ -258,7 +257,7 @@ def test_criterion_10_transport_duality(z_run):
         units = int(rng.integers(1, 40))
         f0 = dyadic_masses(rng, gg.n_vertices, units) / gg.degrees
         f1 = dyadic_masses(rng, gg.n_vertices, units) / gg.degrees
-        table = distance_table(gg)
+        table = hop_table(gg)
         uu = random_lipschitz(rng, gg, table)
         pr = kantorovich_pairing(gg, uu, f0, f1)
         if pr > ot_cost_oracle(TransportInstance(gg, f0, f1)) + 1e-9:

@@ -1,0 +1,50 @@
+"""Every public name resolves: each module's `__all__`, the names the package
+re-exports, and the (module, attribute) targets that the benchmark's span
+tracer patches.  The tracer records a missing target instead of failing, so
+without this check deleting a traced function would silently drop its span.
+"""
+
+import ast
+import functools
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "graphsand"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _resolve(module: str, dotted: str):
+    return functools.reduce(getattr, dotted.split("."), importlib.import_module(module))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"graphsand.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"graphsand.{name}.__all__ names undefined {missing}"
+
+
+def test_package_reexports_public_names():
+    import graphsand
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"graphsand.{node.module}")
+        for alias in node.names:
+            assert hasattr(graphsand, alias.asname or alias.name)
+            assert alias.name in module.__all__, \
+                f"graphsand re-exports {alias.name!r}, not in {node.module}.__all__"
+
+
+def test_benchmark_span_targets_resolve():
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    assert targets
+    for module, attr, _span in targets:
+        assert callable(_resolve(module, attr)), f"{module}.{attr}"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from graphsand import (ConstraintSet, SourceSchedule, VertexField,
-                       build_path, build_star, build_truncated_z,
-                       collapse_via_p_experiment, converge_p_experiment,
-                       is_stable, mass_balance, nu_norm, solve_collapse,
-                       solve_growth, solve_p_flow)
+from graphsand import (ConstraintSet, SourceSchedule, build_path, build_star,
+                       build_truncated_z, collapse_via_p_experiment,
+                       converge_p_experiment, field_values, is_stable,
+                       mass_balance, nu_norm, solve_collapse, solve_growth,
+                       solve_p_flow)
 from graphsand.evolution import Trajectory, TruncationError, time_grid
 
 
@@ -81,6 +81,12 @@ def test_trajectory_helpers(p4):
         traj.first_time("x2", 5.0)
     with pytest.raises(ValueError):
         Trajectory(p4, np.array([0.0, 0.0]), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, np.inf, np.nan]])
+def test_trajectory_refuses_nan_sample_times(times):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(build_path(2), times, np.zeros((len(times), 2)))
 
 
 # -- growth ---------------------------------------------------------------
@@ -178,7 +184,7 @@ def test_growth_guard_band_touched_mid_run():
     # every step sees the band being reached (first at t = 1/8)
     g = build_truncated_z(3)
     K = ConstraintSet.uniform(g)
-    up = VertexField.from_dict(g, {"2": 1.0}).values
+    up = field_values(g, {"2": 1.0})
     f = SourceSchedule(g, ((0.0, 0.5, up), (0.5, 1.0, -up)))
     with pytest.raises(TruncationError, match=r"guard band at t=0\.125 "):
         solve_growth(g, K, np.zeros(g.n_vertices), f, 1.0, 0.125)
@@ -187,7 +193,7 @@ def test_growth_guard_band_touched_mid_run():
 def test_growth_segment_boundary_is_split(p4, p4_uniform):
     # boundary at an off-grid time: the step is split there, keeping the
     # piecewise-constant source integrated exactly
-    f = SourceSchedule(p4, ((0.0, 0.25, VertexField.from_dict(p4, {"x2": 1.0}).values),))
+    f = SourceSchedule(p4, ((0.0, 0.25, field_values(p4, {"x2": 1.0})),))
     traj = solve_growth(p4, p4_uniform, np.zeros(4), f, 1.0, 0.1)
     assert any(abs(t - 0.25) < 1e-12 for t in traj.times)
     assert traj.final_state()[p4.vertex_id("x2")] == pytest.approx(0.25, abs=1e-12)
@@ -210,25 +216,25 @@ def test_collapse_p4_goldens(p4, p4_uniform):
         ({"x2": 3.0, "x4": 1.5}, [4 / 5, 9 / 5, 4 / 5, 1.5]),
     ]
     for u0_map, expected in cases:
-        u0 = VertexField.from_dict(p4, u0_map)
+        u0 = field_values(p4, u0_map)
         u_inf, traj = solve_collapse(p4, p4_uniform, u0, 1e-4)
         assert np.allclose(u_inf, expected, atol=1e-2)
         assert is_stable(u_inf, p4_uniform, 1e-8)
         assert traj.times[0] == pytest.approx(1 / 3)
-        assert np.allclose(traj.states[0], u0.values / 3.0)
+        assert np.allclose(traj.states[0], u0 / 3.0)
 
 
 def test_collapse_p6_golden():
     g = build_path(6)
     K = ConstraintSet.uniform(g)
-    u0 = VertexField.from_dict(g, {"x2": 3.0, "x4": 9 / 5, "x5": 2.0})
+    u0 = {"x2": 3.0, "x4": 9 / 5, "x5": 2.0}
     u_inf, traj = solve_collapse(g, K, u0, 1e-4)
     assert np.allclose(u_inf, [4 / 5, 9 / 5, 4 / 5, 9 / 5, 5 / 3, 2 / 3], atol=1e-2)
     assert np.max(np.abs(traj.mass_residuals)) <= 1e-8
 
 
 def test_collapse_monotone_nonnegative(p4, p4_uniform):
-    u0 = VertexField.from_dict(p4, {"x2": 3.0, "x4": 1.0})
+    u0 = {"x2": 3.0, "x4": 1.0}
     u_inf, traj = solve_collapse(p4, p4_uniform, u0, 1e-3)
     assert np.all(traj.states >= -1e-12)
     assert np.min(np.diff(traj.states, axis=0)) >= -1e-8
@@ -238,7 +244,7 @@ def test_collapse_monotone_nonnegative(p4, p4_uniform):
 
 
 def test_collapse_mass_balance_recompute(p4, p4_uniform):
-    u0 = VertexField.from_dict(p4, {"x2": 3.0})
+    u0 = {"x2": 3.0}
     _, traj = solve_collapse(p4, p4_uniform, u0, 1e-3)
     report = mass_balance(traj, None, p4)
     assert report.max_abs <= 1e-8
@@ -356,7 +362,7 @@ def test_growth_sample_every_with_breakpoints(p4, p4_uniform):
 
 
 def test_collapse_sample_every_off_multiple(p4, p4_uniform):
-    u0 = VertexField.from_dict(p4, {"x2": 3.0, "x4": 1.0})
+    u0 = {"x2": 3.0, "x4": 1.0}
     u_full, full = solve_collapse(p4, p4_uniform, u0, 1e-3)
     assert len(full.step_times) % 10 != 0
     u_thin, thin = solve_collapse(p4, p4_uniform, u0, 1e-3, sample_every=10)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphsand import (ConstraintSet, VertexField, build_graph, build_path,
+from graphsand import (ConstraintSet, build_graph, build_path,
                        is_stable, max_relative_slope, nu_norm, p_laplacian,
                        project, project_oracle, resolvent_p)
 from graphsand.proximal import DykstraProjector, ProjectionError
@@ -47,7 +47,7 @@ def test_is_stable_chain_model2(chain_w4):
 
 def test_max_relative_slope(p4, p4_uniform):
     for b in (0.0, 1.0, 1.8):
-        u0 = VertexField.from_dict(p4, {"x2": 3.0, "x4": b})
+        u0 = {"x2": 3.0, "x4": b}
         assert max_relative_slope(u0, p4_uniform) == pytest.approx(3.0)
     assert max_relative_slope(np.full(4, 1.3), p4_uniform) == 0.0
 

@@ -1,0 +1,190 @@
+"""Scenario schema fuzzing and the malformed inputs it once let through.
+
+`parse_scenario` on any generated document must return a config or raise
+ScenarioError, never anything else.  Documents mix valid small graphs and
+data with junk leaves: integer literals of hundreds of digits, booleans,
+strings, nulls, nested lists and non-finite floats.  Graphs stay small
+(n <= 6, radius <= 4, at most 6 edges); only parsing runs, no solver.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphsand.cli import run_command
+from graphsand.scenario import ScenarioError, parse_scenario
+
+HUGE = 10 ** 400
+PROPERTY = settings(max_examples=400, deadline=None, database=None)
+
+# junk that is never a usable vertex count: a count of hundreds of digits
+# would build a graph of that size before any check could refuse it
+nested = st.recursive(st.none() | st.booleans() | st.integers(-3, 3),
+                      lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+not_counts = st.one_of(st.booleans(), st.none(), st.text(max_size=4), nested,
+                       st.floats(allow_nan=True, allow_infinity=True))
+junk = st.one_of(not_counts, st.sampled_from([HUGE, -HUGE, 10 ** 309, 0, -1]),
+                 st.integers(-HUGE, HUGE))
+positive = st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.integers(1, 3)
+small = st.sampled_from([0.0, 0.25, 0.5])
+
+
+@st.composite
+def valid_graphs(draw):
+    """A small graph node and its vertex labels."""
+    kind = draw(st.sampled_from(["path", "star", "truncated_z", "edges"]))
+    if kind == "path":
+        n = draw(st.integers(2, 6))
+        node = {"kind": kind, "n": n}
+        if draw(st.booleans()):
+            node["weights"] = draw(st.lists(positive, min_size=n - 1, max_size=n - 1))
+        return node, [f"x{k}" for k in range(1, n + 1)]
+    if kind == "star":
+        weights = draw(st.lists(positive, min_size=2, max_size=5))
+        return {"kind": kind, "weights": weights}, \
+            [f"x{k}" for k in range(len(weights) + 1)]
+    if kind == "truncated_z":
+        r = draw(st.integers(1, 4))
+        return {"kind": kind, "radius": r}, [str(k) for k in range(-r, r + 1)]
+    names = draw(st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=7,
+                          unique=True))
+    edges = [[names[draw(st.integers(0, k - 1))], names[k], draw(positive)]
+             for k in range(1, len(names))]
+    return {"kind": kind, "edges": edges}, names
+
+
+@st.composite
+def valid_documents(draw):
+    graph, names = draw(valid_graphs())
+    mode = draw(st.sampled_from(["growth", "p-flow", "collapse"]))
+    fields = st.dictionaries(st.sampled_from(names), small, max_size=3)
+    doc = {"graph": graph, "mode": mode, "u0": draw(fields)}
+    if mode != "collapse":
+        doc["T"] = draw(positive)
+        doc["source"] = [{"start": 0.0, "end": draw(positive), "values": draw(fields)}]
+    if mode == "p-flow":
+        doc["p"] = draw(st.sampled_from([2.0, 4.0, 16]))
+    for key, value in (("dt", positive), ("tol", positive),
+                       ("sample_every", st.integers(1, 3)),
+                       ("constraint", st.sampled_from(["uniform", "inv-sqrt-w", "inv-w"])),
+                       ("output", st.just("out.csv")), ("runtime_budget_s", positive)):
+        if draw(st.booleans()):
+            doc[key] = draw(value)
+    return doc
+
+
+def _slots(node):
+    """(container, key) of every value below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def documents(draw):
+    """A valid document with up to three values replaced by junk, deleted,
+    or joined by an unknown key."""
+    doc = draw(valid_documents())
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if action == "delete" and isinstance(container, dict):
+            del container[key]
+        elif action == "add" and isinstance(container, dict):
+            container["extra"] = draw(junk)
+        else:
+            container[key] = draw(not_counts if key in ("n", "radius") else junk)
+        if not doc:
+            break
+    return doc
+
+
+@PROPERTY
+@given(documents())
+def test_parse_returns_or_raises_scenario_error(doc):
+    try:
+        cfg = parse_scenario(json.dumps(doc))
+    except ScenarioError:
+        return
+    assert cfg.graph.n_vertices <= 9
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,                      # deeper than the JSON decoder recurses
+    '{"T": ' + "9" * 5000 + "}",        # longer than int() converts
+    "{\"T\": 1.0",
+], ids=["deep", "long-numeral", "truncated"])
+def test_parse_malformed_text(text):
+    with pytest.raises(ScenarioError, match="document: not valid JSON"):
+        parse_scenario(text)
+
+
+BASE = {
+    "graph": {"kind": "path", "n": 3},
+    "mode": "growth",
+    "u0": {},
+    "source": [{"start": 0.0, "end": 1.0, "values": {"x2": 1.0}}],
+    "T": 0.01,
+    "dt": 0.005,
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    # integer literals beyond the float range
+    ({"dt": HUGE}, "dt: must be finite"),
+    ({"T": HUGE}, "T: must be finite"),
+    ({"tol": -HUGE}, "tol: must be positive"),
+    ({"u0": {"x2": HUGE}}, "u0.x2: must be finite"),
+    ({"source": [{"start": 0.0, "end": 1.0, "values": {"x2": HUGE}}]},
+     "source[0].values.x2: must be finite"),
+    ({"graph": {"kind": "path", "n": 3, "weights": [1.0, HUGE]}},
+     "graph.weights[1]: must be finite"),
+    ({"graph": {"kind": "edges", "edges": [["x1", "x2", HUGE]]}},
+     "graph.edges[0][2]: must be finite"),
+    # graph weights go through the schema
+    ({"graph": {"kind": "path", "n": 4, "weights": "abc"}},
+     "graph.weights: expected a list of 3 weights"),
+    ({"graph": {"kind": "path", "n": 4, "weights": [1.0]}},
+     "graph.weights: expected a list of 3 weights"),
+    ({"graph": {"kind": "star", "weights": ["a", 1]}},
+     "graph.weights[0]: expected a number, got 'a'"),
+    ({"graph": {"kind": "star", "weights": [1, True]}},
+     "graph.weights[1]: expected a number, got True"),
+    ({"graph": {"kind": "path", "n": 3, "weights": [1, -1]}},
+     "graph.weights[1]: must be positive"),
+    ({"graph": {"kind": "edges", "edges": [["x1", "x2", None]]}},
+     "graph.edges[0][2]: expected a number, got None"),
+    ({"graph": {"kind": "edges", "edges": [["x1", "x2"]]}},
+     "graph.edges[0]: expected [vertex, vertex, weight]"),
+    ({"graph": {"kind": "truncated_z", "radius": True}},
+     "graph.radius: expected an integer >= 1"),
+    ({"u0": {"x2": None}}, "u0.x2: expected a number, got None"),
+    # vertex labels that would break the `t,vertex,u` CSV
+    ({"graph": {"kind": "edges", "edges": [["a,b", "c", 1.0]]}},
+     "graph.edges: vertex label 'a,b' contains ','"),
+    ({"graph": {"kind": "edges", "edges": [["x2", "b\n", 1.0]]}},
+     "graph.edges: vertex label 'b\\n' contains"),
+    ({"graph": {"kind": "edges", "edges": [["x2", "b\r", 1.0]]}},
+     "graph.edges: vertex label 'b\\r' contains"),
+])
+def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
+                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(dict(BASE, **change)))
+    assert run_command(["simulate", "s.json", "--output", "s.csv"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_refuses_comma_label_in_graph_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("a,b c 1.0\nc x2 1.0\n")
+    doc = dict(BASE, graph={"kind": "file", "path": "g.txt"})
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    assert run_command(["simulate", "s.json", "--output", "s.csv"]) == 1
+    assert "graph.path: vertex label 'a,b' contains ','" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+

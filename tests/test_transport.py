@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from graphsand import (ConstraintSet, SourceSchedule, TransportInstance,
-                       VertexField, build_path, build_truncated_z,
-                       distance_table, is_lipschitz_wrt, is_stable,
+                       build_path, build_truncated_z, distance_rows,
+                       field_values, is_lipschitz_wrt, is_stable,
                        kantorovich_pairing, ot_cost_oracle, solve_growth,
                        verify_dual_criteria, verify_potential)
 from conftest import random_connected_graph
@@ -18,9 +18,14 @@ def dyadic_masses(rng, n, total_units):
     return units / 16.0
 
 
+def hop_table(g):
+    """(n, n) array of hop distances, row k from vertex id k."""
+    return np.array([row for _, row in distance_rows(g)])
+
+
 def random_lipschitz(rng, g, table):
     u = rng.normal(scale=2.0, size=g.n_vertices)
-    worst = max(abs(u[a] - u[b]) / table[(g.vertices[a], g.vertices[b])]
+    worst = max(abs(u[a] - u[b]) / table[a, b]
                 for a in range(g.n_vertices) for b in range(g.n_vertices) if a != b)
     return u * float(rng.uniform(0.1, 1.0)) / max(worst, 1e-9)
 
@@ -79,11 +84,11 @@ def test_oracle_single_pair(p4):
 
 def test_oracle_z_lattice_instance():
     g = build_truncated_z(5)
-    f0 = VertexField.from_dict(g, {"-1": 1 / 3, "0": 1 / 3, "1": 1 / 3}).values
-    f1 = VertexField.from_dict(g, {"0": 1.0}).values
+    f0 = field_values(g, {"-1": 1 / 3, "0": 1 / 3, "1": 1 / 3})
+    f1 = field_values(g, {"0": 1.0})
     inst = TransportInstance(g, f0, f1)
     assert ot_cost_oracle(inst) == pytest.approx(4 / 3, abs=1e-12)
-    u = VertexField.from_dict(g, {"-1": 0.5, "0": 1.5, "1": 0.5}).values
+    u = field_values(g, {"-1": 0.5, "0": 1.5, "1": 0.5})
     assert kantorovich_pairing(g, u, f0, f1) == pytest.approx(4 / 3, abs=1e-12)
     assert verify_potential(inst, u, tol=1e-9)
     assert not verify_potential(inst, np.zeros(g.n_vertices), tol=1e-9)
@@ -140,8 +145,7 @@ def test_oracle_against_brute_force():
         m0 = np.diff(np.concatenate([[0], np.sort(rng.integers(0, units + 1, n - 1)), [units]]))
         m1 = np.diff(np.concatenate([[0], np.sort(rng.integers(0, units + 1, n - 1)), [units]]))
         inst = TransportInstance(g, m0 / g.degrees, m1 / g.degrees)
-        table = distance_table(g)
-        cost = [[table[(a, b)] for b in g.vertices] for a in g.vertices]
+        cost = hop_table(g).tolist()
         expected = brute_force_cost(list(m0), list(m1), cost)
         assert ot_cost_oracle(inst) == pytest.approx(expected, abs=1e-9)
 
@@ -163,7 +167,7 @@ def test_weak_duality_randomized():
         f0 = m0 / g.degrees  # equal nu-masses by construction
         f1 = m1 / g.degrees
         inst = TransportInstance(g, f0, f1)
-        table = distance_table(g)
+        table = hop_table(g)
         u = random_lipschitz(rng, g, table)
         assert is_lipschitz_wrt(g, "graph", u)
         pairing = kantorovich_pairing(g, u, f0, f1)
@@ -178,13 +182,13 @@ def test_dual_criteria_identity_map(p4):
 
 def test_dual_criteria_z_map():
     g = build_truncated_z(5)
-    u = VertexField.from_dict(g, {"-1": 0.2, "0": 1.2, "1": 0.2}).values
-    f0 = VertexField.from_dict(g, {"-1": 1 / 3, "0": 1 / 3, "1": 1 / 3}).values
+    u = field_values(g, {"-1": 0.2, "0": 1.2, "1": 0.2})
+    f0 = field_values(g, {"-1": 1 / 3, "0": 1 / 3, "1": 1 / 3})
     T = {"-1": "0", "1": "0"}
     assert verify_dual_criteria(g, "graph", u, T, f0)
-    flattened = VertexField.from_dict(g, {"-1": 0.2, "0": 0.2, "1": 0.2}).values
+    flattened = field_values(g, {"-1": 0.2, "0": 0.2, "1": 0.2})
     assert not verify_dual_criteria(g, "graph", flattened, T, f0)
-    not_lipschitz = VertexField.from_dict(g, {"0": 9.0}).values
+    not_lipschitz = field_values(g, {"0": 9.0})
     assert not verify_dual_criteria(g, "graph", not_lipschitz, T, f0)
 
 
