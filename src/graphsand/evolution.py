@@ -202,8 +202,9 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     events: list = []
     threshold = None if proj is None else proj.K.bounds - _EVENT_BAND * tol
     binding = None if proj is None else np.abs(edge_gaps(g, u)) >= threshold
+    times = grid.tolist()  # Python floats: no numpy scalar arithmetic per step
     for n in range(steps):
-        t0, t1 = grid[n], grid[n + 1]
+        t0, t1 = times[n], times[n + 1]
         h = t1 - t0
         fv = source(t0, u)
         new = advance(u + h * fv, h)
@@ -211,16 +212,16 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
             if abs(new[i]) > guard_limit:
                 raise TruncationError(
                     "truncation too small: the active support reached the "
-                    f"guard band at t={float(t1)!r} (|u| = {abs(new[i]):.3e} "
+                    f"guard band at t={t1!r} (|u| = {abs(new[i]):.3e} "
                     f"at {g.vertices[i]!r})")
         residuals[n] = float(np.dot(deg, new - u) - h * np.dot(deg, fv))
         u = new
         if proj is not None:
             now = proj.abs_gaps >= threshold
-            if (now != binding).any():
+            if now.tobytes() != binding.tobytes():
                 for e in np.flatnonzero(now != binding):
                     kind = "activated" if now[e] else "deactivated"
-                    events.append((float(t1), g.edges[e], kind))
+                    events.append((t1, g.edges[e], kind))
                 binding = now
         if (n + 1) % sample_every == 0 or n + 1 == steps:
             states[slot] = u

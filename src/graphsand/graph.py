@@ -136,7 +136,9 @@ class WeightedGraph:
 def field_values(g: WeightedGraph, u) -> np.ndarray:
     """Coerce a {vertex: value} mapping (zero elsewhere) or an array-like
     aligned with g.vertices to a float array."""
-    if isinstance(u, Mapping):
+    if type(u) is np.ndarray and u.dtype == float:  # the solvers' own fields
+        vals = u
+    elif isinstance(u, Mapping):
         vals = np.zeros(g.n_vertices)
         for vertex, value in u.items():
             vals[g.vertex_id(vertex)] = float(value)
@@ -145,7 +147,7 @@ def field_values(g: WeightedGraph, u) -> np.ndarray:
     if vals.shape != (g.n_vertices,):
         raise ValueError(f"field shape {vals.shape} does not match "
                          f"{g.n_vertices} vertices")
-    if not np.isfinite(vals).all():
+    if np.count_nonzero(np.isfinite(vals)) != vals.size:
         raise ValueError("field values must be finite")
     return vals
 

@@ -127,6 +127,15 @@ def max_relative_slope(u, K: ConstraintSet) -> float:
     return float(np.max(np.abs(edge_gaps(K.graph, vals)) / K.bounds))
 
 
+class _SweepPlan(NamedTuple):
+    """What a sweep over one active list touches."""
+    ends: np.ndarray      # vertex ids of the active edges' ends, sorted
+    sweep: list           # per active edge: (edge, local i, local j,
+                          # 1/d_i + 1/d_j, its inverse, bound, 1/d_i, 1/d_j)
+    incident: np.ndarray  # edges with an end among `ends`, sorted
+    incident_ends: np.ndarray  # their (i, j) vertex ids
+
+
 class DykstraProjector:
     """Cyclic Dykstra projection onto a slope polytope, with reusable state.
 
@@ -157,12 +166,34 @@ class DykstraProjector:
         self._invsuml = invsum.tolist()
         self._coefl = (1.0 / invsum).tolist()
         self._cl = K.bounds.tolist()
+        self._tol = self._limit = None
+        self._plan_key = self._plan = None
         self.abs_gaps = None
         self.reset()
 
     def reset(self):
         self.mu = [0.0] * self.graph.n_edges
         self._active = []
+
+    def _sweep_plan(self, active: list) -> _SweepPlan:
+        """The plan of an active list, kept until the list changes; the
+        list is rebuilt on every call, so it is compared by value."""
+        if active != self._plan_key:
+            il, jl = self._il, self._jl
+            invsum, coef, cl = self._invsuml, self._coefl, self._cl
+            invdi, invdj = self._invdil, self._invdjl
+            ends = sorted({x for e in active for x in (il[e], jl[e])})
+            local = {x: k for k, x in enumerate(ends)}
+            at_end = np.zeros(self.graph.n_vertices, dtype=bool)
+            at_end[ends] = True
+            incident = at_end[self.graph.edge_index].any(axis=1).nonzero()[0]
+            self._plan = _SweepPlan(
+                np.array(ends, dtype=np.intp),
+                [(e, local[il[e]], local[jl[e]], invsum[e], coef[e], cl[e],
+                  invdi[e], invdj[e]) for e in active],
+                incident, self.graph.edge_index[incident])
+            self._plan_key = active
+        return self._plan
 
     def project(self, z, tol: float = 1e-10, max_iter: int = 100_000,
                 warm: bool = False) -> np.ndarray:
@@ -185,24 +216,24 @@ class DykstraProjector:
         for e in support:
             v[jl[e]] += -mu[e] / deg[jl[e]]
 
-        limit = self.K.bounds + tol
+        if tol != self._tol:
+            self._tol, self._limit = tol, self.K.bounds + tol
         a = np.abs(edge_gaps(self.graph, v))
-        over = a > limit
-        active = self._active = sorted(set(support).union(
-            over.nonzero()[0].tolist())) if over.any() else support
+        over = (a > self._limit).nonzero()[0]
+        active = self._active = sorted(set(support).union(over.tolist())) \
+            if len(over) else support
         if not active:
             # tolerance-inclusive membership: binding input is returned as is
             self.abs_gaps = a
             return v
 
-        invdi, invdj = self._invdil, self._invdjl
-        invsum, coef, cl = self._invsuml, self._coefl, self._cl
-        vl = v.tolist()
         tol_sq = tol * tol
         sweeps = 0
         change = np.inf
         while True:
-            # inner sweeps over the current active list, canonical order
+            plan = self._sweep_plan(active)
+            # the sweep reads and writes only the ends of the active edges
+            vl = v[plan.ends].tolist()
             while True:
                 if sweeps >= max_iter:
                     raise ProjectionError(
@@ -210,37 +241,34 @@ class DykstraProjector:
                         f"(residual change {np.sqrt(change):.3e})")
                 sweeps += 1
                 change = 0.0
-                for e in active:
-                    i = il[e]
-                    j = jl[e]
+                for e, i, j, invsum, coef, c, invdi, invdj in plan.sweep:
                     m = mu[e]
-                    gap = vl[j] - vl[i] + m * invsum[e]
-                    c = cl[e]
+                    gap = vl[j] - vl[i] + m * invsum
                     if gap > c:
-                        m_new = (gap - c) * coef[e]
+                        m_new = (gap - c) * coef
                     elif gap < -c:
-                        m_new = (gap + c) * coef[e]
+                        m_new = (gap + c) * coef
                     else:
                         m_new = 0.0
                     dmu = m_new - m
                     if dmu != 0.0:
-                        vl[i] += dmu * invdi[e]
-                        vl[j] -= dmu * invdj[e]
-                        change += dmu * dmu * invsum[e]
+                        vl[i] += dmu * invdi
+                        vl[j] -= dmu * invdj
+                        change += dmu * dmu * invsum
                         mu[e] = m_new
                 if change <= tol_sq:
                     break
-            # the sweep moved only the ends of active edges
-            for e in active:
-                v[il[e]] = vl[il[e]]
-                v[jl[e]] = vl[jl[e]]
-            # constraints outside the active list may have been pushed past
-            # their bound; fold them in and continue until globally stable
-            a = np.abs(edge_gaps(self.graph, v))
-            over = a > limit
-            if not over.any():
+            v[plan.ends] = vl
+            # every edge over its limit before the sweep is on the active
+            # list, so only edges at a moved end can have been pushed past
+            # theirs; fold those in and sweep again until globally stable
+            pair = v[plan.incident_ends]
+            moved = np.abs(pair[:, 1] - pair[:, 0])
+            a[plan.incident] = moved
+            over = plan.incident[moved > self._limit[plan.incident]]
+            if not len(over):
                 break
-            grown = sorted(set(active).union(over.nonzero()[0].tolist()))
+            grown = sorted(set(active).union(over.tolist()))
             if len(grown) == len(active):
                 break
             active = self._active = grown

@@ -44,6 +44,10 @@ MODES = tuple(_MODE_KEYS)
 _GRAPH_KEYS = {"edges": ("edges",), "file": ("path",), "path": ("n", "weights"),
                "star": ("weights",), "truncated_z": ("radius",)}
 _SEGMENT_KEYS = ("start", "end", "values")
+# the largest graph.n and graph.radius a scenario may ask for: far above every
+# shipped and benchmark graph (a few hundred vertices), far below a size
+# whose construction would exhaust memory before any other check
+MAX_GRAPH_COUNT = 100_000
 
 
 class ScenarioError(ValueError):
@@ -81,6 +85,16 @@ def _required(val, path, positive=False):
     if val is None:
         _fail(path, "expected a number, got None")
     return _number(val, path, positive=positive)
+
+
+def _count(node: dict, key: str, low: int) -> int:
+    """graph.n or graph.radius: an integer from low to MAX_GRAPH_COUNT."""
+    val = node.get(key)
+    if not isinstance(val, int) or isinstance(val, bool) or val < low:
+        _fail(f"graph.{key}", f"expected an integer >= {low}")
+    if val > MAX_GRAPH_COUNT:
+        _fail(f"graph.{key}", f"must be at most {MAX_GRAPH_COUNT}")
+    return val
 
 
 def _weights(node, path, count=None):
@@ -126,6 +140,11 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
         for k, e in enumerate(edges):
             if not isinstance(e, list) or len(e) != 3:
                 _fail(f"{path}.edges[{k}]", "expected [vertex, vertex, weight]")
+            for end in (0, 1):
+                if not isinstance(e[end], (str, int)) or isinstance(e[end], bool):
+                    _fail(f"{path}.edges[{k}][{end}]",
+                          f"expected a vertex label (string or integer), "
+                          f"got {e[end]!r}")
         triples = [(a, b, _required(w, f"{path}.edges[{k}][2]", positive=True))
                    for k, (a, b, w) in enumerate(edges)]
         try:
@@ -141,19 +160,14 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
         except (OSError, ValueError) as exc:
             _fail(f"{path}.path", str(exc))
     if kind == "path":
-        n = node.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-            _fail(f"{path}.n", "expected an integer >= 2")
+        n = _count(node, "n", 2)
         weights = node.get("weights")
         if weights is not None:
             weights = _weights(weights, f"{path}.weights", n - 1)
         return build_path(n, weights)
     if kind == "star":
         return build_star(_weights(node.get("weights"), f"{path}.weights"))
-    radius = node.get("radius")
-    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
-        _fail(f"{path}.radius", "expected an integer >= 1")
-    return build_truncated_z(radius)
+    return build_truncated_z(_count(node, "radius", 1))
 
 
 def _sparse_field(g: WeightedGraph, doc, path: str) -> np.ndarray:

@@ -181,3 +181,11 @@ def test_vertex_field():
         field_values(g, {"x1": np.nan})
     with pytest.raises(ValueError, match="shape"):
         field_values(g, np.zeros(4))
+    # float64 arrays take a shortcut past the coercion, not past the checks
+    for bad in (-np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            field_values(g, np.array([0.0, 1.0, bad]))
+    ints = field_values(g, np.array([1, 2, 3]))
+    assert ints.dtype == float and ints.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="shape"):
+        field_values(g, np.zeros((3, 1)))

@@ -170,6 +170,13 @@ def test_warm_start_matches_cold(p4, p4_uniform):
         cold = project(p4, p4_uniform, z)
         assert nu_norm(p4, warm - cold) <= 1e-9
         u = warm
+    # a new tol holds from the next warm call on: a slope inside the coarse
+    # tolerance is returned as is, then projected at the finer one
+    z = np.array([0.0, 1.0 + 5e-4, 1.0 + 5e-4, 1.0 + 5e-4])
+    proj.reset()
+    assert np.array_equal(proj.project(z, tol=1e-3, warm=True), z)
+    assert np.array_equal(proj.project(z, tol=1e-12, warm=True),
+                          project(p4, p4_uniform, z, tol=1e-12))
 
 
 def test_warm_start_matches_cold_on_cyclic_graphs():

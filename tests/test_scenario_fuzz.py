@@ -13,19 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphsand.cli import run_command
-from graphsand.scenario import ScenarioError, parse_scenario
+from graphsand.scenario import MAX_GRAPH_COUNT, ScenarioError, parse_scenario
 
 HUGE = 10 ** 400
 PROPERTY = settings(max_examples=400, deadline=None, database=None)
 
-# junk that is never a usable vertex count: a count of hundreds of digits
-# would build a graph of that size before any check could refuse it
 nested = st.recursive(st.none() | st.booleans() | st.integers(-3, 3),
                       lambda inner: st.lists(inner, max_size=3), max_leaves=6)
-not_counts = st.one_of(st.booleans(), st.none(), st.text(max_size=4), nested,
-                       st.floats(allow_nan=True, allow_infinity=True))
-junk = st.one_of(not_counts, st.sampled_from([HUGE, -HUGE, 10 ** 309, 0, -1]),
-                 st.integers(-HUGE, HUGE))
+not_numbers = st.one_of(st.booleans(), st.none(), st.text(max_size=4), nested,
+                        st.floats(allow_nan=True, allow_infinity=True))
+out_of_range = st.sampled_from([HUGE, -HUGE, 10 ** 309, 0, -1])
+junk = st.one_of(not_numbers, out_of_range, st.integers(-HUGE, HUGE))
+# junk that is never a usable vertex count; an arbitrary integer could be a
+# valid count and build a graph of that size
+not_counts = st.one_of(not_numbers, out_of_range,
+                       st.just(MAX_GRAPH_COUNT + 1))
 positive = st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.integers(1, 3)
 small = st.sampled_from([0.0, 0.25, 0.5])
 
@@ -169,6 +171,25 @@ BASE = {
      "graph.edges: vertex label 'b\\n' contains"),
     ({"graph": {"kind": "edges", "edges": [["x2", "b\r", 1.0]]}},
      "graph.edges: vertex label 'b\\r' contains"),
+    # vertex counts beyond the schema's bound, refused before any graph
+    # of that size is built
+    ({"graph": {"kind": "path", "n": HUGE}},
+     f"graph.n: must be at most {MAX_GRAPH_COUNT}"),
+    ({"graph": {"kind": "truncated_z", "radius": HUGE}},
+     f"graph.radius: must be at most {MAX_GRAPH_COUNT}"),
+    ({"graph": {"kind": "path", "n": MAX_GRAPH_COUNT + 1}},
+     f"graph.n: must be at most {MAX_GRAPH_COUNT}"),
+    # vertex labels are strings or integers, never read through str()
+    ({"graph": {"kind": "edges", "edges": [[None, "x2", 1.0]]}},
+     "graph.edges[0][0]: expected a vertex label (string or integer), got None"),
+    ({"graph": {"kind": "edges", "edges": [["x1", "x2", 1.0], ["x2", True, 2.0]]}},
+     "graph.edges[1][1]: expected a vertex label (string or integer), got True"),
+    ({"graph": {"kind": "edges", "edges": [[1.5, "x2", 1.0]]}},
+     "graph.edges[0][0]: expected a vertex label (string or integer), got 1.5"),
+    ({"graph": {"kind": "edges", "edges": [["x2", {"a": 1}, 1.0]]}},
+     "graph.edges[0][1]: expected a vertex label (string or integer), got {'a': 1}"),
+    ({"graph": {"kind": "edges", "edges": [["x2", ["x1"], 1.0]]}},
+     "graph.edges[0][1]: expected a vertex label (string or integer), got ['x1']"),
 ])
 def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
                                         message):
