@@ -15,6 +15,7 @@ from .graph import WeightedGraph, field_values
 __all__ = [
     "edge_gaps",
     "scatter",
+    "conductance",
     "p_flux",
     "p_energy",
     "p_laplacian",
@@ -22,33 +23,13 @@ __all__ = [
 
 MODELS = ("G", "w")
 
-# Magnitudes below this are flushed to zero before taking logs so that
-# |g|^(p-1) neither produces -inf logs nor survives as denormal noise.
-_TINY = 1e-300
 
-
-def signed_power(gaps: np.ndarray, q: float) -> np.ndarray:
-    """sign(g) * |g|**q computed in log form; q > 0."""
-    gaps = np.asarray(gaps, dtype=float)
-    out = np.zeros_like(gaps)
-    mask = np.abs(gaps) > _TINY
-    if np.any(mask):
-        with np.errstate(over="ignore"):
-            out[mask] = np.sign(gaps[mask]) * np.exp(q * np.log(np.abs(gaps[mask])))
-    return out
-
-
-def abs_power(gaps: np.ndarray, q: float) -> np.ndarray:
-    """|g|**q in log form with the convention |g|**0 == 1."""
-    gaps = np.asarray(gaps, dtype=float)
-    if q == 0.0:
-        return np.ones_like(gaps)
-    out = np.zeros_like(gaps)
-    mask = np.abs(gaps) > _TINY
-    if np.any(mask):
-        with np.errstate(over="ignore"):
-            out[mask] = np.exp(q * np.log(np.abs(gaps[mask])))
-    return out
+def conductance(gaps: np.ndarray, p: float, wf: np.ndarray) -> np.ndarray:
+    """wf * |g|^(p-2) per edge, the one edge power of the p-energy: the flux
+    is c * g, the energy sum(c * g^2) / p and the Newton Hessian weight
+    (p-1) * c.  |g|^0 == 1, and overflow gives inf rather than a warning."""
+    with np.errstate(over="ignore"):
+        return wf * np.abs(gaps) ** (p - 2.0)
 
 
 def model_weight_factor(g: WeightedGraph, p: float, model: str) -> np.ndarray:
@@ -56,7 +37,7 @@ def model_weight_factor(g: WeightedGraph, p: float, model: str) -> np.ndarray:
     if model == "G":
         return g.weights
     if model == "w":
-        return abs_power(np.sqrt(g.weights), p - 2) * g.weights
+        return conductance(np.sqrt(g.weights), p, g.weights)
     raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
 
 
@@ -76,12 +57,14 @@ def scatter(g: WeightedGraph, flux: np.ndarray) -> np.ndarray:
 
 def p_flux(gaps: np.ndarray, p: float, wf: np.ndarray) -> np.ndarray:
     """wf * |g|^(p-2) g per edge."""
-    return wf * signed_power(gaps, p - 1.0)
+    with np.errstate(over="ignore"):
+        return conductance(gaps, p, wf) * gaps
 
 
 def p_energy(gaps: np.ndarray, p: float, wf: np.ndarray) -> float:
     """sum over canonical edges of wf * |g|^p / p."""
-    return float(np.sum(wf * abs_power(gaps, float(p))) / p)
+    with np.errstate(over="ignore"):
+        return float(np.sum(p_flux(gaps, p, wf) * gaps) / p)
 
 
 def p_laplacian(g: WeightedGraph, u, p: float, model: str = "G") -> np.ndarray:

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 simulate <scenario>          run a scenario in its declared mode, write CSV
-collapse <scenario>          force collapse mode, report the final state
+collapse <scenario>          run a collapse scenario, report the final state
 converge-p <scenario> --p-list 8,16,32,64
                              p-flow vs growth-limit error table (CSV p,sup_error)
 project <graph> <field> --kind uniform|inv-sqrt-w|inv-w

@@ -9,7 +9,6 @@ Vertex fields are numpy arrays aligned with ``graph.vertices``, or
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,14 +79,13 @@ class WeightedGraph:
                                    dtype=np.intp)
         self.weights = np.array([w for _, _, w in cleaned], dtype=float)
 
-        degrees = np.zeros(len(vertices))
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in vertices]
-        for (i, j), w in zip(self.edge_index, self.weights):
-            degrees[i] += w
-            degrees[j] += w
-            nbrs[i].append((int(j), float(w)))
-            nbrs[j].append((int(i), float(w)))
-        self.degrees = degrees
+        # bincount adds in edge order, as a loop over the edges would
+        self.degrees = np.bincount(self.edge_index.ravel(),
+                                   weights=self.weights.repeat(2))
+        nbrs: list[list[int]] = [[] for _ in vertices]
+        for i, j in self.edge_index.tolist():
+            nbrs[i].append(j)
+            nbrs[j].append(i)
         self.neighbors = tuple(tuple(sorted(n)) for n in nbrs)
         self._elimination_plan = None
 
@@ -101,16 +99,8 @@ class WeightedGraph:
         self.guard_index = tuple(sorted(index[v] for v in guard))
 
     def _check_connected(self):
-        n = len(self.vertices)
-        seen = np.zeros(n, dtype=bool)
-        queue = deque([0])
-        seen[0] = True
-        while queue:
-            i = queue.popleft()
-            for j, _ in self.neighbors[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
+        _, hops = next(distance_rows(self, None, [0]))
+        seen = hops < np.inf
         if not seen.all():
             missing = [self.vertices[k] for k in np.flatnonzero(~seen)[:4]]
             raise ValueError(f"graph is disconnected (e.g. {missing} unreachable)")
@@ -143,7 +133,11 @@ def field_values(g: WeightedGraph, u) -> np.ndarray:
         for vertex, value in u.items():
             vals[g.vertex_id(vertex)] = float(value)
     else:
-        vals = np.asarray(u, dtype=float)
+        vals = np.asarray(u)
+        if vals.dtype.kind not in "iuf":
+            raise ValueError(
+                f"field values must be real numbers, got dtype {vals.dtype}")
+        vals = vals.astype(float, copy=False)
     if vals.shape != (g.n_vertices,):
         raise ValueError(f"field shape {vals.shape} does not match "
                          f"{g.n_vertices} vertices")
@@ -212,7 +206,7 @@ def distance_rows(g: WeightedGraph, lengths=None, sources=None):
     n = g.n_vertices
     hop = lengths is None
     if hop:
-        adj = [[j for j, _ in nbrs] for nbrs in g.neighbors]
+        adj = g.neighbors
     else:
         lengths = np.asarray(lengths, dtype=float)
         if lengths.shape != (g.n_edges,):

@@ -17,8 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import abs_power, edge_gaps, model_weight_factor, p_energy, \
-    p_flux, scatter
+from .calculus import conductance, edge_gaps, model_weight_factor, scatter
 from .graph import WeightedGraph, field_values
 from .ldl import elimination_plan
 
@@ -379,25 +378,26 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
     if lam == 0.0:
         return zv.copy()
 
-    i, j = g.edge_index.T
+    ends = g.edge_index.ravel()
     D = g.degrees
     wf = model_weight_factor(g, p, model)
-    n = g.n_vertices
     plan = elimination_plan(g)
 
-    def energy(v):
-        jp = p_energy(edge_gaps(g, v), p, wf)
-        return 0.5 * float(np.dot(D, (v - zv) ** 2)) + lam * jp
-
-    def grad(v):
+    def evaluate(v):
+        # one edge power per point: the gradient and Hessian reuse flux, c
         gaps = edge_gaps(g, v)
-        return D * (v - zv) - lam * scatter(g, p_flux(gaps, p, wf)), gaps
+        c = conductance(gaps, p, wf)
+        with np.errstate(over="ignore"):
+            flux = c * gaps
+            phi = 0.5 * float(np.dot(D, (v - zv) ** 2)) \
+                + lam * float(np.sum(flux * gaps)) / p
+        return phi, flux, c
 
     v = zv.copy()
     scale = max(1.0, float(np.sqrt(np.dot(D, zv * zv))))
-    phi0 = energy(v)
+    phi0, flux, c = evaluate(v)
     for _ in range(max_iter):
-        gr, gaps = grad(v)
+        gr = D * (v - zv) - lam * scatter(g, flux)
         if not np.all(np.isfinite(gr)):
             raise ResolventError(f"nonfinite gradient at p={p}, lam={lam}")
         # gradient in L^2(nu) is D^{-1} gr
@@ -405,9 +405,8 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
         if gn <= tol * scale:
             return v
         # Hessian diag(D) + B' diag(coeff) B, kept in the graph's sparsity
-        coeff = lam * (p - 1.0) * wf * abs_power(gaps, p - 2.0)
-        diag = D + np.bincount(i, weights=coeff, minlength=n) \
-            + np.bincount(j, weights=coeff, minlength=n)
+        coeff = lam * (p - 1.0) * c
+        diag = D + np.bincount(ends, weights=coeff.repeat(2))
         diag += 1e-12 * (1.0 + np.max(diag))
         step = plan.solve(diag, -coeff, -gr)
         if not np.all(np.isfinite(step)):
@@ -422,7 +421,7 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
             cand = v + t * step
             if np.array_equal(cand, v):
                 break  # step underflowed: nothing representable is left to try
-            phi = energy(cand)
+            phi, cand_flux, cand_c = evaluate(cand)
             if np.isfinite(phi) and phi <= phi0 + 1e-4 * t * slope:
                 accepted = cand
                 break
@@ -430,14 +429,13 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
         made_progress = (accepted is not None
                          and phi < phi0 - 1e-15 * max(1.0, abs(phi0)))
         if not made_progress:
-            # stationary at floating-point accuracy: the gradient floor of
-            # the log-form powers can sit above an absolute tolerance
+            # stationary at floating-point accuracy: the rounding floor of
+            # the gradient can sit above an absolute tolerance
             if gn <= 1e-6 * scale:
                 return accepted if accepted is not None else v
             raise ResolventError(
                 f"line search stalled at p={p}, lam={lam}: phi0={phi0:.6e}, "
                 f"|grad|_nu={gn:.3e}, last step {t:.1e}")
-        v = accepted
-        phi0 = phi
+        v, phi0, flux, c = accepted, phi, cand_flux, cand_c
     raise ResolventError(f"Newton did not converge in {max_iter} iterations "
                          f"(p={p}, lam={lam})")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,27 @@ def test_p_laplacian_pairing_monotone():
                     * (-p_laplacian(g, u, p, model) + p_laplacian(g, v, p, model)),
                     u - v)
                 assert pairing >= -1e-10
+
+
+def ulps(got, exact):
+    """Relative error of a float against an exact Fraction, in units of eps;
+    None when exact lies below the normal range, where results underflow
+    to 0 or to subnormals and carry no relative precision."""
+    if abs(exact) < np.finfo(float).tiny:
+        return None
+    return float(abs((Fraction(got) - exact) / exact)) / np.finfo(float).eps
+
+
+@pytest.mark.parametrize("p", [16, 64, 128])
+def test_power_kernel_accuracy(p):
+    rng = np.random.default_rng(p)
+    gaps = rng.uniform(-3.0, 3.0, size=400)
+    wf = rng.uniform(0.5, 2.0, size=400)
+    flux = p_flux(gaps, float(p), wf)
+    flux_err, energy_err = [], []
+    for k, (g, w) in enumerate(zip(map(Fraction, gaps), map(Fraction, wf))):
+        flux_err.append(ulps(flux[k], w * g ** (p - 1)))
+        energy = p_energy(gaps[k:k + 1], float(p), wf[k:k + 1])
+        energy_err.append(ulps(energy, w * g ** p / p))
+    assert max(e for e in flux_err if e is not None) <= 8
+    assert max(e for e in energy_err if e is not None) <= 8

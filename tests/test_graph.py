@@ -72,6 +72,23 @@ def test_weight_symmetry():
         assert np.array_equal(flipped.weights, g.weights) and np.all(g.weights > 0)
 
 
+def test_degrees_and_neighbors_match_edge_loop():
+    # the degrees add the weights in edge order, so a per-edge loop gives
+    # the same bits; neighbors hold vertex ids, ascending
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        g = random_connected_graph(rng, n_max=8)
+        degrees = np.zeros(g.n_vertices)
+        nbrs = [[] for _ in g.vertices]
+        for (i, j), w in zip(g.edge_index.tolist(), g.weights):
+            degrees[i] += w
+            degrees[j] += w
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        assert np.array_equal(g.degrees, degrees)
+        assert g.neighbors == tuple(tuple(sorted(n)) for n in nbrs)
+
+
 def test_nu_mass(p4):
     # nu(A) = sum of weighted degrees over A: the nu-norm of its indicator
     def nu_mass(A):
@@ -187,5 +204,12 @@ def test_vertex_field():
             field_values(g, np.array([0.0, 1.0, bad]))
     ints = field_values(g, np.array([1, 2, 3]))
     assert ints.dtype == float and ints.tolist() == [1.0, 2.0, 3.0]
+    assert field_values(g, np.array([1, 2, 3], dtype=np.uint8)).tolist() == [1.0, 2.0, 3.0]
+    # no silent misreads: complex, boolean and text arrays are refused
+    for bad, dtype in ((np.array([1 + 2j, 0, 0]), "complex128"),
+                       (np.array([True, False, True]), "bool"),
+                       (["1", "2", "3"], "<U1")):
+        with pytest.raises(ValueError, match=f"got dtype {dtype}"):
+            field_values(g, bad)
     with pytest.raises(ValueError, match="shape"):
         field_values(g, np.zeros((3, 1)))
