@@ -1,16 +1,23 @@
 """Nonlocal calculus on canonical edges: gaps, fluxes, the p-Laplacian and
 the p-energy.
 
-Two model variants run through every operator here: "G" uses the plain edge
-weights, "w" additionally carries a sqrt(w)^(p-2) factor so the weights enter
-the dynamics directly rather than only through the degrees.
+The p-energy is read from the per-edge slope bounds c of a constraint set:
+E_p(u) = sum_e w_e c_e^2 |g_e / c_e|^p / p, whose p -> infinity limit is the
+indicator of {|g_e| <= c_e}.  Every stable set thus has its p-flow: c = 1
+gives the plain degree-normalized operator, c = 1/sqrt(w) the weighted one
+carrying w^(p/2) per edge.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .graph import WeightedGraph, field_values
+
+if TYPE_CHECKING:
+    from .proximal import ConstraintSet
 
 __all__ = [
     "edge_gaps",
@@ -21,24 +28,14 @@ __all__ = [
     "p_laplacian",
 ]
 
-MODELS = ("G", "w")
 
-
-def conductance(gaps: np.ndarray, p: float, wf: np.ndarray) -> np.ndarray:
-    """wf * |g|^(p-2) per edge, the one edge power of the p-energy: the flux
-    is c * g, the energy sum(c * g^2) / p and the Newton Hessian weight
-    (p-1) * c.  |g|^0 == 1, and overflow gives inf rather than a warning."""
+def conductance(gaps: np.ndarray, p: float, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """w * |g / c|^(p-2) per edge, the one edge power of the p-energy: the
+    flux is cond * g, the energy sum(cond * g^2) / p and the Newton Hessian
+    weight (p-1) * cond.  |g|^0 == 1, and overflow gives inf rather than a
+    warning."""
     with np.errstate(over="ignore"):
-        return wf * np.abs(gaps) ** (p - 2.0)
-
-
-def model_weight_factor(g: WeightedGraph, p: float, model: str) -> np.ndarray:
-    """Per-edge factor multiplying |grad u|^(p-2) grad u in the flux."""
-    if model == "G":
-        return g.weights
-    if model == "w":
-        return conductance(np.sqrt(g.weights), p, g.weights)
-    raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+        return w * np.abs(gaps / c) ** (p - 2.0)
 
 
 def edge_gaps(g: WeightedGraph, vals: np.ndarray) -> np.ndarray:
@@ -55,24 +52,24 @@ def scatter(g: WeightedGraph, flux: np.ndarray) -> np.ndarray:
         - np.bincount(g.edge_index[:, 1], weights=flux, minlength=n)
 
 
-def p_flux(gaps: np.ndarray, p: float, wf: np.ndarray) -> np.ndarray:
-    """wf * |g|^(p-2) g per edge."""
+def p_flux(gaps: np.ndarray, p: float, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """w * |g / c|^(p-2) g per edge."""
     with np.errstate(over="ignore"):
-        return conductance(gaps, p, wf) * gaps
+        return conductance(gaps, p, w, c) * gaps
 
 
-def p_energy(gaps: np.ndarray, p: float, wf: np.ndarray) -> float:
-    """sum over canonical edges of wf * |g|^p / p."""
+def p_energy(gaps: np.ndarray, p: float, w: np.ndarray, c: np.ndarray) -> float:
+    """sum over canonical edges of w * c^2 * |g / c|^p / p."""
     with np.errstate(over="ignore"):
-        return float(np.sum(p_flux(gaps, p, wf) * gaps) / p)
+        return float(np.sum(p_flux(gaps, p, w, c) * gaps) / p)
 
 
-def p_laplacian(g: WeightedGraph, u, p: float, model: str = "G") -> np.ndarray:
-    """Degree-normalized p-Laplacian for either model; p is real, >= 2."""
+def p_laplacian(g: WeightedGraph, u, p: float, K: ConstraintSet) -> np.ndarray:
+    """Degree-normalized p-Laplacian of the p-energy of K; p is real, >= 2."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     gaps = edge_gaps(g, field_values(g, u))
-    flux = p_flux(gaps, p, model_weight_factor(g, p, model))
+    flux = p_flux(gaps, p, g.weights, K.bounds)
     if not np.all(np.isfinite(flux)):
         raise FloatingPointError(
             f"p-Laplacian overflow at p={p}: slope magnitudes too large")

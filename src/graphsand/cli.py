@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 validation error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,6 +57,17 @@ def _read_field_file(g, path):
     return field_values(g, vals)
 
 
+def _number_option(option: str, value: float, least: float | None = None) -> float:
+    """value if it is finite and positive (or at least `least`); argparse
+    reads nan and inf as floats, so options are checked here."""
+    ok = value > 0 if least is None else value >= least
+    if not (ok and math.isfinite(value)):
+        need = "a positive finite number" if least is None \
+            else f"a finite number >= {least:g}"
+        raise ScenarioError(f"{option}: must be {need}, got {value!r}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_scenario(args.scenario)
     traj = run_scenario(cfg)
@@ -90,10 +102,11 @@ def _cmd_converge_p(args) -> int:
         raise ScenarioError(f"--p-list: not a number list: {args.p_list!r}")
     if not p_list:
         raise ScenarioError("--p-list: empty")
-    model = cfg.constraint_set().model()
-    horizon = args.T if args.T is not None else cfg.T
-    table = converge_p_experiment(cfg.graph, model, cfg.u0, cfg.source,
-                                  p_list, horizon, cfg.dt, tol=cfg.tol)
+    p_list = [_number_option("--p-list", p, least=2.0) for p in p_list]
+    horizon = cfg.T if args.T is None else _number_option("--T", args.T)
+    table = converge_p_experiment(cfg.graph, cfg.constraint_set(), cfg.u0,
+                                  cfg.source, p_list, horizon, cfg.dt,
+                                  tol=cfg.tol)
     lines = ["p,sup_error"] + [f"{repr(p)},{repr(err)}" for p, err in table]
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -136,7 +149,7 @@ def _cmd_transport_check(args) -> int:
     metric = "graph" if cfg.constraint == "uniform" \
         else cfg.constraint_set().bounds
     instance = TransportInstance(cfg.graph, rate, f_now, metric)
-    tol = args.tol if args.tol is not None else 10.0 * cfg.dt
+    tol = 10.0 * cfg.dt if args.tol is None else _number_option("--tol", args.tol)
     pairing = kantorovich_pairing(cfg.graph, u, rate, f_now)
     cost = ot_cost_oracle(instance)
     ok = verify_potential(instance, u, tol=tol)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .calculus import edge_gaps
 from .graph import WeightedGraph, field_values, nu_norm
-from .proximal import CONSTRAINT_KINDS, ConstraintSet, DykstraProjector, \
-    is_stable, max_relative_slope, resolvent_p
+from .proximal import ConstraintSet, DykstraProjector, is_stable, \
+    max_relative_slope, resolvent_p
 
 __all__ = [
     "SourceSchedule",
@@ -283,10 +283,11 @@ def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
     return traj.final_state(), traj
 
 
-def solve_p_flow(g: WeightedGraph, p: float, model: str, u0, f: SourceSchedule,
-                 T: float, dt: float, tol: float = 1e-10,
+def solve_p_flow(g: WeightedGraph, p: float, K: ConstraintSet, u0,
+                 f: SourceSchedule, T: float, dt: float, tol: float = 1e-10,
                  sample_every: int = 1) -> Trajectory:
-    """Backward Euler for the p-Laplacian flow u' = Delta_p u + f.
+    """Backward Euler for the p-Laplacian flow u' = Delta_p u + f of the
+    p-energy of K, whose p -> infinity limit is the growth model in K.
 
     Each step is one resolvent evaluation with lambda equal to the step
     length.  The smooth flow has no finite propagation speed, so on
@@ -295,7 +296,7 @@ def solve_p_flow(g: WeightedGraph, p: float, model: str, u0, f: SourceSchedule,
     return _integrate(
         g, field_values(g, u0).copy(), time_grid(0.0, T, dt, f.boundaries()),
         lambda t, _: f(t),
-        lambda z, h: resolvent_p(g, p, model, h, z, tol=tol),
+        lambda z, h: resolvent_p(g, p, K, h, z, tol=tol),
         1e-12, sample_every)
 
 
@@ -322,10 +323,11 @@ def mass_balance(traj: Trajectory, f: SourceSchedule | None,
     return MassBalanceReport(times[1:], res)
 
 
-def converge_p_experiment(g: WeightedGraph, model: str, u0, f: SourceSchedule,
+def converge_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
                           p_list, T: float, dt: float,
                           tol: float = 1e-10) -> list[tuple[float, float]]:
-    """sup-in-time nu-norm gap between the p-flow and the limit growth model.
+    """sup-in-time nu-norm gap between the p-flows of K and their limit, the
+    growth model in K.
 
     Runs the growth model once and one p-flow per entry of the increasing
     p_list, comparing states at the shared step times.
@@ -333,16 +335,12 @@ def converge_p_experiment(g: WeightedGraph, model: str, u0, f: SourceSchedule,
     p_list = list(p_list)
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be increasing")
-    kinds = [k for k, spec in CONSTRAINT_KINDS.items() if spec.model == model]
-    if not kinds:
-        raise ValueError(f"no constraint kind has the p-energy model {model!r}")
-    K = ConstraintSet.from_kind(g, kinds[0])
     if not is_stable(u0, K, 1e-8):
-        raise ValueError("initial datum not stable for the matching constraint set")
+        raise ValueError("initial datum not stable for the constraint set")
     limit = solve_growth(g, K, u0, f, T, dt, tol=tol)
     out = []
     for p in p_list:
-        flow = solve_p_flow(g, p, model, u0, f, T, dt, tol=tol)
+        flow = solve_p_flow(g, p, K, u0, f, T, dt, tol=tol)
         if len(flow.times) != len(limit.times):  # pragma: no cover
             raise RuntimeError("flows sampled on different grids")
         errs = [nu_norm(g, flow.states[k] - limit.states[k])
@@ -359,6 +357,6 @@ def collapse_via_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, p: float,
     if not probes or probes[0] <= 0:
         raise ValueError("probe times must be positive")
     u_inf, _ = solve_collapse(g, K, u0, dt, tol=tol)
-    flow = solve_p_flow(g, p, K.model(), u0, SourceSchedule.zero(g), probes[-1], dt,
+    flow = solve_p_flow(g, p, K, u0, SourceSchedule.zero(g), probes[-1], dt,
                         tol=tol)
     return [(t, nu_norm(g, flow.state_at(t, atol=dt) - u_inf)) for t in probes]

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import conductance, edge_gaps, model_weight_factor, scatter
+from .calculus import conductance, edge_gaps, scatter
 from .graph import WeightedGraph, field_values
 from .ldl import elimination_plan
 
@@ -38,15 +38,14 @@ __all__ = [
 class ConstraintKind(NamedTuple):
     token: str           # spelling in scenario files and on the command line
     bounds: Callable[[WeightedGraph], np.ndarray]  # slope bounds from weights
-    model: str | None    # p-energy model whose p -> infinity limit this is
 
 
 # the named stable sets; "custom" (a user table of bounds) is the only other
 CONSTRAINT_KINDS = {
-    "uniform": ConstraintKind("uniform", lambda g: np.ones(g.n_edges), "G"),
+    "uniform": ConstraintKind("uniform", lambda g: np.ones(g.n_edges)),
     "inverse_sqrt_weight": ConstraintKind(
-        "inv-sqrt-w", lambda g: 1.0 / np.sqrt(g.weights), "w"),
-    "inverse_weight": ConstraintKind("inv-w", lambda g: 1.0 / g.weights, None),
+        "inv-sqrt-w", lambda g: 1.0 / np.sqrt(g.weights)),
+    "inverse_weight": ConstraintKind("inv-w", lambda g: 1.0 / g.weights),
 }
 
 
@@ -104,14 +103,6 @@ class ConstraintSet:
             if kind in (name, spec.token):
                 return cls(g, name, spec.bounds(g))
         raise ValueError(f"unknown constraint kind {kind!r}")
-
-    def model(self) -> str:
-        """p-energy model whose limit this constraint set is."""
-        spec = CONSTRAINT_KINDS.get(self.kind)
-        if spec is None or spec.model is None:
-            raise ValueError(
-                f"no p-energy model matches constraint kind {self.kind!r}")
-        return spec.model
 
 
 def is_stable(u, K: ConstraintSet, tol: float = 1e-9) -> bool:
@@ -361,9 +352,10 @@ def project_oracle(g: WeightedGraph, K: ConstraintSet, z) -> np.ndarray:
     return best_v
 
 
-def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
+def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
                 tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
-    """Resolvent of the p-energy: minimize (1/2)||v - z||_nu^2 + lam * J_p(v).
+    """Resolvent of the p-energy of K: minimize
+    (1/2)||v - z||_nu^2 + lam * J_p(v), J_p(v) = sum w c^2 |grad v / c|^p / p.
 
     Damped Newton with Armijo backtracking; stops once the gradient in the
     nu-weighted norm is below tol.  The Newton step solves the Hessian
@@ -379,14 +371,13 @@ def resolvent_p(g: WeightedGraph, p: float, model: str, lam: float, z,
         return zv.copy()
 
     ends = g.edge_index.ravel()
-    D = g.degrees
-    wf = model_weight_factor(g, p, model)
+    D, w, bounds = g.degrees, g.weights, K.bounds
     plan = elimination_plan(g)
 
     def evaluate(v):
         # one edge power per point: the gradient and Hessian reuse flux, c
         gaps = edge_gaps(g, v)
-        c = conductance(gaps, p, wf)
+        c = conductance(gaps, p, w, bounds)
         with np.errstate(over="ignore"):
             flux = c * gaps
             phi = 0.5 * float(np.dot(D, (v - zv) ** 2)) \

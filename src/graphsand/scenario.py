@@ -201,19 +201,16 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
 
     g = _build_scenario_graph(doc.get("graph"), base_dir)
 
-    tokens = {spec.token: spec for spec in CONSTRAINT_KINDS.values()}
+    tokens = tuple(spec.token for spec in CONSTRAINT_KINDS.values())
     constraint = doc.get("constraint", "uniform")
     if not isinstance(constraint, str) or constraint not in tokens:
-        _fail("constraint", f"expected one of {tuple(tokens)}, got {constraint!r}")
+        _fail("constraint", f"expected one of {tokens}, got {constraint!r}")
 
     p = None
     if mode == "p-flow":
         p = _number(doc.get("p"), "p")
         if p is None or p < 2:
             _fail("p", "p-flow mode needs p >= 2")
-        if tokens[constraint].model is None:
-            with_model = tuple(t for t, spec in tokens.items() if spec.model)
-            _fail("constraint", f"p-flow supports {with_model} only")
 
     u0 = _sparse_field(g, doc.get("u0"), "u0")
 
@@ -280,7 +277,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
         return solve_growth(g, cfg.constraint_set(), cfg.u0, cfg.source,
                             cfg.T, cfg.dt, tol=cfg.tol, sample_every=every)
     if cfg.mode == "p-flow":
-        return solve_p_flow(g, cfg.p, cfg.constraint_set().model(), cfg.u0,
+        return solve_p_flow(g, cfg.p, cfg.constraint_set(), cfg.u0,
                             cfg.source, cfg.T, cfg.dt, tol=cfg.tol,
                             sample_every=every)
     if cfg.mode == "collapse":

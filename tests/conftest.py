@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from graphsand import ConstraintSet, build_graph, build_path
+from graphsand.proximal import CONSTRAINT_KINDS
 
 
 @pytest.fixture
@@ -17,6 +19,13 @@ def p4_uniform(p4):
 def chain_w4():
     """The two-edge chain with w12 = 1, w23 = 4."""
     return build_path(3, weights=[1.0, 4.0])
+
+
+def constraint_sets(g):
+    """Every named constraint set on g plus one custom table of bounds: each
+    is a slope polytope with its own p-energy."""
+    return [ConstraintSet.from_kind(g, kind) for kind in CONSTRAINT_KINDS] \
+        + [ConstraintSet.custom(g, np.linspace(0.5, 1.5, g.n_edges))]
 
 
 def random_connected_graph(rng, n_max=5, w_lo=0.5, w_hi=2.0):

@@ -173,7 +173,8 @@ def test_criterion_5_model2_chain(chain_run):
 def test_criterion_6_p_convergence():
     g = build_truncated_z(20)
     f = SourceSchedule.constant(g, {"0": 1.0})
-    table = converge_p_experiment(g, "G", np.zeros(g.n_vertices), f,
+    K = ConstraintSet.uniform(g)
+    table = converge_p_experiment(g, K, np.zeros(g.n_vertices), f,
                                   [8, 16, 32, 64], 3.0, 1e-3)
     errs = [err for _, err in table]
     monotone = all(b <= 1.1 * a for a, b in zip(errs, errs[1:]))
@@ -284,13 +285,13 @@ def test_criterion_11_property_suite(z_run, star_run, p4_a3b1_run,
         u1, u2 = project(g, K, z1), project(g, K, z2)
         if not np.all(u1 <= u2 + 1e-8):
             failures.append(f"project order trial {trial}")
-        r1 = resolvent_p(g, 6.0, "G", 0.4, z1)
-        r2 = resolvent_p(g, 6.0, "G", 0.4, z2)
+        r1 = resolvent_p(g, 6.0, K, 0.4, z1)
+        r2 = resolvent_p(g, 6.0, K, 0.4, z2)
         if not np.all(r1 <= r2 + 1e-8):
             failures.append(f"resolvent order trial {trial}")
         za, zb = random_field(rng, g), random_field(rng, g)
         pa, pb = project(g, K, za), project(g, K, zb)
-        ra, rb = resolvent_p(g, 4.0, "G", 0.7, za), resolvent_p(g, 4.0, "G", 0.7, zb)
+        ra, rb = resolvent_p(g, 4.0, K, 0.7, za), resolvent_p(g, 4.0, K, 0.7, zb)
         for q in (1, 2, np.inf):
             if nu_norm(g, pa - pb, q) > nu_norm(g, za - zb, q) + 1e-8:
                 failures.append(f"project {q}-norm trial {trial}")

@@ -7,6 +7,7 @@ without this check deleting a traced function would silently drop its span.
 import ast
 import functools
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,22 @@ def test_module_all_resolves(name):
     module = importlib.import_module(f"graphsand.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"graphsand.{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_model_parameter(name):
+    # the p-energy comes from a ConstraintSet's bounds; a `model` argument
+    # would be a second way to choose it
+    module = importlib.import_module(f"graphsand.{name}")
+    for attr in getattr(module, "__all__", ()):
+        obj = getattr(module, attr)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # a builtin base without one, e.g. RuntimeError
+            continue
+        assert "model" not in params, f"graphsand.{name}.{attr} takes a model parameter"
 
 
 def test_package_reexports_public_names():

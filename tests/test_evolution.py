@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -254,34 +256,51 @@ def test_collapse_mass_balance_recompute(p4, p4_uniform):
 # -- p-flow ---------------------------------------------------------------
 
 
-def test_p_flow_constant_without_source(p4):
+def test_p_flow_constant_without_source(p4, p4_uniform):
     u0 = np.full(4, 0.7)
-    traj = solve_p_flow(p4, 4.0, "G", u0, SourceSchedule.zero(p4), 0.5, 1e-2)
+    traj = solve_p_flow(p4, 4.0, p4_uniform, u0, SourceSchedule.zero(p4), 0.5, 1e-2)
     assert np.allclose(traj.states, 0.7, atol=1e-10)
 
 
-def test_p_flow_p2_matches_eigen_oracle(p4):
+def test_p_flow_p2_matches_eigen_oracle(p4, p4_uniform):
     rng = np.random.default_rng(31)
     u0 = rng.normal(size=4)
-    traj = solve_p_flow(p4, 2.0, "G", u0, SourceSchedule.zero(p4), 1.0, 1e-4)
+    traj = solve_p_flow(p4, 2.0, p4_uniform, u0, SourceSchedule.zero(p4), 1.0, 1e-4)
     exact = linear_flow_exact(p4, u0, 1.0)
     assert nu_norm(p4, traj.final_state() - exact) <= 1e-3
 
 
-def test_p_flow_first_order_in_dt(p4):
+def test_p_flow_first_order_in_dt(p4, p4_uniform):
     rng = np.random.default_rng(32)
     u0 = rng.normal(size=4)
     exact = linear_flow_exact(p4, u0, 0.5)
     errs = []
     for dt in (2e-3, 1e-3):
-        traj = solve_p_flow(p4, 2.0, "G", u0, SourceSchedule.zero(p4), 0.5, dt)
+        traj = solve_p_flow(p4, 2.0, p4_uniform, u0, SourceSchedule.zero(p4), 0.5, dt)
         errs.append(nu_norm(p4, traj.final_state() - exact))
     assert errs[1] <= 0.65 * errs[0]
 
 
-def test_p_flow_mass_balance(p4):
+@pytest.mark.parametrize("p, digest", [
+    (4.0, "d0f288c9c4ef9d742d663bcc91e227dcde69204003cc18e912595ac420fb0ab8"),
+    (64.0, "10d17bfbe981560eac20a8a306f25b6d5ee2594a1d1433defa5bcfd152f50ba5"),
+])
+def test_uniform_p_flow_bit_identical(p, digest):
+    # pinned SHA-256 of the times and states: unit bounds divide exactly
+    # (g / 1.0 == g), so the uniform p-flow keeps every bit it had under
+    # the kernel w * |g|^(p-2)
+    g = build_path(31)
+    f = SourceSchedule.constant(g, {"x16": 1.0}, 0.0, 0.6)
+    u0 = np.array([0.5 * (k % 2) for k in range(31)])
+    traj = solve_p_flow(g, p, ConstraintSet.uniform(g), u0, f, 1.0, 0.05)
+    assert traj.states.shape == (21, 31)
+    got = hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
+    assert got == digest
+
+
+def test_p_flow_mass_balance(p4, p4_uniform):
     f = SourceSchedule.constant(p4, {"x2": 1.0})
-    traj = solve_p_flow(p4, 5.0, "G", np.zeros(4), f, 1.0, 1e-2, tol=1e-12)
+    traj = solve_p_flow(p4, 5.0, p4_uniform, np.zeros(4), f, 1.0, 1e-2, tol=1e-12)
     report = mass_balance(traj, f, p4)
     assert report.max_abs <= 1e-8
 
@@ -304,25 +323,40 @@ def test_growth_first_order_in_dt_on_lattice():
 # -- experiments ----------------------------------------------------------
 
 
-def test_converge_p_zero_data(p4):
-    table = converge_p_experiment(p4, "G", np.zeros(4), SourceSchedule.zero(p4),
+def test_converge_p_zero_data(p4, p4_uniform):
+    table = converge_p_experiment(p4, p4_uniform, np.zeros(4), SourceSchedule.zero(p4),
                                   [4, 8], 0.5, 1e-2)
     assert all(err <= 1e-9 for _, err in table)
 
 
 def test_converge_p_decreases_model_w(chain_w4):
     f = SourceSchedule.constant(chain_w4, {"x2": 1.0})
-    table = converge_p_experiment(chain_w4, "w", np.zeros(3), f, [8, 64], 2.0, 2e-3)
+    K = ConstraintSet.inverse_sqrt_weight(chain_w4)
+    table = converge_p_experiment(chain_w4, K, np.zeros(3), f, [8, 64], 2.0, 2e-3)
     errs = dict(table)
     assert errs[64.0] < errs[8.0]
 
 
-def test_converge_p_validation(p4):
+def test_converge_p_inverse_weight_order_one_over_p():
+    # the inv-w polytope's own p-energy: the sup error falls like 1/p
+    g = build_path(5, weights=[2.0, 1.0, 1.0, 2.0])
+    f = SourceSchedule.constant(g, {"x3": 1.0})
+    table = converge_p_experiment(g, ConstraintSet.inverse_weight(g), np.zeros(5),
+                                  f, [4, 8, 16, 32, 64], 2.0, 1e-2)
+    errs = [err for _, err in table]
+    assert all(b < a for a, b in zip(errs, errs[1:]))
+    scaled = [p * err for p, err in table]
+    assert max(scaled) <= 1.25 * min(scaled)
+    assert errs[0] == pytest.approx(0.27, rel=0.1)
+    assert errs[-1] == pytest.approx(0.018, rel=0.1)
+
+
+def test_converge_p_validation(p4, p4_uniform):
     with pytest.raises(ValueError, match="increasing"):
-        converge_p_experiment(p4, "G", np.zeros(4), SourceSchedule.zero(p4),
+        converge_p_experiment(p4, p4_uniform, np.zeros(4), SourceSchedule.zero(p4),
                               [8, 8], 1.0, 1e-2)
     with pytest.raises(ValueError, match="not stable"):
-        converge_p_experiment(p4, "G", np.array([0, 3.0, 0, 0]),
+        converge_p_experiment(p4, p4_uniform, np.array([0, 3.0, 0, 0]),
                               SourceSchedule.zero(p4), [4, 8], 1.0, 1e-2)
 
 
@@ -372,9 +406,9 @@ def test_collapse_sample_every_off_multiple(p4, p4_uniform):
         mass_balance(thin, None, p4)
 
 
-def test_p_flow_sample_every(p4):
+def test_p_flow_sample_every(p4, p4_uniform):
     f = SourceSchedule.constant(p4, {"x2": 1.0})
-    full = solve_p_flow(p4, 4.0, "G", np.zeros(4), f, 0.3, 0.01)
+    full = solve_p_flow(p4, 4.0, p4_uniform, np.zeros(4), f, 0.3, 0.01)
     assert len(full.step_times) == 30
-    thin = solve_p_flow(p4, 4.0, "G", np.zeros(4), f, 0.3, 0.01, sample_every=4)
+    thin = solve_p_flow(p4, 4.0, p4_uniform, np.zeros(4), f, 0.3, 0.01, sample_every=4)
     assert_sampled(full, thin, 4)

@@ -261,7 +261,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     (tmp_path / "touch.json").write_text(json.dumps(scenario))
     assert run_command(["simulate", "touch.json"]) == 2
     assert "guard band at t=0.125" in capsys.readouterr().err
-    # inv-w has no p-energy model, so there is no p-flow to compare against
+    # inv-w has its p-energy like every other kind: converge-p and a p-flow
+    # scenario on it run
     scenario = {
         "graph": {"kind": "path", "n": 3, "weights": [1.0, 4.0]},
         "constraint": "inv-w",
@@ -270,8 +271,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         "T": 1.0, "dt": 0.01,
     }
     (tmp_path / "invw.json").write_text(json.dumps(scenario))
-    assert run_command(["converge-p", "invw.json", "--p-list", "8"]) == 1
-    assert "no p-energy model matches" in capsys.readouterr().err
+    assert run_command(["converge-p", "invw.json", "--p-list", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "p,sup_error" and lines[1].startswith("8.0,")
+    (tmp_path / "invw_flow.json").write_text(
+        json.dumps(dict(scenario, mode="p-flow", p=8.0)))
+    assert run_command(["simulate", "invw_flow.json", "--output", "f.csv"]) == 0
+    assert "mode=p-flow steps=100" in capsys.readouterr().out
+    times, _, states = read_trajectory(tmp_path / "f.csv")
+    assert times[-1] == 1.0 and np.all(np.isfinite(states))
     # keys a mode does not read are refused, not ignored
     collapse = {"graph": {"kind": "path", "n": 4}, "mode": "collapse",
                 "u0": {"x2": 3.0}, "source": [], "T": 1.0}

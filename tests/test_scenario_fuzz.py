@@ -134,68 +134,102 @@ BASE = {
 }
 
 
-@pytest.mark.parametrize("change, message", [
+SIMULATE = ("simulate", "s.json", "--output", "s.csv")
+
+
+def row(key, change, message, argv=SIMULATE):
+    """One input the CLI refuses with exit 1: the scenario is BASE updated
+    by change.  The test id is the key and the message, so a row inserted
+    anywhere renames no other row; the first 27 keys spell the ids these
+    rows were first collected under."""
+    return pytest.param(change, message, list(argv), id=f"{key}-{message}")
+
+
+def converge_p(*options):
+    return ("converge-p", "s.json", *options)
+
+
+def transport_check(*options):
+    return ("transport-check", "s.json", "--t", "0.01", *options)
+
+
+POSITIVE = "must be a positive finite number"
+P_ENTRY = "--p-list: must be a finite number >= 2"
+
+
+@pytest.mark.parametrize("change, message, argv", [
     # integer literals beyond the float range
-    ({"dt": HUGE}, "dt: must be finite"),
-    ({"T": HUGE}, "T: must be finite"),
-    ({"tol": -HUGE}, "tol: must be positive"),
-    ({"u0": {"x2": HUGE}}, "u0.x2: must be finite"),
-    ({"source": [{"start": 0.0, "end": 1.0, "values": {"x2": HUGE}}]},
-     "source[0].values.x2: must be finite"),
-    ({"graph": {"kind": "path", "n": 3, "weights": [1.0, HUGE]}},
-     "graph.weights[1]: must be finite"),
-    ({"graph": {"kind": "edges", "edges": [["x1", "x2", HUGE]]}},
-     "graph.edges[0][2]: must be finite"),
+    row("change0", {"dt": HUGE}, "dt: must be finite"),
+    row("change1", {"T": HUGE}, "T: must be finite"),
+    row("change2", {"tol": -HUGE}, "tol: must be positive"),
+    row("change3", {"u0": {"x2": HUGE}}, "u0.x2: must be finite"),
+    row("change4", {"source": [{"start": 0.0, "end": 1.0, "values": {"x2": HUGE}}]},
+        "source[0].values.x2: must be finite"),
+    row("change5", {"graph": {"kind": "path", "n": 3, "weights": [1.0, HUGE]}},
+        "graph.weights[1]: must be finite"),
+    row("change6", {"graph": {"kind": "edges", "edges": [["x1", "x2", HUGE]]}},
+        "graph.edges[0][2]: must be finite"),
     # graph weights go through the schema
-    ({"graph": {"kind": "path", "n": 4, "weights": "abc"}},
-     "graph.weights: expected a list of 3 weights"),
-    ({"graph": {"kind": "path", "n": 4, "weights": [1.0]}},
-     "graph.weights: expected a list of 3 weights"),
-    ({"graph": {"kind": "star", "weights": ["a", 1]}},
-     "graph.weights[0]: expected a number, got 'a'"),
-    ({"graph": {"kind": "star", "weights": [1, True]}},
-     "graph.weights[1]: expected a number, got True"),
-    ({"graph": {"kind": "path", "n": 3, "weights": [1, -1]}},
-     "graph.weights[1]: must be positive"),
-    ({"graph": {"kind": "edges", "edges": [["x1", "x2", None]]}},
-     "graph.edges[0][2]: expected a number, got None"),
-    ({"graph": {"kind": "edges", "edges": [["x1", "x2"]]}},
-     "graph.edges[0]: expected [vertex, vertex, weight]"),
-    ({"graph": {"kind": "truncated_z", "radius": True}},
-     "graph.radius: expected an integer >= 1"),
-    ({"u0": {"x2": None}}, "u0.x2: expected a number, got None"),
+    row("change7", {"graph": {"kind": "path", "n": 4, "weights": "abc"}},
+        "graph.weights: expected a list of 3 weights"),
+    row("change8", {"graph": {"kind": "path", "n": 4, "weights": [1.0]}},
+        "graph.weights: expected a list of 3 weights"),
+    row("change9", {"graph": {"kind": "star", "weights": ["a", 1]}},
+        "graph.weights[0]: expected a number, got 'a'"),
+    row("change10", {"graph": {"kind": "star", "weights": [1, True]}},
+        "graph.weights[1]: expected a number, got True"),
+    row("change11", {"graph": {"kind": "path", "n": 3, "weights": [1, -1]}},
+        "graph.weights[1]: must be positive"),
+    row("change12", {"graph": {"kind": "edges", "edges": [["x1", "x2", None]]}},
+        "graph.edges[0][2]: expected a number, got None"),
+    row("change13", {"graph": {"kind": "edges", "edges": [["x1", "x2"]]}},
+        "graph.edges[0]: expected [vertex, vertex, weight]"),
+    row("change14", {"graph": {"kind": "truncated_z", "radius": True}},
+        "graph.radius: expected an integer >= 1"),
+    row("change15", {"u0": {"x2": None}}, "u0.x2: expected a number, got None"),
     # vertex labels that would break the `t,vertex,u` CSV
-    ({"graph": {"kind": "edges", "edges": [["a,b", "c", 1.0]]}},
-     "graph.edges: vertex label 'a,b' contains ','"),
-    ({"graph": {"kind": "edges", "edges": [["x2", "b\n", 1.0]]}},
-     "graph.edges: vertex label 'b\\n' contains"),
-    ({"graph": {"kind": "edges", "edges": [["x2", "b\r", 1.0]]}},
-     "graph.edges: vertex label 'b\\r' contains"),
+    row("change16", {"graph": {"kind": "edges", "edges": [["a,b", "c", 1.0]]}},
+        "graph.edges: vertex label 'a,b' contains ','"),
+    row("change17", {"graph": {"kind": "edges", "edges": [["x2", "b\n", 1.0]]}},
+        "graph.edges: vertex label 'b\\n' contains"),
+    row("change18", {"graph": {"kind": "edges", "edges": [["x2", "b\r", 1.0]]}},
+        "graph.edges: vertex label 'b\\r' contains"),
     # vertex counts beyond the schema's bound, refused before any graph
     # of that size is built
-    ({"graph": {"kind": "path", "n": HUGE}},
-     f"graph.n: must be at most {MAX_GRAPH_COUNT}"),
-    ({"graph": {"kind": "truncated_z", "radius": HUGE}},
-     f"graph.radius: must be at most {MAX_GRAPH_COUNT}"),
-    ({"graph": {"kind": "path", "n": MAX_GRAPH_COUNT + 1}},
-     f"graph.n: must be at most {MAX_GRAPH_COUNT}"),
+    row("change19", {"graph": {"kind": "path", "n": HUGE}},
+        f"graph.n: must be at most {MAX_GRAPH_COUNT}"),
+    row("change20", {"graph": {"kind": "truncated_z", "radius": HUGE}},
+        f"graph.radius: must be at most {MAX_GRAPH_COUNT}"),
+    row("change21", {"graph": {"kind": "path", "n": MAX_GRAPH_COUNT + 1}},
+        f"graph.n: must be at most {MAX_GRAPH_COUNT}"),
     # vertex labels are strings or integers, never read through str()
-    ({"graph": {"kind": "edges", "edges": [[None, "x2", 1.0]]}},
-     "graph.edges[0][0]: expected a vertex label (string or integer), got None"),
-    ({"graph": {"kind": "edges", "edges": [["x1", "x2", 1.0], ["x2", True, 2.0]]}},
-     "graph.edges[1][1]: expected a vertex label (string or integer), got True"),
-    ({"graph": {"kind": "edges", "edges": [[1.5, "x2", 1.0]]}},
-     "graph.edges[0][0]: expected a vertex label (string or integer), got 1.5"),
-    ({"graph": {"kind": "edges", "edges": [["x2", {"a": 1}, 1.0]]}},
-     "graph.edges[0][1]: expected a vertex label (string or integer), got {'a': 1}"),
-    ({"graph": {"kind": "edges", "edges": [["x2", ["x1"], 1.0]]}},
-     "graph.edges[0][1]: expected a vertex label (string or integer), got ['x1']"),
+    row("change22", {"graph": {"kind": "edges", "edges": [[None, "x2", 1.0]]}},
+        "graph.edges[0][0]: expected a vertex label (string or integer), got None"),
+    row("change23",
+        {"graph": {"kind": "edges", "edges": [["x1", "x2", 1.0], ["x2", True, 2.0]]}},
+        "graph.edges[1][1]: expected a vertex label (string or integer), got True"),
+    row("change24", {"graph": {"kind": "edges", "edges": [[1.5, "x2", 1.0]]}},
+        "graph.edges[0][0]: expected a vertex label (string or integer), got 1.5"),
+    row("change25", {"graph": {"kind": "edges", "edges": [["x2", {"a": 1}, 1.0]]}},
+        "graph.edges[0][1]: expected a vertex label (string or integer), got {'a': 1}"),
+    row("change26", {"graph": {"kind": "edges", "edges": [["x2", ["x1"], 1.0]]}},
+        "graph.edges[0][1]: expected a vertex label (string or integer), got ['x1']"),
+    # numeric command-line options: argparse reads nan and inf as floats
+    row("T-inf", {}, f"--T: {POSITIVE}", converge_p("--p-list", "8", "--T", "inf")),
+    row("T-nan", {}, f"--T: {POSITIVE}", converge_p("--T", "nan")),
+    row("T-zero", {}, f"--T: {POSITIVE}", converge_p("--T", "0")),
+    row("p-list-nan", {}, P_ENTRY, converge_p("--p-list", "nan")),
+    row("p-list-inf", {}, P_ENTRY, converge_p("--p-list", "8,inf")),
+    row("p-list-below-2", {}, P_ENTRY, converge_p("--p-list", "1.5,8")),
+    row("tol-nan", {}, f"--tol: {POSITIVE}", transport_check("--tol", "nan")),
+    row("tol-negative", {}, f"--tol: {POSITIVE}", transport_check("--tol", "-1")),
+    row("tol-inf", {}, f"--tol: {POSITIVE}", transport_check("--tol", "inf")),
 ])
 def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
-                                        message):
+                                        message, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(json.dumps(dict(BASE, **change)))
-    assert run_command(["simulate", "s.json", "--output", "s.csv"]) == 1
+    assert run_command(argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
