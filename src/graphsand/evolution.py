@@ -34,6 +34,10 @@ __all__ = [
     "collapse_via_p_experiment",
 ]
 
+# the most steps a time grid may hold: the grid is built in full before the
+# first step, about 30 MB per million steps, so T/dt is refused beyond this
+MAX_STEPS = 10_000_000
+
 # an edge counts as binding when its gap is within this many projection
 # tolerances of the bound; activation flips are recorded as events
 _EVENT_BAND = 10.0
@@ -154,12 +158,17 @@ def time_grid(t_start: float, t_end: float, dt: float,
 
     Within each span the step count is rounded when dt (nearly) divides the
     span so that critical times are hit exactly; otherwise the last step of
-    the span is shortened.
+    the span is shortened.  A grid asking for more than MAX_STEPS steps
+    is refused before anything is built.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not t_end > t_start:
         raise ValueError("need t_end > t_start")
+    steps = (t_end - t_start) / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"dt: T/dt asks for {steps:.6g} steps, "
+                         f"at most {MAX_STEPS}")
     marks = [t_start]
     for b in sorted(set(float(b) for b in breakpoints)):
         if t_start + 1e-12 < b < t_end - 1e-12:

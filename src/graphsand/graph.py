@@ -9,6 +9,8 @@ Vertex fields are numpy arrays aligned with ``graph.vertices``, or
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ __all__ = [
     "field_values",
     "nu_norm",
     "distance_rows",
+    "distance_balls",
     "build_path",
     "build_star",
     "build_truncated_z",
@@ -199,13 +202,30 @@ def distance_rows(g: WeightedGraph, lengths=None, sources=None):
     row[k] is the shortest-path distance from the source to vertex k.
 
     `lengths=None` is the hop metric (breadth-first search); per-edge lengths,
-    an array aligned with g.edges, use Dijkstra.  Adjacency and lengths are
-    built once per call and each row is a fresh length-n array, so memory
+    an array aligned with g.edges, use Dijkstra.  Each row is an unbounded
+    search of `distance_balls` copied into a fresh length-n array, so memory
     stays O(n + E) however many rows are drawn.
     """
+    sources = range(g.n_vertices) if sources is None else sources
+    for src, _ball, dist in distance_balls(g, lengths, sources):
+        yield src, np.array(dist)
+
+
+def distance_balls(g: WeightedGraph, lengths, sources, reaches=None):
+    """Yield (source, ball, dist) for each source vertex id, searching only
+    out to the source's reach (the matching `reaches` entry; none: no bound).
+
+    `ball` lists, in search order, every vertex id within the reach, and
+    may list some beyond it; `dist[k]` is the exact distance of each k in
+    `ball`, the very float a search without a reach computes.  `dist` is
+    one buffer per call and is valid only until the next row is drawn:
+    entries touched by a search are reset after it, so a search costs
+    O(ball) rather than O(n).  Hops (`lengths=None`) use breadth-first
+    search, per-edge lengths Dijkstra.
+    """
     n = g.n_vertices
-    hop = lengths is None
-    if hop:
+    inf, pop, push = math.inf, heapq.heappop, heapq.heappush
+    if lengths is None:
         adj = g.neighbors
     else:
         lengths = np.asarray(lengths, dtype=float)
@@ -217,30 +237,42 @@ def distance_rows(g: WeightedGraph, lengths=None, sources=None):
         for (i, j), c in zip(g.edge_index.tolist(), lengths.tolist()):
             adj[i].append((j, c))
             adj[j].append((i, c))
-    for src in range(n) if sources is None else sources:
-        dist = [np.inf] * n
+    if reaches is None:
+        reaches = itertools.repeat(inf)
+    dist = [inf] * n
+    for src, reach in zip(sources, reaches):
         dist[src] = 0.0
-        if hop:
-            order = [src]
-            for i in order:  # grows while scanned: the BFS queue
+        if lengths is None:
+            ball = touched = [src]
+            for i in ball:  # grows while scanned: the BFS queue
+                d = dist[i]
+                if d >= reach:  # level order: the rest lie at d or beyond
+                    break
+                d += 1.0
                 for j in adj[i]:
-                    if dist[j] == np.inf:
-                        dist[j] = dist[i] + 1.0
-                        order.append(j)
+                    if dist[j] == inf:
+                        dist[j] = d
+                        ball.append(j)
         else:
-            done = [False] * n
+            ball, touched = [], [src]
             heap = [(0.0, src)]
             while heap:
-                d, i = heapq.heappop(heap)
-                if done[i]:
+                d, i = pop(heap)
+                if d > reach:  # every vertex left is farther
+                    break
+                if d > dist[i]:  # a stale entry: i was settled before
                     continue
-                done[i] = True
+                ball.append(i)
                 for j, c in adj[i]:
                     nd = d + c
                     if nd < dist[j]:
+                        if dist[j] == inf:
+                            touched.append(j)
                         dist[j] = nd
-                        heapq.heappush(heap, (nd, j))
-        yield src, np.array(dist)
+                        push(heap, (nd, j))
+        yield src, ball, dist
+        for k in touched:
+            dist[k] = inf
 
 
 def build_path(n: int, weights: Sequence[float] | None = None) -> WeightedGraph:

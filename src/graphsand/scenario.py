@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import SourceSchedule, Trajectory, solve_collapse, solve_growth, \
-    solve_p_flow
+from .evolution import MAX_STEPS, SourceSchedule, Trajectory, solve_collapse, \
+    solve_growth, solve_p_flow
 from .graph import WeightedGraph, build_graph, build_path, build_star, \
     build_truncated_z, load_graph
 from .proximal import CONSTRAINT_KINDS, ConstraintSet, is_stable
@@ -48,6 +48,8 @@ _SEGMENT_KEYS = ("start", "end", "values")
 # shipped and benchmark graph (a few hundred vertices), far below a size
 # whose construction would exhaust memory before any other check
 MAX_GRAPH_COUNT = 100_000
+# T/dt (1/dt in collapse mode) is bounded by evolution.MAX_STEPS, the cap of
+# its time grid, which is built in full before the first step
 
 
 class ScenarioError(ValueError):
@@ -244,6 +246,8 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     if mode == "collapse" and T != 1.0:
         _fail("T", f"collapse mode ends at T = 1, got {T}")
     dt = _number(doc.get("dt"), "dt", default=1e-3, positive=True)
+    if T / dt > MAX_STEPS:
+        _fail("dt", f"T/dt asks for {T / dt:.6g} steps, at most {MAX_STEPS}")
     tol = _number(doc.get("tol"), "tol", default=1e-10, positive=True)
 
     sample_every = doc.get("sample_every", 1)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .graph import WeightedGraph, distance_rows, field_values
+from .graph import WeightedGraph, distance_balls, distance_rows, field_values
 
 __all__ = [
     "TransportInstance",
@@ -31,11 +32,16 @@ _SUPPORT_LIMIT = 50
 _DENOMINATOR_BOUND = 10 ** 9
 
 
-def _metric_rows(g: WeightedGraph, dist, sources):
-    """(source, row) pairs of the metric `dist` for the given vertex ids:
-    "graph" is the hop metric, an array of per-edge lengths the weighted one."""
-    hop = isinstance(dist, str) and dist == "graph"
-    yield from distance_rows(g, None if hop else dist, sources)
+def _metric_lengths(dist):
+    """The edge lengths of a metric: None (hops) for "graph", else `dist`."""
+    return None if isinstance(dist, str) and dist == "graph" else dist
+
+
+def _check_tol(tol):
+    """Refuse a tol that is not a finite number >= 0: a NaN or infinite
+    slack would let every comparison pass, a negative one is no slack."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol: must be a finite number >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,9 @@ class TransportInstance:
     """Two nonnegative densities of equal nu-mass plus a metric choice.
 
     `distance` is "graph" for the hop metric, or an array of per-edge lengths
-    for the weighted metric.
+    for the weighted metric.  The densities and lengths are kept as
+    read-only copies of the caller's arrays, so the exact transport cost,
+    solved on first use and kept with the instance, cannot go stale.
     """
 
     graph: WeightedGraph
@@ -52,8 +60,9 @@ class TransportInstance:
     distance: object = "graph"
 
     def __post_init__(self):
-        f0 = field_values(self.graph, self.f0)
-        f1 = field_values(self.graph, self.f1)
+        f0 = field_values(self.graph, self.f0).copy()
+        f1 = field_values(self.graph, self.f1).copy()
+        f0.flags.writeable = f1.flags.writeable = False
         if np.any(f0 < 0) or np.any(f1 < 0):
             raise ValueError("densities must be nonnegative")
         deg = self.graph.degrees
@@ -63,20 +72,41 @@ class TransportInstance:
             raise ValueError(f"densities must have equal mass ({m0} vs {m1})")
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)
+        if _metric_lengths(self.distance) is not None:
+            lengths = np.array(self.distance, dtype=float)
+            lengths.flags.writeable = False
+            object.__setattr__(self, "distance", lengths)
+
+    @cached_property
+    def _cost(self) -> float:
+        return _solve_cost(self)
 
 
 def is_lipschitz_wrt(g: WeightedGraph, dist, u, tol: float = 1e-9) -> bool:
     """True iff |u(x) - u(y)| <= dist(x, y) + tol for every vertex pair.
 
-    One distance row per source vertex, checked against the vertices after
-    it and dropped; stops at the first violating pair.  The check is the
-    pairwise one: an edgewise bound would let the slack tol add up along a
-    path.
+    The check is the pairwise one: an edgewise bound would let the slack tol
+    add up along a path.  Each pair (a, b), b > a, is checked on the search
+    from a, and can only fail within the spread of u over those b, so that
+    search stops at max(max u(b) - u(a), u(a) - min u(b)): the cost of
+    those ball searches rather than of n whole-graph searches, with the
+    decisions of a full scan (d + tol >= d for tol >= 0).  Stops at the
+    first violating pair.
     """
-    vals = field_values(g, u)
-    for a, row in _metric_rows(g, dist, range(g.n_vertices - 1)):
-        if np.any(np.abs(vals[a] - vals[a + 1:]) > row[a + 1:] + tol):
-            return False
+    _check_tol(tol)
+    vals = field_values(g, u).tolist()
+    reaches = [0.0] * (len(vals) - 1)
+    top = bottom = vals[-1]  # the extremes of u over the vertices after a
+    for a in range(len(vals) - 2, -1, -1):
+        x = vals[a]
+        reaches[a] = max(top - x, x - bottom)
+        top, bottom = max(top, x), min(bottom, x)
+    for a, ball, d in distance_balls(g, _metric_lengths(dist),
+                                     range(g.n_vertices - 1), reaches):
+        ua = vals[a]
+        for b in ball:
+            if b > a and abs(ua - vals[b]) > d[b] + tol:
+                return False
     return True
 
 
@@ -212,8 +242,13 @@ def ot_cost_oracle(instance: TransportInstance) -> float:
     """Exact optimal transport cost between f0 d_nu and f1 d_nu.
 
     Supports of at most 50 vertices each; masses are rationally scaled to
-    integers so the augmenting-path solver terminates exactly.
+    integers so the augmenting-path solver terminates exactly.  The cost is
+    solved once per instance; later calls return the memoized value.
     """
+    return instance._cost
+
+
+def _solve_cost(instance: TransportInstance) -> float:
     g = instance.graph
     deg = g.degrees
     supp0 = [k for k in range(g.n_vertices) if instance.f0[k] > 0]
@@ -231,8 +266,8 @@ def ot_cost_oracle(instance: TransportInstance) -> float:
     gap = sum(supply) - sum(demand)
     if gap:  # repair rounding drift on the heaviest entry
         demand[int(np.argmax(demand))] += gap
-    cost = np.array([row[supp1]
-                     for _, row in _metric_rows(g, instance.distance, supp0)])
+    rows = distance_rows(g, _metric_lengths(instance.distance), supp0)
+    cost = np.array([row[supp1] for _, row in rows])
     scaled = _min_cost_flow(supply, demand, cost)
     return scaled / _scale
 
@@ -243,6 +278,7 @@ def verify_potential(instance: TransportInstance, u, tol: float = 1e-9) -> bool:
     Raises if u is not Lipschitz for the instance metric (weak duality then
     guarantees the pairing can never exceed the cost beyond tolerance).
     """
+    _check_tol(tol)
     g = instance.graph
     if not is_lipschitz_wrt(g, instance.distance, u):
         raise ValueError("candidate potential is not Lipschitz for the metric")
@@ -259,12 +295,13 @@ def verify_dual_criteria(g: WeightedGraph, dist, u, T_map: Mapping, f0,
     drops by exactly the transport distance along the map (either u or -u is
     the maximizing potential, depending on the orientation of the pairing).
     """
+    _check_tol(tol)
     if not is_lipschitz_wrt(g, dist, u):
         return False
     uu = field_values(g, u)
     f0v = field_values(g, f0)
     diffs = []
-    for k, row in _metric_rows(g, dist, np.flatnonzero(f0v > 0)):
+    for k, row in distance_rows(g, _metric_lengths(dist), np.flatnonzero(f0v > 0)):
         x = g.vertices[k]
         tk = g.vertex_id(T_map[x]) if x in T_map else k
         diffs.append((float(uu[k] - uu[tk]), float(row[tk])))

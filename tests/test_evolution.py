@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from graphsand import (ConstraintSet, SourceSchedule, build_path, build_star,
                        converge_p_experiment, field_values, is_stable,
                        mass_balance, nu_norm, solve_collapse, solve_growth,
                        solve_p_flow)
-from graphsand.evolution import Trajectory, TruncationError, time_grid
+from graphsand.evolution import MAX_STEPS, Trajectory, TruncationError, time_grid
 
 
 def z_exact(g, t, alpha=1.0):
@@ -63,6 +64,18 @@ def test_time_grid_hits_breakpoints():
     assert 0.5 in grid
     assert np.all(np.diff(grid) > 0)
     assert np.max(np.diff(grid)) <= 0.3 + 1e-12
+
+
+def test_time_grid_refuses_too_many_steps_before_building():
+    tracemalloc.start()
+    try:
+        for t_end, dt in ((1e12, 1e-3), (1.0, 1e-300), (10_000.01, 1e-3)):
+            with pytest.raises(ValueError, match=f"steps, at most {MAX_STEPS}"):
+                time_grid(0.0, t_end, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_time_grid_exact_division():

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from graphsand import build_graph, build_path, distance_rows, is_lipschitz_wrt
+from graphsand.graph import distance_balls
 
 TOL = 2.0 ** -6
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -81,6 +82,26 @@ def test_distance_kernel_matches_floyd_warshall(case, data):
     if kernel_lengths is None:
         assert all(np.array_equal(row, D[s])
                    for s, row in distance_rows(g, lengths))
+
+
+@PROPERTY
+@given(graphs_with_lengths(), st.data())
+def test_bounded_search_is_the_full_row_cut_at_its_reach(case, data):
+    g, metric, lengths = case
+    kernel_lengths = None if isinstance(metric, str) else metric
+    rows = dict(distance_rows(g, kernel_lengths))
+    n = g.n_vertices
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    reaches = data.draw(st.lists(st.integers(0, 24).map(lambda k: k / 8.0),
+                                 min_size=len(sources), max_size=len(sources)))
+    searches = distance_balls(g, kernel_lengths, sources, reaches)
+    for (src, ball, dist), want, reach in zip(searches, sources, reaches):
+        row = rows[src]
+        assert src == want and len(set(ball)) == len(ball)
+        # every vertex within reach, each at its full-row distance; one
+        # buffer serves every search, so a stale entry would show here
+        assert set(np.flatnonzero(row <= reach)) <= set(ball)
+        assert all(dist[k] == row[k] for k in ball)
 
 
 @PROPERTY

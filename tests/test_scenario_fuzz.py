@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphsand.cli import run_command
-from graphsand.scenario import MAX_GRAPH_COUNT, ScenarioError, parse_scenario
+from graphsand.scenario import MAX_GRAPH_COUNT, MAX_STEPS, ScenarioError, \
+    parse_scenario
 
 HUGE = 10 ** 400
 PROPERTY = settings(max_examples=400, deadline=None, database=None)
@@ -154,6 +155,9 @@ def transport_check(*options):
 
 
 POSITIVE = "must be a positive finite number"
+STEPS = f"steps, at most {MAX_STEPS}"
+COLLAPSE_TINY_DT = {"mode": "collapse", "u0": {"x2": 3.0}, "source": [], "T": 1,
+                    "dt": 1e-8}
 P_ENTRY = "--p-list: must be a finite number >= 2"
 
 
@@ -224,6 +228,15 @@ P_ENTRY = "--p-list: must be a finite number >= 2"
     row("tol-nan", {}, f"--tol: {POSITIVE}", transport_check("--tol", "nan")),
     row("tol-negative", {}, f"--tol: {POSITIVE}", transport_check("--tol", "-1")),
     row("tol-inf", {}, f"--tol: {POSITIVE}", transport_check("--tol", "inf")),
+    # step counts whose time grid alone would exhaust memory
+    row("steps-growth", {"T": 1e12, "dt": 1e-3}, f"dt: T/dt asks for 1e+15 {STEPS}"),
+    row("steps-just-above", {"T": 10_000.01, "dt": 1e-3},
+        f"dt: T/dt asks for 1e+07 {STEPS}"),
+    row("steps-overflow", {"T": 1e300, "dt": 1e-300}, f"dt: T/dt asks for inf {STEPS}"),
+    row("steps-collapse", COLLAPSE_TINY_DT, f"dt: T/dt asks for 1e+08 {STEPS}",
+        ("collapse", "s.json", "--output", "s.csv")),
+    row("steps-converge-p-T", {}, f"dt: T/dt asks for 2e+14 {STEPS}",
+        converge_p("--T", "1e12")),
 ])
 def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
                                         message, argv):
@@ -232,6 +245,11 @@ def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
     assert run_command(argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_step_cap_admits_exactly_max_steps():
+    cfg = parse_scenario(json.dumps(dict(BASE, T=float(MAX_STEPS), dt=1.0)))
+    assert cfg.T / cfg.dt == MAX_STEPS  # parsed only, never run
 
 
 def test_cli_refuses_comma_label_in_graph_file(tmp_path, monkeypatch, capsys):
