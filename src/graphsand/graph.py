@@ -57,8 +57,9 @@ class WeightedGraph:
             w = float(w)
             if a == b:
                 raise ValueError(f"self-loop on vertex {a!r} is not allowed")
-            if not np.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge ({a!r}, {b!r}) has nonpositive weight {w}")
+            if not (w > 0.0 and math.isfinite(w)):
+                fault = "nonpositive" if w <= 0.0 else "non-finite"
+                raise ValueError(f"edge ({a!r}, {b!r}) has {fault} weight {w}")
             key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise ValueError(f"duplicate edge ({key[0]!r}, {key[1]!r})")

@@ -2,8 +2,9 @@
 
 Certifies growth-model states as optimal dual potentials: Lipschitz
 feasibility, the dual pairing, an exact small-instance transport-cost oracle
-(successive shortest augmenting paths on rationally scaled masses), and the
-dual criteria joining a potential with an explicit transport map.
+(successive shortest augmenting paths on the exact integer numerators of the
+dyadic masses and distances), and the dual criteria joining a potential with
+an explicit transport map.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 _SUPPORT_LIMIT = 50
-_DENOMINATOR_BOUND = 10 ** 9
 
 
 def _metric_lengths(dist):
@@ -44,14 +43,15 @@ def _check_tol(tol):
         raise ValueError(f"tol: must be a finite number >= 0, got {tol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportInstance:
     """Two nonnegative densities of equal nu-mass plus a metric choice.
 
-    `distance` is "graph" for the hop metric, or an array of per-edge lengths
-    for the weighted metric.  The densities and lengths are kept as
-    read-only copies of the caller's arrays, so the exact transport cost,
-    solved on first use and kept with the instance, cannot go stale.
+    `distance` is "graph" for the hop metric, or an array of positive finite
+    per-edge lengths for the weighted metric.  The densities and lengths are
+    kept as read-only copies of the caller's arrays, so the exact transport
+    cost, solved on first use and kept with the instance, cannot go stale.
+    Instances compare and hash by identity.
     """
 
     graph: WeightedGraph
@@ -72,8 +72,15 @@ class TransportInstance:
             raise ValueError(f"densities must have equal mass ({m0} vs {m1})")
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)
-        if _metric_lengths(self.distance) is not None:
-            lengths = np.array(self.distance, dtype=float)
+        if not (isinstance(self.distance, str) and self.distance == "graph"):
+            try:
+                lengths = np.array(self.distance, dtype=float)
+            except (TypeError, ValueError):  # "hops", say
+                lengths = np.array(math.nan)
+            if lengths.shape != (self.graph.n_edges,) \
+                    or not np.all((lengths > 0) & np.isfinite(lengths)):
+                raise ValueError(f'distance: must be "graph" or {self.graph.n_edges}'
+                                 f" positive finite edge lengths, got {self.distance!r}")
             lengths.flags.writeable = False
             object.__setattr__(self, "distance", lengths)
 
@@ -118,158 +125,126 @@ def kantorovich_pairing(g: WeightedGraph, u, f0, f1) -> float:
     return float(np.dot(uu * g.degrees, d1 - d0))
 
 
-def _rational_masses(masses: np.ndarray) -> tuple[list[int], int]:
-    """Scale nonnegative masses to integers with a bounded denominator.
-
-    Masses are taken as exact rationals with denominator at most 1e9; if the
-    common denominator would overflow that bound the masses are floored at
-    scale 1e9 / total and the sub-1e-9 residual is dropped.
-    """
-    fracs = [Fraction(float(m)).limit_denominator(_DENOMINATOR_BOUND)
-             for m in masses]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        if denom > _DENOMINATOR_BOUND:
-            break
-    if denom <= _DENOMINATOR_BOUND:
-        exact = all(abs(float(f) - float(m)) <= 1e-15 * max(1.0, float(m))
-                    for f, m in zip(fracs, masses))
-        if exact:
-            return [int(f * denom) for f in fracs], denom
-    total = float(np.sum(masses))
-    scale = max(1, int(_DENOMINATOR_BOUND / max(total, 1.0)))
-    return [int(round(float(m) * scale)) for m in masses], scale
+def _dyadic(values: list[float]) -> tuple[list[int], int]:
+    """Integers n_k and one power of two D with values[k] == n_k / D
+    exactly: every float is a dyadic rational."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _min_cost_flow(supply: list[int], demand: list[int],
-                   cost: np.ndarray) -> float:
+                   cost: list[list[int]]) -> int:
     """Transportation problem by successive shortest augmenting paths.
 
-    Integer supplies/demands with equal totals; forward arcs are uncapacitated
-    so each augmentation exhausts a source or a sink.  Node potentials keep
-    reduced costs nonnegative for Dijkstra.
+    Integer supplies/demands with equal totals and integer costs
+    (cost[i][j] from supply i to demand j); forward arcs are uncapacitated
+    so each augmentation exhausts a source, a sink or a backward flow.
+    Node potentials keep reduced costs nonnegative for Dijkstra, which stops
+    at the nearest unmet demand.  All arithmetic is on integers, so the
+    returned total cost is exact.
     """
     ns, nd = len(supply), len(demand)
-    rem_s = list(supply)
-    rem_d = list(demand)
-    flow = np.zeros((ns, nd), dtype=object)
-    pot_s = [0.0] * ns
-    pot_d = [0.0] * nd
-    total_cost = Fraction(0)
-
+    rem_s, rem_d = list(supply), list(demand)
+    flow = [[0] * nd for _ in range(ns)]
+    pot_s, pot_d = [0] * ns, [0] * nd
+    inf, pop, push = math.inf, heapq.heappop, heapq.heappush
     while True:
-        sources = [i for i in range(ns) if rem_s[i] > 0]
-        if not sources:
+        roots = [i for i in range(ns) if rem_s[i] > 0]
+        if not roots:
             break
-        # Dijkstra over the bipartite residual graph
-        dist_s = [math.inf] * ns
-        dist_d = [math.inf] * nd
-        prev_d = [-1] * nd
-        prev_s = [-1] * ns
-        heap = []
-        for i in sources:
-            dist_s[i] = 0.0
-            heap.append((0.0, 0, i))
-        heapq.heapify(heap)
-        done_s = [False] * ns
-        done_d = [False] * nd
+        # Dijkstra over the bipartite residual graph; roots keep prev -1
+        dist_s, dist_d = [inf] * ns, [inf] * nd
+        prev_s, prev_d = [-1] * ns, [-1] * nd
+        for i in roots:
+            dist_s[i] = 0
+        heap = [(0, 0, i) for i in roots]  # sorted, so a heap
         while heap:
-            d, side, k = heapq.heappop(heap)
+            d, side, k = pop(heap)
+            if d > (dist_d[k] if side else dist_s[k]):  # a stale entry
+                continue
             if side == 0:
-                if done_s[k]:
-                    continue
-                done_s[k] = True
-                for jj in range(nd):
-                    rc = cost[k, jj] + pot_s[k] - pot_d[jj]
-                    nd_dist = d + rc
-                    if nd_dist < dist_d[jj] - 1e-15:
-                        dist_d[jj] = nd_dist
-                        prev_d[jj] = k
-                        heapq.heappush(heap, (nd_dist, 1, jj))
-            else:
-                if done_d[k]:
-                    continue
-                done_d[k] = True
-                for ii in range(ns):
-                    if flow[ii, k] > 0:
-                        rc = -cost[ii, k] - pot_s[ii] + pot_d[k]
-                        nd_dist = d + rc
-                        if nd_dist < dist_s[ii] - 1e-15:
-                            dist_s[ii] = nd_dist
-                            prev_s[ii] = k
-                            heapq.heappush(heap, (nd_dist, 0, ii))
-        target = min((j for j in range(nd) if rem_d[j] > 0),
-                     key=lambda j: dist_d[j], default=None)
-        if target is None or not math.isfinite(dist_d[target]):
-            raise RuntimeError("min-cost flow: no augmenting path")  # pragma: no cover
-        # trace the path back and find the bottleneck
-        path = []  # (i, j, forward)
-        j = target
-        bottleneck = rem_d[j]
-        while True:
-            i = prev_d[j]
-            path.append((i, j, True))
-            if dist_s[i] == 0.0 and rem_s[i] > 0 and prev_s[i] == -1:
-                bottleneck = min(bottleneck, rem_s[i])
+                base, row = d + pot_s[k], cost[k]
+                for j in range(nd):
+                    dj = base + row[j] - pot_d[j]
+                    if dj < dist_d[j]:
+                        dist_d[j], prev_d[j] = dj, k
+                        push(heap, (dj, 1, j))
+            elif rem_d[k] > 0:  # the nearest unmet demand
                 break
-            j2 = prev_s[i]
-            bottleneck = min(bottleneck, flow[i, j2])
-            path.append((i, j2, False))
-            j = j2
-        for i, jj, forward in path:
-            if forward:
-                flow[i, jj] += bottleneck
             else:
-                flow[i, jj] -= bottleneck
-        rem_s[path[-1][0]] -= bottleneck
-        rem_d[target] -= bottleneck
-        for k in range(ns):
-            if math.isfinite(dist_s[k]):
-                pot_s[k] += dist_s[k]
-        for k in range(nd):
-            if math.isfinite(dist_d[k]):
-                pot_d[k] += dist_d[k]
-
-    for i in range(ns):
-        for j in range(nd):
-            if flow[i, j]:
-                total_cost += Fraction(flow[i, j]) * Fraction(float(cost[i, j]))
-    return float(total_cost)
+                base = d + pot_d[k]
+                for i in range(ns):
+                    if flow[i][k]:
+                        di = base - cost[i][k] - pot_s[i]
+                        if di < dist_s[i]:
+                            dist_s[i], prev_s[i] = di, k
+                            push(heap, (di, 0, i))
+        # the path back from sink k: forward arcs (i, j), backward arcs
+        # (i, prev_s[i]) whose flow it cancels
+        target, top = k, d
+        forward, backward = [], []
+        while True:
+            i = prev_d[k]
+            forward.append((i, k))
+            k = prev_s[i]
+            if k < 0:
+                break
+            backward.append((i, k))
+        amount = min(rem_s[i], rem_d[target], *(flow[a][b] for a, b in backward))
+        for a, b in forward:
+            flow[a][b] += amount
+        for a, b in backward:
+            flow[a][b] -= amount
+        rem_s[i] -= amount
+        rem_d[target] -= amount
+        # a node not settled before the sink is at least `top` away
+        pot_s = [p + (d if d < top else top) for p, d in zip(pot_s, dist_s)]
+        pot_d = [p + (d if d < top else top) for p, d in zip(pot_d, dist_d)]
+    return sum(f * c for frow, crow in zip(flow, cost)
+               for f, c in zip(frow, crow) if f)
 
 
 def ot_cost_oracle(instance: TransportInstance) -> float:
     """Exact optimal transport cost between f0 d_nu and f1 d_nu.
 
-    Supports of at most 50 vertices each; masses are rationally scaled to
-    integers so the augmenting-path solver terminates exactly.  The cost is
-    solved once per instance; later calls return the memoized value.
+    Supports of at most 50 vertices each.  The float masses f d and
+    distances are dyadic rationals, solved on as exact integers over one
+    power-of-two denominator each; the imbalance of the two float totals is
+    settled on the heaviest entry of f1 d, and the cost is the exact minimum
+    rounded once.  The cost is solved once per instance; later calls return
+    the memoized value.
     """
     return instance._cost
 
 
 def _solve_cost(instance: TransportInstance) -> float:
     g = instance.graph
-    deg = g.degrees
-    supp0 = [k for k in range(g.n_vertices) if instance.f0[k] > 0]
-    supp1 = [k for k in range(g.n_vertices) if instance.f1[k] > 0]
+    f0, f1 = instance.f0, instance.f1
+    supp0 = np.flatnonzero(f0 > 0).tolist()
+    supp1 = np.flatnonzero(f1 > 0).tolist()
     if len(supp0) > _SUPPORT_LIMIT or len(supp1) > _SUPPORT_LIMIT:
         raise ValueError("transport oracle supports at most "
                          f"{_SUPPORT_LIMIT} support vertices")
-    if not supp0:
+    if not supp0 or not supp1:
         return 0.0
-    masses = np.array([instance.f0[k] * deg[k] for k in supp0]
-                      + [instance.f1[k] * deg[k] for k in supp1])
-    ints, _scale = _rational_masses(masses)
-    supply = ints[:len(supp0)]
-    demand = ints[len(supp0):]
-    gap = sum(supply) - sum(demand)
-    if gap:  # repair rounding drift on the heaviest entry
-        demand[int(np.argmax(demand))] += gap
-    rows = distance_rows(g, _metric_lengths(instance.distance), supp0)
-    cost = np.array([row[supp1] for _, row in rows])
-    scaled = _min_cost_flow(supply, demand, cost)
-    return scaled / _scale
+    deg = g.degrees
+    masses, mass_den = _dyadic((f0[supp0] * deg[supp0]).tolist()
+                               + (f1[supp1] * deg[supp1]).tolist())
+    supply, demand = masses[:len(supp0)], masses[len(supp0):]
+    # settle the imbalance of the two float totals on the heaviest demand
+    demand[demand.index(max(demand))] += sum(supply) - sum(demand)
+    # the metric is symmetric: search from the smaller support, transpose
+    near, far = (supp0, supp1) if len(supp0) <= len(supp1) else (supp1, supp0)
+    rows = [[dist[k] for k in far] for _, _, dist in
+            distance_balls(g, _metric_lengths(instance.distance), near)]
+    if near is supp1:
+        rows = list(zip(*rows))
+    costs, cost_den = _dyadic([c for row in rows for c in row])
+    nd = len(supp1)
+    cost = [costs[k:k + nd] for k in range(0, len(costs), nd)]
+    # int / int rounds the exact quotient once
+    return _min_cost_flow(supply, demand, cost) / (mass_den * cost_den)
 
 
 def verify_potential(instance: TransportInstance, u, tol: float = 1e-9) -> bool:

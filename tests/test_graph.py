@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ def test_loop_rejected():
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError, match="weight"):
         build_graph([("a", "b", 0.0)])
+
+
+@pytest.mark.parametrize("w, fault", [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                                      (0.0, "nonpositive"), (-1.0, "nonpositive")],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_bad_weight_named(w, fault):
+    with pytest.raises(ValueError, match=rf"\('a', 'b'\) has {fault} weight"):
+        build_graph([("a", "b", w)])
 
 
 def test_duplicate_edge_rejected():

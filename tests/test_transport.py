@@ -1,11 +1,17 @@
 import hashlib
+import io
 import itertools
 import json
 import math
+import re
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphsand.transport as transport
 from graphsand import (ConstraintSet, SourceSchedule, TransportInstance,
@@ -161,6 +167,67 @@ def test_oracle_against_brute_force():
         assert ot_cost_oracle(inst) == pytest.approx(expected, abs=1e-9)
 
 
+def basic_plan(cells, supply, demand):
+    """The flows of the basic solution on `cells`, (supply, demand) index
+    pairs, or None if the cells hold a cycle or a flow would be negative:
+    each step fixes the one cell of a node that has one cell left."""
+    left = {("s", i): m for i, m in enumerate(supply)}
+    left.update((("d", j), m) for j, m in enumerate(demand))
+    cells, plan = set(cells), {}
+    while cells:
+        count = Counter(n for i, j in cells for n in (("s", i), ("d", j)))
+        leaf = next((c for c in sorted(cells) if count["s", c[0]] == 1
+                     or count["d", c[1]] == 1), None)
+        if leaf is None:
+            return None
+        i, j = leaf
+        amount = left["s", i] if count["s", i] == 1 else left["d", j]
+        left["s", i] -= amount
+        left["d", j] -= amount
+        plan[leaf] = amount
+        cells.discard(leaf)
+    if any(left.values()) or any(a < 0 for a in plan.values()):
+        return None
+    return plan
+
+
+def exact_reference_cost(g, f0, f1):
+    """The exact minimum transport cost of the float masses f d, as a
+    Fraction: the least cost over the basic solutions of the transportation
+    polytope, with the imbalance of the float totals settled on the
+    heaviest demand."""
+    deg = g.degrees
+    supp0, supp1 = np.flatnonzero(f0 > 0), np.flatnonzero(f1 > 0)
+    supply = [Fraction(float(f0[k] * deg[k])) for k in supp0]
+    demand = [Fraction(float(f1[k] * deg[k])) for k in supp1]
+    demand[demand.index(max(demand))] += sum(supply) - sum(demand)
+    table = hop_table(g)
+    cells = list(itertools.product(range(len(supply)), range(len(demand))))
+    plans = (basic_plan(tree, supply, demand) for tree in
+             itertools.combinations(cells, len(supply) + len(demand) - 1))
+    return min(sum(a * Fraction(table[supp0[i], supp1[j]])
+                   for (i, j), a in plan.items())
+               for plan in plans if plan is not None)
+
+
+def test_oracle_equals_exact_reference():
+    """Arbitrary float masses, not integer units: the oracle is the exact
+    minimum rounded once, with no denominator bound."""
+    rng = np.random.default_rng(14)
+    for _ in range(150):
+        g = random_connected_graph(rng, n_max=6)
+        n = g.n_vertices
+        f0, f1 = np.zeros(n), np.zeros(n)
+        for f in (f0, f1):
+            support = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                                 replace=False)
+            f[support] = rng.uniform(0.01, 3.0, support.size) \
+                * 10.0 ** rng.integers(-3, 3, support.size)
+        f1 *= np.dot(g.degrees, f0) / np.dot(g.degrees, f1)
+        inst = TransportInstance(g, f0, f1)
+        assert ot_cost_oracle(inst) == float(exact_reference_cost(g, f0, f1))
+
+
 def test_verify_potential_rejects_infeasible(p4):
     inst = TransportInstance(p4, np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0]))
     with pytest.raises(ValueError, match="Lipschitz"):
@@ -279,6 +346,33 @@ def test_oracle_solved_once_per_instance(p4, monkeypatch):
     assert len(calls) == 2
 
 
+def test_instance_equality_is_identity(p4, monkeypatch):
+    calls = []
+    solve = transport._min_cost_flow
+    monkeypatch.setattr(transport, "_min_cost_flow",
+                        lambda *args: calls.append(args) or solve(*args))
+    f0, f1 = np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0])
+    inst, twin = TransportInstance(p4, f0, f1), TransportInstance(p4, f0, f1)
+    assert inst == inst and inst != twin and not inst == twin
+    table = {inst: "a", twin: "b"}
+    assert ot_cost_oracle(inst) == 3.0
+    assert table[inst] == "a" and table[twin] == "b"
+    assert ot_cost_oracle(inst) == 3.0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("distance", [
+    "hops", None, [1.0, 1.0], np.ones(4), np.ones((3, 1)), [1.0, -1.0, 1.0],
+    [1.0, 0.0, 1.0], [1.0, math.nan, 1.0], [1.0, math.inf, 1.0],
+    [1.0, 1j, 1.0], [[1.0], [1.0, 1.0], []],
+], ids=["hops", "none", "too-few", "too-many", "2-d", "negative", "zero",
+        "nan", "inf", "complex", "ragged"])
+def test_bad_distance_refused_at_construction(p4, distance):
+    f = np.array([1.0, 0, 0, 0])
+    with pytest.raises(ValueError, match="distance"):
+        TransportInstance(p4, f, f, distance)
+
+
 def full_scan_lipschitz(g, dist, u, tol):
     """Reference check: every pair (a, b), b > a, against the full distance
     row of a, with no reach; the arithmetic of the bounded check."""
@@ -337,19 +431,19 @@ def test_bounded_check_equals_full_scan(case):
 
 
 # SHA-256 of the `transport-check` stdout of every shipped growth scenario
-# at t = T/2 and t = T, taken before the Lipschitz check was bounded by the
-# spread of u and the oracle memoized; each run exits 0
+# at t = T/2 and t = T; each run exits 0.  The printed cost is the exact
+# minimum for the float masses, rounded once (see the exactness test above)
 TRANSPORT_CHECK_STDOUT = {
-    ("chain_w4_model2", 1.3): "78464e2d307425035e033aff2d7ff66ef841e13e508ce352278e4dd98b179542",
-    ("chain_w4_model2", 2.6): "6e07700b9f059a94948c55ead68e544339676626f6cd252648930e929b42bab6",
-    ("p4_two_sources_a2b1", 1.25): "15e40626152c45254fbdf2156bf1e8535a2730e2df958525ec9edc0715d2afbd",
+    ("chain_w4_model2", 1.3): "ca954c4050d023811e11b37a88327f7fe39aed5fe76d9acb4be1afe12367da76",
+    ("chain_w4_model2", 2.6): "0cddc777875d66620cacc125241f26c74ec112daff4f842d7812c59d81ea6824",
+    ("p4_two_sources_a2b1", 1.25): "c076bc81ebddcc42eef189cb7fa0d9240fe59b23f8356b579149fcf2f36ae6e5",
     ("p4_two_sources_a2b1", 2.5): "31d7fc071be283f4bc7475588872dce023ecf83f012c1ac75a31307c7988e36b",
-    ("p4_two_sources_a3b1", 0.75): "02e31d60fdcd2887055629027e3a69697e6fd8515094a50e0153f798e4257644",
-    ("p4_two_sources_a3b1", 1.5): "bb3e18caf241f54b4600f1f1be37a870bd66a24ae1c6001d2613114459fcaa7f",
-    ("star", 6.0): "925ee2971c1fdbeeb90b80424ff264f4e779b054cf435ed64f1ec7941ab41551",
-    ("star", 12.0): "1d62bb638f15c313a877581a26425dc12a913d5c4d93964fa7e68085d3179891",
-    ("z_lattice", 8.0): "b24155369c08eac0384d0258648588202ae933d4be0834e51725c8cc1dcb484e",
-    ("z_lattice", 16.0): "0277145b5e0cafcacf8c345759500f2b7f10d64f0e28c7085cd4826563d95f98",
+    ("p4_two_sources_a3b1", 0.75): "982131edcabb98e3b960763b7594a762e745b16915db65f7710783177ce8b1a3",
+    ("p4_two_sources_a3b1", 1.5): "f434982b01ed6826c4e5271b59a87fa0c861e831c957de563bba283d7ee4af1f",
+    ("star", 6.0): "d0bf2c61c3df702c63782bc668999b915e1e41d25776d17c560e286306758d3a",
+    ("star", 12.0): "ccaaccb0d05e939b1542eae424425cc7860fff23f550d4dacb4df4bbbf06783b",
+    ("z_lattice", 8.0): "8356d9f4551bdec0a85420cd17a53030e7a4a2df8e0f23b13cbd910c2aff86e7",
+    ("z_lattice", 16.0): "c0ba7b7ecafba1d508d34e509c6fd4574bbbc634764041ee7eff99b9b691c38d",
 }
 
 
@@ -368,3 +462,60 @@ def test_transport_check_stdout_byte_identical(name, t, capsys):
     assert run_command(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TRANSPORT_CHECK_STDOUT[name, t]
+
+
+def transport_check_lines(argv):
+    """Exit code and stdout lines of one `transport-check` run."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run_command(["transport-check", *argv])
+    return code, out.getvalue().splitlines()
+
+
+CHECK_LINE = re.compile(r"t=(\S+) pairing=(\S+) cost=(\S+) gap=(\S+)")
+
+
+@pytest.mark.parametrize("name, t", sorted(TRANSPORT_CHECK_STDOUT),
+                         ids=[f"{n}-{t!r}" for n, t in sorted(TRANSPORT_CHECK_STDOUT)])
+def test_transport_check_prints_weak_duality(name, t):
+    """The exact cost is never below the pairing of a Lipschitz potential,
+    beyond the rounding of the pairing itself."""
+    code, lines = transport_check_lines([str(SCENARIOS / f"{name}.json"),
+                                         "--t", repr(t)])
+    assert code == 0
+    _, pairing, cost, gap = map(float, CHECK_LINE.fullmatch(lines[0]).groups())
+    assert gap == cost - pairing
+    assert gap >= -1e-12 * max(1.0, abs(cost))
+
+
+@pytest.fixture(scope="module")
+def short_growth(tmp_path_factory):
+    """A 50-step growth scenario on P4 with T = 2.5."""
+    doc = json.loads((SCENARIOS / "p4_two_sources_a2b1.json").read_text())
+    doc.update(dt=0.05, output=None)
+    path = tmp_path_factory.mktemp("fuzz") / "short.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+odd_numbers = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                               -2.5, 2.5, 2.6, 1e308, 5e-324, 2.2e-308,
+                               1.25, 1e-9]) \
+    | st.floats(allow_nan=True, allow_infinity=True)
+option_values = st.one_of(st.none(), odd_numbers.map(repr),
+                          st.sampled_from(["", "x", "1e999", "--tol"]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(t=option_values, tol=option_values, glued=st.booleans(),
+       extra=st.sampled_from([[], ["--frobnicate"], ["--t"], ["2.0"]]))
+def test_transport_check_arguments_fuzzed(short_growth, t, tol, glued, extra):
+    argv = [short_growth]
+    for option, value in (("--t", t), ("--tol", tol)):
+        if value is not None:
+            argv += [f"{option}={value}"] if glued else [option, value]
+    code, lines = transport_check_lines(argv + extra)
+    assert code in (0, 1, 2)
+    if code != 1:
+        assert len(lines) == 2 and CHECK_LINE.fullmatch(lines[0])
+        assert lines[1] in ("potential: verified", "potential: NOT optimal")
