@@ -11,11 +11,10 @@ from .graph import (WeightedGraph, build_graph, load_graph, parse_edge_lines,
 from .calculus import p_laplacian
 from .proximal import (ConstraintSet, DykstraProjector, ProjectionError,
                        ResolventError, is_stable, max_relative_slope, project,
-                       project_oracle, resolvent_p)
-from .evolution import (SourceSchedule, Trajectory, MassBalanceReport,
-                        TruncationError, solve_p_flow, solve_growth,
-                        solve_collapse, mass_balance, converge_p_experiment,
-                        collapse_via_p_experiment)
+                       resolvent_p)
+from .evolution import (SourceSchedule, Trajectory, TruncationError,
+                        solve_p_flow, solve_growth, solve_collapse,
+                        converge_p_experiment, collapse_via_p_experiment)
 from .transport import (TransportInstance, is_lipschitz_wrt, kantorovich_pairing,
                         ot_cost_oracle, verify_potential, verify_dual_criteria)
 from .scenario import (ScenarioConfig, ScenarioError, parse_scenario,

@@ -53,6 +53,8 @@ def _read_field_file(g, path):
         parts = line.split()
         if len(parts) != 2:
             raise ScenarioError(f"{path}:{lineno}: expected '<vertex> <value>'")
+        if parts[0] in vals:
+            raise ScenarioError(f"{path}:{lineno}: duplicate vertex {parts[0]!r}")
         vals[parts[0]] = float(parts[1])
     return field_values(g, vals)
 

@@ -24,12 +24,10 @@ from .proximal import ConstraintSet, DykstraProjector, is_stable, \
 __all__ = [
     "SourceSchedule",
     "Trajectory",
-    "MassBalanceReport",
     "TruncationError",
     "solve_p_flow",
     "solve_growth",
     "solve_collapse",
-    "mass_balance",
     "converge_p_experiment",
     "collapse_via_p_experiment",
 ]
@@ -77,9 +75,8 @@ class SourceSchedule:
         return cls(graph, ())
 
     @classmethod
-    def constant(cls, graph: WeightedGraph, values, t_start: float = 0.0,
-                 t_end: float = math.inf) -> "SourceSchedule":
-        return cls(graph, ((t_start, t_end, field_values(graph, values)),))
+    def constant(cls, graph: WeightedGraph, values) -> "SourceSchedule":
+        return cls(graph, ((0.0, math.inf, field_values(graph, values)),))
 
     def __call__(self, t: float) -> np.ndarray:
         for t0, t1, vals in self.segments:
@@ -142,16 +139,6 @@ class Trajectory:
         return float(self.times[hits[0]])
 
 
-@dataclass(frozen=True)
-class MassBalanceReport:
-    step_times: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if len(self.residuals) else 0.0
-
-
 def time_grid(t_start: float, t_end: float, dt: float,
               breakpoints=()) -> np.ndarray:
     """Step grid from t_start to t_end with fixed dt, split at breakpoints.
@@ -189,8 +176,7 @@ def time_grid(t_start: float, t_end: float, dt: float,
 
 def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                advance, guard_limit: float, sample_every: int,
-               proj: DykstraProjector | None = None,
-               tol: float = 0.0) -> Trajectory:
+               proj: DykstraProjector | None = None) -> Trajectory:
     """The backward-Euler driver shared by every solver.
 
     Step n maps u to advance(u + h * source(t_n, u), h) with h the step
@@ -209,7 +195,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     deg = g.degrees
     residuals = np.empty(steps)
     events: list = []
-    threshold = None if proj is None else proj.K.bounds - _EVENT_BAND * tol
+    threshold = None if proj is None else proj.K.bounds - _EVENT_BAND * proj.tol
     binding = None if proj is None else np.abs(edge_gaps(g, u)) >= threshold
     times = grid.tolist()  # Python floats: no numpy scalar arithmetic per step
     for n in range(steps):
@@ -240,7 +226,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
 
 def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
                  T: float, dt: float, tol: float = 1e-10,
-                 max_iter: int = 100_000, sample_every: int = 1) -> Trajectory:
+                 sample_every: int = 1) -> Trajectory:
     """Projected backward Euler for the slope-constrained growth model.
 
     Parameters
@@ -250,6 +236,7 @@ def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
     f : piecewise-constant source schedule, sampled at the left endpoint of
         every step (the grid is split at segment boundaries).
     T, dt : final time and step size.
+    tol : the projector's tolerance, fixed for the whole run.
     sample_every : keep every k-th state (and the last one).
 
     Returns
@@ -260,15 +247,14 @@ def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
     u = field_values(g, u0).copy()
     if not is_stable(u, K, 1e-8):
         raise ValueError("initial datum not stable for the constraint set")
-    proj = DykstraProjector(g, K)
+    proj = DykstraProjector(g, K, tol)
     return _integrate(
         g, u, time_grid(0.0, T, dt, f.boundaries()), lambda t, _: f(t),
-        lambda z, h: proj.project(z, tol=tol, max_iter=max_iter, warm=True),
-        0.0, sample_every, proj, tol)
+        lambda z, h: proj.project(z), 0.0, sample_every, proj)
 
 
 def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
-                   tol: float = 1e-10, max_iter: int = 100_000,
+                   tol: float = 1e-10,
                    sample_every: int = 1) -> tuple[np.ndarray, Trajectory]:
     """Collapse of an unstable datum through the rescaled projected flow.
 
@@ -284,11 +270,9 @@ def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
         grid, v = np.array([1.0]), u0v
     else:  # start at tau = 1/L from u0 * tau
         grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
-    proj = DykstraProjector(g, K)
-    traj = _integrate(
-        g, v, grid, lambda t, v: v / t,
-        lambda z, h: proj.project(z, tol=tol, max_iter=max_iter, warm=True),
-        0.0, sample_every, proj, tol)
+    proj = DykstraProjector(g, K, tol)
+    traj = _integrate(g, v, grid, lambda t, v: v / t,
+                      lambda z, h: proj.project(z), 0.0, sample_every, proj)
     return traj.final_state(), traj
 
 
@@ -309,29 +293,6 @@ def solve_p_flow(g: WeightedGraph, p: float, K: ConstraintSet, u0,
         1e-12, sample_every)
 
 
-def mass_balance(traj: Trajectory, f: SourceSchedule | None,
-                 g: WeightedGraph) -> MassBalanceReport:
-    """Recompute per-step mass residuals from a trajectory sampled at every
-    step.
-
-    r_n = sum_x (u^{n+1} - u^n) d_x  -  h * sum_x f(t_n) d_x; for collapse
-    trajectories pass f=None and the source is the rescaled state v^n / t_n.
-    """
-    deg = g.degrees
-    times, states = traj.times, traj.states
-    if len(traj.step_times) != len(times) - 1:
-        raise ValueError("mass_balance needs a trajectory kept at every step")
-    res = np.empty(len(times) - 1)
-    for n in range(len(times) - 1):
-        h = times[n + 1] - times[n]
-        if f is None:
-            fv = states[n] / times[n]
-        else:
-            fv = f(times[n])
-        res[n] = float(np.dot(deg, states[n + 1] - states[n]) - h * np.dot(deg, fv))
-    return MassBalanceReport(times[1:], res)
-
-
 def converge_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
                           p_list, T: float, dt: float,
                           tol: float = 1e-10) -> list[tuple[float, float]]:
@@ -344,8 +305,6 @@ def converge_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSched
     p_list = list(p_list)
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be increasing")
-    if not is_stable(u0, K, 1e-8):
-        raise ValueError("initial datum not stable for the constraint set")
     limit = solve_growth(g, K, u0, f, T, dt, tol=tol)
     out = []
     for p in p_list:
@@ -359,13 +318,11 @@ def converge_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSched
 
 
 def collapse_via_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, p: float,
-                              t_probe_list, dt: float,
-                              tol: float = 1e-10) -> list[tuple[float, float]]:
+                              t_probe_list, dt: float) -> list[tuple[float, float]]:
     """Distance of the source-free p-flow to the collapse limit at probe times."""
     probes = sorted(float(t) for t in t_probe_list)
     if not probes or probes[0] <= 0:
         raise ValueError("probe times must be positive")
-    u_inf, _ = solve_collapse(g, K, u0, dt, tol=tol)
-    flow = solve_p_flow(g, p, K, u0, SourceSchedule.zero(g), probes[-1], dt,
-                        tol=tol)
+    u_inf, _ = solve_collapse(g, K, u0, dt)
+    flow = solve_p_flow(g, p, K, u0, SourceSchedule.zero(g), probes[-1], dt)
     return [(t, nu_norm(g, flow.state_at(t, atol=dt) - u_inf)) for t in probes]

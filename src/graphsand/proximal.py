@@ -12,7 +12,6 @@ warm-start the multipliers across time steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,9 +29,11 @@ __all__ = [
     "max_relative_slope",
     "DykstraProjector",
     "project",
-    "project_oracle",
     "resolvent_p",
 ]
+
+MAX_SWEEPS = 100_000   # Dykstra sweeps per projection
+NEWTON_STEPS = 500     # Newton steps per resolvent evaluation
 
 
 class ConstraintKind(NamedTuple):
@@ -127,16 +128,16 @@ class _SweepPlan(NamedTuple):
 
 
 class DykstraProjector:
-    """Cyclic Dykstra projection onto a slope polytope, with reusable state.
+    """Cyclic Dykstra projection onto a slope polytope at tolerance tol.
 
-    A fresh instance performs the standard cold-start iteration.  Solvers
-    keep one instance per run and pass warm=True so the multipliers carry
-    over between consecutive, nearly identical projections.  The active
-    list is carried too; it holds every edge with mu != 0, since mu is only
-    written in the sweep over it.  abs_gaps holds |gaps| of the last result.
+    Each call continues from the multipliers and the active list the last
+    one left, so solvers keep one instance per run; a fresh instance, or
+    reset(), starts cold.  The active list holds every edge with mu != 0,
+    since mu is only written in the sweep over it.  abs_gaps holds |gaps|
+    of the last result.
     """
 
-    def __init__(self, g: WeightedGraph, K: ConstraintSet):
+    def __init__(self, g: WeightedGraph, K: ConstraintSet, tol: float = 1e-10):
         if K.graph is not g:
             raise ValueError("constraint set belongs to a different graph")
         self.graph = g
@@ -156,7 +157,8 @@ class DykstraProjector:
         self._invsuml = invsum.tolist()
         self._coefl = (1.0 / invsum).tolist()
         self._cl = K.bounds.tolist()
-        self._tol = self._limit = None
+        self.tol = tol
+        self._limit = K.bounds + tol
         self._plan_key = self._plan = None
         self.abs_gaps = None
         self.reset()
@@ -185,8 +187,7 @@ class DykstraProjector:
             self._plan_key = active
         return self._plan
 
-    def project(self, z, tol: float = 1e-10, max_iter: int = 100_000,
-                warm: bool = False) -> np.ndarray:
+    def project(self, z) -> np.ndarray:
         """Weighted projection of z onto the polytope.
 
         Returns argmin over the polytope of (1/2) sum_x d_x (v_x - z_x)^2.
@@ -194,8 +195,6 @@ class DykstraProjector:
         weighted norm and the result is stable at tol.
         """
         v = field_values(self.graph, z).copy()
-        if not warm:
-            self.reset()
         mu = self.mu
         il, jl, deg = self._il, self._jl, self._degl
         # fold the nonzero multipliers into v in edge order, all i-ends
@@ -206,8 +205,6 @@ class DykstraProjector:
         for e in support:
             v[jl[e]] += -mu[e] / deg[jl[e]]
 
-        if tol != self._tol:
-            self._tol, self._limit = tol, self.K.bounds + tol
         a = np.abs(edge_gaps(self.graph, v))
         over = (a > self._limit).nonzero()[0]
         active = self._active = sorted(set(support).union(over.tolist())) \
@@ -217,7 +214,7 @@ class DykstraProjector:
             self.abs_gaps = a
             return v
 
-        tol_sq = tol * tol
+        tol_sq = self.tol * self.tol
         sweeps = 0
         change = np.inf
         while True:
@@ -225,9 +222,9 @@ class DykstraProjector:
             # the sweep reads and writes only the ends of the active edges
             vl = v[plan.ends].tolist()
             while True:
-                if sweeps >= max_iter:
+                if sweeps >= MAX_SWEEPS:
                     raise ProjectionError(
-                        f"projection did not converge within {max_iter} sweeps "
+                        f"projection did not converge within {MAX_SWEEPS} sweeps "
                         f"(residual change {np.sqrt(change):.3e})")
                 sweeps += 1
                 change = 0.0
@@ -266,94 +263,13 @@ class DykstraProjector:
         return v
 
 
-def project(g: WeightedGraph, K: ConstraintSet, z, tol: float = 1e-10,
-            max_iter: int = 100_000) -> np.ndarray:
+def project(g: WeightedGraph, K: ConstraintSet, z, tol: float = 1e-10) -> np.ndarray:
     """Cold-start Dykstra projection of z onto the constraint polytope."""
-    return DykstraProjector(g, K).project(z, tol=tol, max_iter=max_iter)
-
-
-def project_oracle(g: WeightedGraph, K: ConstraintSet, z) -> np.ndarray:
-    """Exact projection by enumerating active-set sign patterns.
-
-    Every subset of edge constraints that can be active at the minimizer
-    (independent gradients, hence forests) is solved as an
-    equality-constrained weighted least-squares system for each sign
-    assignment, and the KKT point that is primal and dual feasible with the
-    smallest objective wins.  Independent of the Dykstra path; supports at
-    most 12 edges.
-    """
-    if g.n_edges > 12:
-        raise ValueError(f"oracle supports at most 12 edges, graph has {g.n_edges}")
-    zv = field_values(g, z)
-    n, E = g.n_vertices, g.n_edges
-    idx = g.edge_index
-    c = K.bounds
-    D = g.degrees
-
-    if np.all(np.abs(edge_gaps(g, zv)) <= c + 1e-12):
-        return zv.copy()
-
-    def objective(v):
-        return 0.5 * float(np.dot(D, (v - zv) ** 2))
-
-    def is_forest(edges):
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in edges:
-            ra, rb = find(int(idx[e, 0])), find(int(idx[e, 1]))
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
-
-    best_v = None
-    best_obj = np.inf
-    feas_tol = 1e-9
-    for k in range(1, min(E, n - 1) + 1):
-        for subset in combinations(range(E), k):
-            if not is_forest(subset):
-                continue
-            rows = np.zeros((k, n))
-            for r, e in enumerate(subset):
-                rows[r, idx[e, 0]] = -1.0
-                rows[r, idx[e, 1]] = 1.0
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = np.diag(D)
-            kkt[:n, n:] = rows.T
-            kkt[n:, :n] = rows
-            # one rhs column per sign assignment on the subset
-            signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * k), indexing="ij"))
-            signs = signs.reshape(k, -1)
-            rhs = np.zeros((n + k, signs.shape[1]))
-            rhs[:n, :] = (D * zv)[:, None]
-            rhs[n:, :] = signs * c[list(subset), None]
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            vs = sol[:n, :]
-            mus = sol[n:, :]
-            gaps = vs[idx[:, 1], :] - vs[idx[:, 0], :]
-            primal_ok = np.all(np.abs(gaps) <= c[:, None] + feas_tol, axis=0)
-            dual_ok = np.all(mus * signs >= -feas_tol, axis=0)
-            for col in np.flatnonzero(primal_ok & dual_ok):
-                obj = objective(vs[:, col])
-                if obj < best_obj - 1e-15:
-                    best_obj = obj
-                    best_v = vs[:, col].copy()
-    if best_v is None:
-        raise RuntimeError("oracle found no feasible KKT point")  # pragma: no cover
-    return best_v
+    return DykstraProjector(g, K, tol).project(z)
 
 
 def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
-                tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
+                tol: float = 1e-10) -> np.ndarray:
     """Resolvent of the p-energy of K: minimize
     (1/2)||v - z||_nu^2 + lam * J_p(v), J_p(v) = sum w c^2 |grad v / c|^p / p.
 
@@ -387,7 +303,7 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
     v = zv.copy()
     scale = max(1.0, float(np.sqrt(np.dot(D, zv * zv))))
     phi0, flux, c = evaluate(v)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         gr = D * (v - zv) - lam * scatter(g, flux)
         if not np.all(np.isfinite(gr)):
             raise ResolventError(f"nonfinite gradient at p={p}, lam={lam}")
@@ -428,5 +344,5 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
                 f"line search stalled at p={p}, lam={lam}: phi0={phi0:.6e}, "
                 f"|grad|_nu={gn:.3e}, last step {t:.1e}")
         v, phi0, flux, c = accepted, phi, cand_flux, cand_c
-    raise ResolventError(f"Newton did not converge in {max_iter} iterations "
+    raise ResolventError(f"Newton did not converge in {NEWTON_STEPS} iterations "
                          f"(p={p}, lam={lam})")

@@ -60,6 +60,16 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object; json.loads alone keeps the last of a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            _fail("document", f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _known_keys(node: dict, allowed, path: str, where: str = ""):
     for key in node:
         if key not in allowed:
@@ -191,7 +201,9 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     """Parse and validate a scenario document; defaults dt=1e-3, tol=1e-10."""
     base_dir = Path(base_dir)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ScenarioError:
+        raise
     except (ValueError, RecursionError) as exc:  # also too deep or too long a numeral
         raise ScenarioError(f"document: not valid JSON ({exc})")
     if not isinstance(doc, dict):

@@ -67,8 +67,7 @@ class TransportInstance:
             raise ValueError("densities must be nonnegative")
         deg = self.graph.degrees
         m0, m1 = float(np.dot(deg, f0)), float(np.dot(deg, f1))
-        scale = max(abs(m0), abs(m1), 1.0)
-        if abs(m0 - m1) > 1e-9 * scale:
+        if abs(m0 - m1) > 1e-9 * max(abs(m0), abs(m1)):
             raise ValueError(f"densities must have equal mass ({m0} vs {m1})")
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from graphsand import ConstraintSet, build_graph, build_path
 from graphsand.proximal import CONSTRAINT_KINDS
@@ -46,6 +47,23 @@ def random_connected_graph(rng, n_max=5, w_lo=0.5, w_hi=2.0):
         if key not in edges:
             edges[key] = float(rng.uniform(w_lo, w_hi))
     return build_graph([(a, b, w) for (a, b), w in edges.items()])
+
+
+@st.composite
+def weighted_graphs(draw, max_n=6, max_edges=12):
+    """A random connected graph: a random tree plus chords, at most
+    max_edges edges, weights k/4 for k in 1..16."""
+    n = draw(st.integers(2, max_n))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=n))
+    for a, b in chords:
+        if a != b and len(pairs) < max_edges:
+            pairs.add((min(a, b), max(a, b)))
+    weights = draw(st.lists(st.integers(1, 16), min_size=len(pairs),
+                            max_size=len(pairs)))
+    return build_graph([(f"v{a}", f"v{b}", w / 4.0)
+                        for (a, b), w in zip(sorted(pairs), weights)])
 
 
 def random_field(rng, g, scale=2.0):

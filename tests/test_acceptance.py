@@ -14,9 +14,10 @@ from graphsand import (ConstraintSet, SourceSchedule, TransportInstance,
                        collapse_via_p_experiment, converge_p_experiment,
                        is_lipschitz_wrt, is_stable,
                        kantorovich_pairing, nu_norm, ot_cost_oracle, project,
-                       project_oracle, resolvent_p, solve_collapse,
-                       solve_growth, verify_dual_criteria, verify_potential)
+                       resolvent_p, solve_collapse, solve_growth,
+                       verify_dual_criteria, verify_potential)
 from conftest import random_connected_graph, random_field
+from reference import project_oracle
 from test_transport import dyadic_masses, hop_table, random_lipschitz
 
 

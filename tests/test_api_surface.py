@@ -28,20 +28,41 @@ def test_module_all_resolves(name):
     assert not missing, f"graphsand.{name}.__all__ names undefined {missing}"
 
 
+def _parameters(name):
+    """(name, parameter names) of every callable in graphsand.<name>.__all__
+    and of the public methods of its classes."""
+    module = importlib.import_module(f"graphsand.{name}")
+    for attr in getattr(module, "__all__", ()):
+        obj = getattr(module, attr)
+        members = [(attr, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{attr}.{m}", getattr(obj, m)) for m in dir(obj)
+                        if not m.startswith("_")]
+        for qualified, member in members:
+            if not callable(member):
+                continue
+            try:
+                params = inspect.signature(member).parameters
+            except ValueError:  # a builtin without one, e.g. RuntimeError
+                continue
+            yield f"graphsand.{name}.{qualified}", params
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_model_parameter(name):
     # the p-energy comes from a ConstraintSet's bounds; a `model` argument
     # would be a second way to choose it
-    module = importlib.import_module(f"graphsand.{name}")
-    for attr in getattr(module, "__all__", ()):
-        obj = getattr(module, attr)
-        if not callable(obj):
-            continue
-        try:
-            params = inspect.signature(obj).parameters
-        except ValueError:  # a builtin base without one, e.g. RuntimeError
-            continue
-        assert "model" not in params, f"graphsand.{name}.{attr} takes a model parameter"
+    for qualified, params in _parameters(name):
+        assert "model" not in params, f"{qualified} takes a model parameter"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_per_call_solver_knobs(name):
+    # a run fixes its tolerance once and the iteration caps are module
+    # constants; a per-call cap or warm flag would be a setting nothing uses
+    for qualified, params in _parameters(name):
+        for knob in ("max_iter", "warm"):
+            assert knob not in params, f"{qualified} takes {knob}"
 
 
 def test_package_reexports_public_names():

@@ -7,9 +7,9 @@ import pytest
 from graphsand import (ConstraintSet, SourceSchedule, build_path, build_star,
                        build_truncated_z, collapse_via_p_experiment,
                        converge_p_experiment, field_values, is_stable,
-                       mass_balance, nu_norm, solve_collapse, solve_growth,
-                       solve_p_flow)
+                       nu_norm, solve_collapse, solve_growth, solve_p_flow)
 from graphsand.evolution import MAX_STEPS, Trajectory, TruncationError, time_grid
+from reference import mass_balance
 
 
 def z_exact(g, t, alpha=1.0):
@@ -303,7 +303,7 @@ def test_uniform_p_flow_bit_identical(p, digest):
     # (g / 1.0 == g), so the uniform p-flow keeps every bit it had under
     # the kernel w * |g|^(p-2)
     g = build_path(31)
-    f = SourceSchedule.constant(g, {"x16": 1.0}, 0.0, 0.6)
+    f = SourceSchedule(g, ((0.0, 0.6, {"x16": 1.0}),))
     u0 = np.array([0.5 * (k % 2) for k in range(31)])
     traj = solve_p_flow(g, p, ConstraintSet.uniform(g), u0, f, 1.0, 0.05)
     assert traj.states.shape == (21, 31)

@@ -12,13 +12,14 @@ warm step bit for bit.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import grid_graph
-from graphsand import (ConstraintSet, SourceSchedule, build_graph, build_star,
+from conftest import grid_graph, weighted_graphs
+from graphsand import (ConstraintSet, SourceSchedule, build_star,
                        build_truncated_z, max_relative_slope, nu_norm,
-                       project_oracle, solve_collapse, solve_growth)
+                       solve_collapse, solve_growth)
 from graphsand.calculus import edge_gaps
 from graphsand.evolution import _EVENT_BAND
 from graphsand.proximal import DykstraProjector
+from reference import project_oracle
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 TOL = 1e-12      # projector tolerance, well below the agreement asked for
@@ -27,20 +28,10 @@ STEPS = 5
 
 
 @st.composite
-def constrained_graphs(draw, max_n=6, max_edges=12):
-    """A random connected graph (random tree plus chords, at most 12 edges,
-    so the oracle applies) with weights k/4 and a random constraint set."""
-    n = draw(st.integers(2, max_n))
-    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                           max_size=n))
-    for a, b in chords:
-        if a != b and len(pairs) < max_edges:
-            pairs.add((min(a, b), max(a, b)))
-    weights = draw(st.lists(st.integers(1, 16), min_size=len(pairs),
-                            max_size=len(pairs)))
-    g = build_graph([(f"v{a}", f"v{b}", w / 4.0)
-                     for (a, b), w in zip(sorted(pairs), weights)])
+def constrained_graphs(draw):
+    """A small weighted graph (at most 12 edges, so the oracle applies) with
+    a random constraint set."""
+    g = draw(weighted_graphs())
     kind = draw(st.sampled_from(["uniform", "inverse_sqrt_weight",
                                  "inverse_weight", "custom"]))
     if kind == "custom":
@@ -56,7 +47,7 @@ def fields(g, lo, hi):
 
 
 def check_call(proj, g, K, z):
-    v = proj.project(z, tol=TOL, warm=True)
+    v = proj.project(z)
     assert nu_norm(g, v - project_oracle(g, K, z)) <= AGREE
     assert np.array_equal(proj.abs_gaps, np.abs(edge_gaps(g, v)))
     return v
@@ -69,7 +60,7 @@ def test_warm_chain_matches_oracle_growth(case, data):
     # regrow, so edges leave the active list and come back with multipliers
     g, K = case
     h = data.draw(st.sampled_from([0.25, 1.0, 3.0]), label="h")
-    proj = DykstraProjector(g, K)
+    proj = DykstraProjector(g, K, TOL)
     v = np.zeros(g.n_vertices)
     for step in range(STEPS):
         f = data.draw(fields(g, -8, 8), label=f"f{step}")
@@ -84,7 +75,7 @@ def test_warm_chain_matches_oracle_collapse(case, data):
     L = max_relative_slope(u0, K)
     assume(L > 1.0)
     t, h = 1.0 / L, (1.0 - 1.0 / L) / STEPS
-    proj = DykstraProjector(g, K)
+    proj = DykstraProjector(g, K, TOL)
     v = u0 / L
     for _ in range(STEPS):
         v = check_call(proj, g, K, v * (1.0 + h / t))
@@ -219,13 +210,11 @@ CHAIN = 8
 @settings(max_examples=60, deadline=None, database=None)
 @given(large_graphs(), st.sampled_from(["growth", "collapse"]), st.data())
 def test_warm_chain_matches_full_scan_bit_for_bit(case, drive, data):
-    # drives that grow and shrink the active set; one tol change and one
-    # reset() part of the way along the chain
+    # drives that grow and shrink the active set; one reset() part of the
+    # way along the chain
     g, K = case
     reset_at = data.draw(st.integers(1, CHAIN - 1), label="reset_at")
-    tol_at = data.draw(st.integers(1, CHAIN - 1), label="tol_at")
-    tols = data.draw(st.lists(st.sampled_from([1e-3, 1e-6, 1e-10, 1e-12]),
-                              min_size=2, max_size=2, unique=True), label="tols")
+    tol = data.draw(st.sampled_from([1e-3, 1e-6, 1e-10, 1e-12]), label="tol")
     if drive == "growth":
         h = data.draw(st.sampled_from([0.25, 1.0, 3.0]), label="h")
         v = np.zeros(g.n_vertices)
@@ -234,20 +223,17 @@ def test_warm_chain_matches_full_scan_bit_for_bit(case, drive, data):
         L = max_relative_slope(u0, K)
         assume(L > 1.0)
         v, t, h = u0 / L, 1.0 / L, (1.0 - 1.0 / L) / CHAIN
-    proj, ref = DykstraProjector(g, K), FullScanProjector(g, K)
-    tol = tols[0]
+    proj, ref = DykstraProjector(g, K, tol), FullScanProjector(g, K)
     for step in range(CHAIN):
         if step == reset_at:
             proj.reset()
             ref.reset()
-        if step == tol_at:
-            tol = tols[1]
         if drive == "growth":
             z = v + h * data.draw(sparse_fields(g, -8, 8), label=f"f{step}")
         else:
             z = v * (1.0 + h / t)
             t += h
-        v = proj.project(z, tol=tol, warm=True)
+        v = proj.project(z)
         expected = ref.project(z, tol)
         assert v.tobytes() == expected.tobytes()
         assert np.array(proj.mu).tobytes() == np.array(ref.mu).tobytes()

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphsand import (ConstraintSet, build_graph, build_path,
                        is_stable, max_relative_slope, nu_norm, p_laplacian,
-                       project, project_oracle, resolvent_p)
+                       project, resolvent_p)
+from graphsand import proximal
+from graphsand.calculus import edge_gaps, p_flux, scatter
 from graphsand.proximal import DykstraProjector, ProjectionError
-from conftest import constraint_sets, grid_graph, random_connected_graph, random_field
+from conftest import constraint_sets, grid_graph, random_connected_graph, \
+    random_field, weighted_graphs
+from reference import project_oracle
 
 
 @pytest.fixture
@@ -154,10 +159,11 @@ def test_project_conserves_mass():
         assert abs(np.dot(g.degrees, u - z)) <= 1e-10 * (1 + nu_norm(g, z, 1))
 
 
-def test_project_max_iter(edge):
+def test_project_max_iter(edge, monkeypatch):
+    monkeypatch.setattr(proximal, "MAX_SWEEPS", 0)
     K = ConstraintSet.uniform(edge)
     with pytest.raises(ProjectionError):
-        DykstraProjector(edge, K).project(np.array([0.0, 5.0]), max_iter=0)
+        DykstraProjector(edge, K).project(np.array([0.0, 5.0]))
 
 
 def test_warm_start_matches_cold(p4, p4_uniform):
@@ -166,17 +172,10 @@ def test_warm_start_matches_cold(p4, p4_uniform):
     u = np.zeros(4)
     for _ in range(30):
         z = u + rng.uniform(0.0, 0.2, size=4)
-        warm = proj.project(z, warm=True)
+        warm = proj.project(z)
         cold = project(p4, p4_uniform, z)
         assert nu_norm(p4, warm - cold) <= 1e-9
         u = warm
-    # a new tol holds from the next warm call on: a slope inside the coarse
-    # tolerance is returned as is, then projected at the finer one
-    z = np.array([0.0, 1.0 + 5e-4, 1.0 + 5e-4, 1.0 + 5e-4])
-    proj.reset()
-    assert np.array_equal(proj.project(z, tol=1e-3, warm=True), z)
-    assert np.array_equal(proj.project(z, tol=1e-12, warm=True),
-                          project(p4, p4_uniform, z, tol=1e-12))
 
 
 def test_warm_start_matches_cold_on_cyclic_graphs():
@@ -190,7 +189,7 @@ def test_warm_start_matches_cold_on_cyclic_graphs():
         u = np.zeros(g.n_vertices)
         for _ in range(15):
             z = u + rng.normal(scale=0.5, size=g.n_vertices)
-            warm = proj.project(z, warm=True)
+            warm = proj.project(z)
             oracle = project_oracle(g, K, z)
             assert nu_norm(g, warm - oracle) <= 1e-8
             u = warm
@@ -286,6 +285,42 @@ def test_resolvent_first_order_condition_on_grid():
             resid = u - z - lam * p_laplacian(g, u, p, K)
             assert nu_norm(g, resid) <= 1e-8 * max(1.0, nu_norm(g, z))
             assert abs(np.dot(g.degrees, u - z)) <= 1e-8
+
+
+def quarter_fields(g):
+    return st.lists(st.integers(-8, 8), min_size=g.n_vertices,
+                    max_size=g.n_vertices).map(lambda xs: np.array(xs) / 4.0)
+
+
+RESOLVENT = settings(max_examples=50, deadline=None, database=None)
+
+
+@RESOLVENT
+@given(weighted_graphs(), st.data())
+def test_resolvent_first_order_condition_property(g, data):
+    # D (v - z) = lam * scatter(flux): the nu-norm of D^{-1} times the
+    # difference is what resolvent_p drives below tol * max(1, |z|_nu),
+    # or below 1e-6 times that when Newton stalls at rounding
+    z = data.draw(quarter_fields(g), label="z")
+    lam = data.draw(st.sampled_from([0.1, 1.0]), label="lam")
+    for K in constraint_sets(g):
+        for p in (2.0, 4.0, 16.0):
+            v = resolvent_p(g, p, K, lam, z)
+            flux = p_flux(edge_gaps(g, v), p, g.weights, K.bounds)
+            resid = g.degrees * (v - z) - lam * scatter(g, flux)
+            assert nu_norm(g, resid / g.degrees) <= 1e-6 * max(1.0, nu_norm(g, z))
+
+
+@RESOLVENT
+@given(weighted_graphs(), st.data())
+def test_resolvent_nonexpansive_property(g, data):
+    z1 = data.draw(quarter_fields(g), label="z1")
+    z2 = data.draw(quarter_fields(g), label="z2")
+    lam = data.draw(st.sampled_from([0.1, 1.0]), label="lam")
+    for K in constraint_sets(g):
+        for p in (2.0, 4.0, 16.0):
+            v1, v2 = resolvent_p(g, p, K, lam, z1), resolvent_p(g, p, K, lam, z2)
+            assert nu_norm(g, v1 - v2) <= nu_norm(g, z1 - z2) + 1e-8
 
 
 def test_p_energy_no_overflow_on_large_weights():

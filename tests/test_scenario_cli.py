@@ -208,6 +208,16 @@ def test_cli_project(tmp_path, monkeypatch, capsys):
     assert out["x1"] == pytest.approx(0.8, abs=1e-9)
 
 
+def test_cli_project_refuses_duplicate_vertex(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("a b 1.0\nb c 1.0\n")
+    (tmp_path / "z.txt").write_text("b 5\n# the last line would win\nb 0\n")
+    assert run_command(["project", "g.txt", "z.txt"]) == 1
+    captured = capsys.readouterr()
+    assert "z.txt:3: duplicate vertex 'b'" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_transport_check(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     scenario = {

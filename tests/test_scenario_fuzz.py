@@ -146,6 +146,17 @@ def row(key, change, message, argv=SIMULATE):
     return pytest.param(change, message, list(argv), id=f"{key}-{message}")
 
 
+def duplicate(entry, repeat, key, where, change=None):
+    """A row whose scenario is BASE, updated by change, as JSON text with
+    `repeat`, a second entry of the key in `entry`, written after it;
+    json.dumps cannot write a repeated key, so the row passes the text."""
+    text = json.dumps(dict(BASE, **(change or {})))
+    assert text.count(entry) == 1
+    return pytest.param(text.replace(entry, f"{entry}, {repeat}"),
+                        f"document: duplicate key {key!r}", list(SIMULATE),
+                        id=f"duplicate-{where}")
+
+
 def converge_p(*options):
     return ("converge-p", "s.json", *options)
 
@@ -237,11 +248,17 @@ P_ENTRY = "--p-list: must be a finite number >= 2"
         ("collapse", "s.json", "--output", "s.csv")),
     row("steps-converge-p-T", {}, f"dt: T/dt asks for 2e+14 {STEPS}",
         converge_p("--T", "1e12")),
+    # a repeated key is refused, not read as its last value
+    duplicate('"T": 0.01', '"T": 2.0', "T", "top-level"),
+    duplicate('"x1": 0.5', '"x1": 0.0', "x1", "u0-vertex", {"u0": {"x1": 0.5}}),
+    duplicate('"x2": 1.0', '"x2": 0.0', "x2", "source-values-vertex"),
+    duplicate('"n": 3', '"n": 4', "n", "graph-key"),
 ])
 def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
                                         message, argv):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "s.json").write_text(json.dumps(dict(BASE, **change)))
+    text = change if isinstance(change, str) else json.dumps(dict(BASE, **change))
+    (tmp_path / "s.json").write_text(text)
     assert run_command(argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()

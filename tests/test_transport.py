@@ -87,6 +87,11 @@ def test_instance_validation(p4):
     with pytest.raises(ValueError, match="nonnegative"):
         TransportInstance(p4, np.array([-1.0, 0, 0, 1.0]),
                           np.array([0, 0, 0, 0.5]))
+    # the mass check is relative: tiny masses a hundredfold apart differ
+    with pytest.raises(ValueError, match="equal mass"):
+        TransportInstance(p4, {"x1": 1e-10}, {"x4": 1e-12})
+    tiny = TransportInstance(p4, {"x1": 1e-10}, {"x4": 1e-10})
+    assert ot_cost_oracle(tiny) == pytest.approx(3e-10)
 
 
 def test_oracle_diagonal(p4):
