@@ -283,14 +283,25 @@ def solve_p_flow(g: WeightedGraph, p: float, K: ConstraintSet, u0,
     p-energy of K, whose p -> infinity limit is the growth model in K.
 
     Each step is one resolvent evaluation with lambda equal to the step
-    length.  The smooth flow has no finite propagation speed, so on
-    truncated lattices the guard check allows magnitudes up to 1e-12.
+    length.  Its Newton iteration starts from z + (h / h') (v' - z'), the
+    last step's correction v' - z' rescaled from its length h' to h (the
+    first step starts from z): the correction moves by O(h) per step, so
+    Newton mostly needs one solve.  The smooth flow has no finite
+    propagation speed, so on truncated lattices the guard check allows
+    magnitudes up to 1e-12.
     """
+    last = None  # (z, v, h) of the previous step
+
+    def step(z, h):
+        nonlocal last
+        start = None if last is None else z + (h / last[2]) * (last[1] - last[0])
+        v = resolvent_p(g, p, K, h, z, tol=tol, start=start)
+        last = (z, v, h)
+        return v
+
     return _integrate(
         g, field_values(g, u0).copy(), time_grid(0.0, T, dt, f.boundaries()),
-        lambda t, _: f(t),
-        lambda z, h: resolvent_p(g, p, K, h, z, tol=tol),
-        1e-12, sample_every)
+        lambda t, _: f(t), step, 1e-12, sample_every)
 
 
 def converge_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,

@@ -11,6 +11,7 @@ warm-start the multipliers across time steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -34,6 +35,11 @@ __all__ = [
 
 MAX_SWEEPS = 100_000   # Dykstra sweeps per projection
 NEWTON_STEPS = 500     # Newton steps per resolvent evaluation
+# a gap at magnitude M is known to within about ROUNDING * M: the floor of
+# the projector's stopping rule and of its stability check, worked out by a
+# sweep loop that has not met tol after FLOOR_AFTER sweeps
+ROUNDING = 16 * np.finfo(float).eps
+FLOOR_AFTER = 16
 
 
 class ConstraintKind(NamedTuple):
@@ -187,12 +193,37 @@ class DykstraProjector:
             self._plan_key = active
         return self._plan
 
+    def _rounding_floor(self, vl: list, plan: _SweepPlan):
+        """(floor, s, stop) of a sweep loop at the magnitude M of its field.
+
+        M is the largest term of a gap vl[j] - vl[i] + m * invsum, and
+        floor = ROUNDING * M.  The loop goes on in units of s, a power of
+        two near 1/M: the scaling is exact, so the sweeps are the unscaled
+        ones, and the squares of a huge field cannot overflow.  In those
+        units it stops at a change of stop, the larger of tol^2 and the
+        change that rounding alone leaves, floor^2 times the sum of the
+        edges' 1 / (1/d_i + 1/d_j).  A field that overflowed gets no floor.
+        """
+        mu = self.mu
+        magnitude = max(max(map(abs, vl)),
+                        max(abs(mu[t[0]]) * t[3] for t in plan.sweep))
+        if not math.isfinite(magnitude):
+            return 0.0, 1.0, self.tol * self.tol
+        s = 2.0 ** -math.frexp(magnitude)[1]
+        floor = ROUNDING * magnitude
+        rounding_change = (floor * s) ** 2 * sum(t[4] for t in plan.sweep)
+        return floor, s, max((self.tol * s) ** 2, rounding_change)
+
     def project(self, z) -> np.ndarray:
         """Weighted projection of z onto the polytope.
 
         Returns argmin over the polytope of (1/2) sum_x d_x (v_x - z_x)^2.
         Stops when a full sweep moves the iterate by at most tol in the
-        weighted norm and the result is stable at tol.
+        weighted norm and the result is stable at tol.  Where the field is
+        so large that rounding at its magnitude M exceeds tol, both tests
+        use ROUNDING * M in place of tol (from sweep FLOOR_AFTER on), so a
+        huge field converges as far as its floats allow instead of
+        sweeping MAX_SWEEPS times.
         """
         v = field_values(self.graph, z).copy()
         mu = self.mu
@@ -214,21 +245,23 @@ class DykstraProjector:
             self.abs_gaps = a
             return v
 
-        tol_sq = self.tol * self.tol
         sweeps = 0
         change = np.inf
         while True:
             plan = self._sweep_plan(active)
             # the sweep reads and writes only the ends of the active edges
             vl = v[plan.ends].tolist()
+            sweep = plan.sweep
+            floor, s, stop = 0.0, 1.0, self.tol * self.tol
+            first = sweeps
             while True:
                 if sweeps >= MAX_SWEEPS:
                     raise ProjectionError(
                         f"projection did not converge within {MAX_SWEEPS} sweeps "
-                        f"(residual change {np.sqrt(change):.3e})")
+                        f"(residual change {np.sqrt(change) / s:.3e})")
                 sweeps += 1
                 change = 0.0
-                for e, i, j, invsum, coef, c, invdi, invdj in plan.sweep:
+                for e, i, j, invsum, coef, c, invdi, invdj in sweep:
                     m = mu[e]
                     gap = vl[j] - vl[i] + m * invsum
                     if gap > c:
@@ -243,8 +276,19 @@ class DykstraProjector:
                         vl[j] -= dmu * invdj
                         change += dmu * dmu * invsum
                         mu[e] = m_new
-                if change <= tol_sq:
+                if change <= stop:
                     break
+                if sweeps - first == FLOOR_AFTER:
+                    floor, s, stop = self._rounding_floor(vl, plan)
+                    # go on in units of s: the bounds, field and multipliers
+                    sweep = [t[:5] + (t[5] * s,) + t[6:] for t in sweep]
+                    vl = [x * s for x in vl]
+                    for t in sweep:
+                        mu[t[0]] *= s
+            if s != 1.0:
+                vl = [x / s for x in vl]
+                for t in sweep:
+                    mu[t[0]] /= s
             v[plan.ends] = vl
             # every edge over its limit before the sweep is on the active
             # list, so only edges at a moved end can have been pushed past
@@ -252,7 +296,10 @@ class DykstraProjector:
             pair = v[plan.incident_ends]
             moved = np.abs(pair[:, 1] - pair[:, 0])
             a[plan.incident] = moved
-            over = plan.incident[moved > self._limit[plan.incident]]
+            limit = self._limit[plan.incident]
+            if floor > self.tol:
+                limit = limit + (floor - self.tol)
+            over = plan.incident[moved > limit]
             if not len(over):
                 break
             grown = sorted(set(active).union(over.tolist()))
@@ -269,12 +316,14 @@ def project(g: WeightedGraph, K: ConstraintSet, z, tol: float = 1e-10) -> np.nda
 
 
 def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
-                tol: float = 1e-10) -> np.ndarray:
+                tol: float = 1e-10, start=None) -> np.ndarray:
     """Resolvent of the p-energy of K: minimize
     (1/2)||v - z||_nu^2 + lam * J_p(v), J_p(v) = sum w c^2 |grad v / c|^p / p.
 
-    Damped Newton with Armijo backtracking; stops once the gradient in the
-    nu-weighted norm is below tol.  The Newton step solves the Hessian
+    Damped Newton with Armijo backtracking from start (z when None); stops
+    once the gradient in the nu-weighted norm is below tol.  The energy is
+    strictly convex, so the minimiser does not depend on start, only the
+    number of Newton steps does.  The Newton step solves the Hessian
     system, which has the graph's sparsity pattern, with a sparse LDL^T
     factorization (:mod:`graphsand.ldl`).  lam == 0 returns z itself.
     """
@@ -300,9 +349,10 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
                 + lam * float(np.sum(flux * gaps)) / p
         return phi, flux, c
 
-    v = zv.copy()
+    v = (zv if start is None else field_values(g, start)).copy()
     scale = max(1.0, float(np.sqrt(np.dot(D, zv * zv))))
     phi0, flux, c = evaluate(v)
+    flat = None  # (gn, v) where phi stopped resolving the decrease
     for _ in range(NEWTON_STEPS):
         gr = D * (v - zv) - lam * scatter(g, flux)
         if not np.all(np.isfinite(gr)):
@@ -311,6 +361,8 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
         gn = float(np.sqrt(np.dot(gr * gr, 1.0 / D)))
         if gn <= tol * scale:
             return v
+        if flat is not None and gn >= flat[0]:
+            return flat[1]  # the gradient has stopped shrinking as well
         # Hessian diag(D) + B' diag(coeff) B, kept in the graph's sparsity
         coeff = lam * (p - 1.0) * c
         diag = D + np.bincount(ends, weights=coeff.repeat(2))
@@ -336,13 +388,19 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
         made_progress = (accepted is not None
                          and phi < phi0 - 1e-15 * max(1.0, abs(phi0)))
         if not made_progress:
-            # stationary at floating-point accuracy: the rounding floor of
-            # the gradient can sit above an absolute tolerance
-            if gn <= 1e-6 * scale:
-                return accepted if accepted is not None else v
-            raise ResolventError(
-                f"line search stalled at p={p}, lam={lam}: phi0={phi0:.6e}, "
-                f"|grad|_nu={gn:.3e}, last step {t:.1e}")
+            # phi is flat at floating-point accuracy, so Armijo cannot rank
+            # the step; near the minimiser the gradient still can: take the
+            # full step and go on while the gradient shrinks (its rounding
+            # floor can sit above an absolute tolerance)
+            if gn > 1e-6 * scale:
+                raise ResolventError(
+                    f"line search stalled at p={p}, lam={lam}: phi0={phi0:.6e}, "
+                    f"|grad|_nu={gn:.3e}, last step {t:.1e}")
+            flat = (gn, v)
+            accepted = v + step
+            phi, cand_flux, cand_c = evaluate(accepted)
+            if not np.isfinite(phi):
+                return v
         v, phi0, flux, c = accepted, phi, cand_flux, cand_c
     raise ResolventError(f"Newton did not converge in {NEWTON_STEPS} iterations "
                          f"(p={p}, lam={lam})")

@@ -50,13 +50,13 @@ def random_connected_graph(rng, n_max=5, w_lo=0.5, w_hi=2.0):
 
 
 @st.composite
-def weighted_graphs(draw, max_n=6, max_edges=12):
-    """A random connected graph: a random tree plus chords, at most
-    max_edges edges, weights k/4 for k in 1..16."""
+def weighted_graphs(draw, max_n=6, max_edges=12, cycles=True):
+    """A random connected graph: a random tree plus chords (none when
+    cycles is false), at most max_edges edges, weights k/4 for k in 1..16."""
     n = draw(st.integers(2, max_n))
     pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
     chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                           max_size=n))
+                           max_size=n if cycles else 0))
     for a, b in chords:
         if a != b and len(pairs) < max_edges:
             pairs.add((min(a, b), max(a, b)))

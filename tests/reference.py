@@ -3,7 +3,7 @@ the solvers', for the tests to compare against.
 
 project_oracle solves the projection exactly by enumerating active sets;
 mass_balance recomputes the per-step mass residuals of a trajectory from
-its states.
+its states; p_flow_cold steps the p-flow with every resolvent started cold.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from itertools import combinations
 import numpy as np
 
 from graphsand import ConstraintSet, SourceSchedule, Trajectory, WeightedGraph, \
-    field_values
+    field_values, resolvent_p
 from graphsand.calculus import edge_gaps
+from graphsand.evolution import time_grid
 
 
 def project_oracle(g: WeightedGraph, K: ConstraintSet, z) -> np.ndarray:
@@ -129,3 +130,17 @@ def mass_balance(traj: Trajectory, f: SourceSchedule | None,
             fv = f(times[n])
         res[n] = float(np.dot(deg, states[n + 1] - states[n]) - h * np.dot(deg, fv))
     return MassBalanceReport(times[1:], res)
+
+
+def p_flow_cold(g: WeightedGraph, p: float, K: ConstraintSet, u0,
+                f: SourceSchedule, T: float, dt: float,
+                tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """(times, states) of the backward-Euler p-flow on solve_p_flow's grid,
+    each step's resolvent started from its own z, with no guess carried
+    over from the step before."""
+    times = time_grid(0.0, T, dt, f.boundaries())
+    states = [field_values(g, u0).copy()]
+    for t0, t1 in zip(times, times[1:]):
+        h = t1 - t0
+        states.append(resolvent_p(g, p, K, h, states[-1] + h * f(t0), tol=tol))
+    return times, np.array(states)

@@ -10,7 +10,12 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from graphsand import (ConstraintSet, SourceSchedule, build_path,
+                       solve_collapse, solve_growth, solve_p_flow)
+from graphsand import evolution, proximal
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graphsand"
@@ -86,3 +91,34 @@ def test_benchmark_span_targets_resolve():
     assert targets
     for module, attr, _span in targets:
         assert callable(_resolve(module, attr)), f"{module}.{attr}"
+
+
+def _count_calls(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_solvers_step_through_the_span_targets(monkeypatch):
+    # the tracer wraps evolution.resolvent_p and DykstraProjector.project:
+    # a solver that bound them another way, or skipped them on some steps,
+    # would leave its steps out of the proximal spans
+    g = build_path(5)
+    K = ConstraintSet.uniform(g)
+    f = SourceSchedule(g, ((0.0, 0.25, {"x3": 1.0}),))
+    calls = _count_calls(monkeypatch, evolution, "resolvent_p")
+    traj = solve_p_flow(g, 4.0, K, np.zeros(5), f, 0.5, 0.05)
+    assert len(calls) == len(traj.step_times) == 10
+    calls = _count_calls(monkeypatch, proximal.DykstraProjector, "project")
+    traj = solve_growth(g, K, np.zeros(5), f, 0.5, 0.05)
+    assert len(calls) == len(traj.step_times) == 10
+    calls.clear()
+    _, traj = solve_collapse(g, K, np.array([0.0, 3.0, 0.0, 1.0, 0.0]), 0.05)
+    assert len(calls) == len(traj.step_times) > 0

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from graphsand import (ConstraintSet, SourceSchedule, build_path, build_star,
                        converge_p_experiment, field_values, is_stable,
                        nu_norm, solve_collapse, solve_growth, solve_p_flow)
 from graphsand.evolution import MAX_STEPS, Trajectory, TruncationError, time_grid
-from reference import mass_balance
+from reference import mass_balance, p_flow_cold
 
 
 def z_exact(g, t, alpha=1.0):
@@ -295,13 +296,13 @@ def test_p_flow_first_order_in_dt(p4, p4_uniform):
 
 
 @pytest.mark.parametrize("p, digest", [
-    (4.0, "d0f288c9c4ef9d742d663bcc91e227dcde69204003cc18e912595ac420fb0ab8"),
-    (64.0, "10d17bfbe981560eac20a8a306f25b6d5ee2594a1d1433defa5bcfd152f50ba5"),
+    (4.0, "07f46d70f7c02136904402446eded2c79edcbcc5e7d963ecad1445ed8cd62c75"),
+    (64.0, "b7f68f54e3a5ce47795a91b4afc7f2e4149e7313675a7f2abe7f163b343ef8e9"),
 ])
 def test_uniform_p_flow_bit_identical(p, digest):
-    # pinned SHA-256 of the times and states: unit bounds divide exactly
-    # (g / 1.0 == g), so the uniform p-flow keeps every bit it had under
-    # the kernel w * |g|^(p-2)
+    # pinned SHA-256 of the times and states of the warm-started flow;
+    # test_p_flow_matches_cold_start_reference bounds its distance to the
+    # flow with every resolvent started cold
     g = build_path(31)
     f = SourceSchedule(g, ((0.0, 0.6, {"x16": 1.0}),))
     u0 = np.array([0.5 * (k % 2) for k in range(31)])
@@ -309,6 +310,23 @@ def test_uniform_p_flow_bit_identical(p, digest):
     assert traj.states.shape == (21, 31)
     got = hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
     assert got == digest
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 64.0])
+def test_p_flow_matches_cold_start_reference(p):
+    # each step starts Newton from the last step's correction; the
+    # resolvent's minimiser does not depend on the start, so the flow is
+    # the cold-started one up to the Newton tolerance, also across the end
+    # of the source segment, where the correction jumps
+    g = build_path(31)
+    K = ConstraintSet.inverse_sqrt_weight(g)
+    f = SourceSchedule(g, ((0.0, 0.37, {"x16": 2.0, "x5": -1.0}),))
+    u0 = np.array([0.5 * (k % 2) for k in range(31)])
+    traj = solve_p_flow(g, p, K, u0, f, 1.0, 0.02)
+    times, states = p_flow_cold(g, p, K, u0, f, 1.0, 0.02)
+    assert np.array_equal(traj.times, times)
+    scale = max(1.0, max(nu_norm(g, u) for u in states))
+    assert max(nu_norm(g, a - b) for a, b in zip(traj.states, states)) <= 1e-8 * scale
 
 
 def test_p_flow_mass_balance(p4, p4_uniform):
@@ -340,6 +358,31 @@ def test_converge_p_zero_data(p4, p4_uniform):
     table = converge_p_experiment(p4, p4_uniform, np.zeros(4), SourceSchedule.zero(p4),
                                   [4, 8], 0.5, 1e-2)
     assert all(err <= 1e-9 for _, err in table)
+
+
+def test_collapse_via_p_decays_self_similarly():
+    # criterion 7's datum: after the collapse layer the source-free p-flow,
+    # (p - 1)-homogeneous, decays toward the nu-mean ubar like t^(-1/(p-2)).
+    # So its distance d(t) to the collapse limit u_inf drifts from t = 1 to
+    # t = 2 by at most ln2/(p-2) |u_inf - ubar|_nu, and its distance to the
+    # rescaled limit ubar + t^(-1/(p-2)) (u_inf - ubar) does not move
+    g = build_path(4)
+    K = ConstraintSet.uniform(g)
+    u0 = np.array([0.0, 3.0, 0.0, 1.0])
+    dt = 1e-3
+    u_inf, _ = solve_collapse(g, K, u0, dt)
+    ubar = np.dot(g.degrees, u0) / np.sum(g.degrees)
+    spread = nu_norm(g, u_inf - ubar)
+    assert spread == pytest.approx(1.1106, abs=1e-4)
+    for p in (16.0, 64.0, 256.0):
+        flow = solve_p_flow(g, p, K, u0, SourceSchedule.zero(g), 2.0, dt)
+        at = {t: flow.state_at(t, atol=dt) for t in (1.0, 2.0)}
+        d = {t: nu_norm(g, u - u_inf) for t, u in at.items()}
+        assert 0 < d[2.0] - d[1.0] <= math.log(2) / (p - 2) * spread
+        if p >= 64:
+            e = {t: nu_norm(g, u - ubar - t ** (-1 / (p - 2)) * (u_inf - ubar))
+                 for t, u in at.items()}
+            assert abs(e[2.0] - e[1.0]) <= 0.02 * e[1.0]
 
 
 def test_converge_p_decreases_model_w(chain_w4):

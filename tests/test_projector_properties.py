@@ -28,10 +28,10 @@ STEPS = 5
 
 
 @st.composite
-def constrained_graphs(draw):
+def constrained_graphs(draw, cycles=True):
     """A small weighted graph (at most 12 edges, so the oracle applies) with
     a random constraint set."""
-    g = draw(weighted_graphs())
+    g = draw(weighted_graphs(cycles=cycles))
     kind = draw(st.sampled_from(["uniform", "inverse_sqrt_weight",
                                  "inverse_weight", "custom"]))
     if kind == "custom":
@@ -80,6 +80,22 @@ def test_warm_chain_matches_oracle_collapse(case, data):
     for _ in range(STEPS):
         v = check_call(proj, g, K, v * (1.0 + h / t))
         t += h
+
+
+@PROPERTY
+@given(constrained_graphs(cycles=False), st.integers(0, 300), st.data())
+def test_huge_fields_project_to_their_rounding_floor(case, exponent, data):
+    # at magnitude M rounding leaves each gap known to about eps * M, above
+    # tol once M passes about 1e5; the projection must still end, conserve
+    # mass and be stable up to that rounding.  Trees only: on a cycle the
+    # sweep count grows with M whatever the stopping rule (see CHANGES.md)
+    g, K = case
+    z = data.draw(fields(g, -8, 8), label="z") * 10.0 ** exponent
+    v = DykstraProjector(g, K, TOL).project(z)
+    eps, M = np.finfo(float).eps, np.max(np.abs(z))
+    D = g.degrees
+    assert abs(np.dot(D, v - z)) <= 64 * eps * np.dot(D, np.abs(z))
+    assert np.all(np.abs(edge_gaps(g, v)) <= K.bounds + TOL + 4096 * eps * M)
 
 
 def reference_events(g, K, traj, tol):

@@ -323,6 +323,26 @@ def test_resolvent_nonexpansive_property(g, data):
             assert nu_norm(g, v1 - v2) <= nu_norm(g, z1 - z2) + 1e-8
 
 
+@RESOLVENT
+@given(weighted_graphs(), st.data())
+def test_resolvent_independent_of_start_property(g, data):
+    # the energy is strictly convex: a start anywhere around z, up to the
+    # slope scale away, changes the Newton path and not its end
+    z = data.draw(quarter_fields(g), label="z")
+    offset = data.draw(quarter_fields(g), label="offset")
+    lam = data.draw(st.sampled_from([0.1, 1.0]), label="lam")
+    p = data.draw(st.floats(2.0, 64.0), label="p")
+    scale = max(1.0, nu_norm(g, z))
+    for K in constraint_sets(g):
+        start = z + 0.5 * np.max(K.bounds) * offset
+        cold = resolvent_p(g, p, K, lam, z)
+        warm = resolvent_p(g, p, K, lam, z, start=start)
+        assert nu_norm(g, warm - cold) <= 1e-9 * scale
+        flux = p_flux(edge_gaps(g, warm), p, g.weights, K.bounds)
+        resid = g.degrees * (warm - z) - lam * scatter(g, flux)
+        assert nu_norm(g, resid / g.degrees) <= 1e-9 * scale
+
+
 def test_p_energy_no_overflow_on_large_weights():
     # w * |g / c|^(p-2) is one power of the scaled gap: for c = 1/sqrt(w)
     # the factor w^(p/2) never forms on its own (it is inf for w = 1e10 at

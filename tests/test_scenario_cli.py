@@ -208,6 +208,18 @@ def test_cli_project(tmp_path, monkeypatch, capsys):
     assert out["x1"] == pytest.approx(0.8, abs=1e-9)
 
 
+def test_cli_project_huge_field(tmp_path, monkeypatch, capsys):
+    # rounding at 1e150 is far above tol: the projector stops at the
+    # rounding floor of the field's magnitude, not after MAX_SWEEPS
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("a b 1.0\nb c 1.0\n")
+    (tmp_path / "z.txt").write_text("b 1e150\nc -1e150\n")
+    assert run_command(["project", "g.txt", "z.txt"]) == 0
+    out = [float(line.split()[1])
+           for line in capsys.readouterr().out.strip().splitlines()]
+    assert out == pytest.approx([2.5e149] * 3, rel=1e-12)
+
+
 def test_cli_project_refuses_duplicate_vertex(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g.txt").write_text("a b 1.0\nb c 1.0\n")
