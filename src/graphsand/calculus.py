@@ -29,6 +29,13 @@ __all__ = [
 ]
 
 
+def _bounds_on(g: WeightedGraph, K: ConstraintSet) -> np.ndarray:
+    """K's slope bounds, refused unless K was built on g."""
+    if K.graph is not g:
+        raise ValueError("constraint set belongs to a different graph")
+    return K.bounds
+
+
 def conductance(gaps: np.ndarray, p: float, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     """w * |g / c|^(p-2) per edge, the one edge power of the p-energy: the
     flux is cond * g, the energy sum(cond * g^2) / p and the Newton Hessian
@@ -69,7 +76,7 @@ def p_laplacian(g: WeightedGraph, u, p: float, K: ConstraintSet) -> np.ndarray:
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     gaps = edge_gaps(g, field_values(g, u))
-    flux = p_flux(gaps, p, g.weights, K.bounds)
+    flux = p_flux(gaps, p, g.weights, _bounds_on(g, K))
     if not np.all(np.isfinite(flux)):
         raise FloatingPointError(
             f"p-Laplacian overflow at p={p}: slope magnitudes too large")

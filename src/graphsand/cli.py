@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .evolution import TruncationError, converge_p_experiment
-from .graph import field_values, load_graph
+from .graph import _read_records, field_values, load_graph
 from .proximal import CONSTRAINT_KINDS, ConstraintSet, ProjectionError, \
     ResolventError, project
 from .scenario import ScenarioError, load_scenario, run_scenario, write_trajectory
@@ -44,18 +44,18 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _read_field_file(g, path):
+def _read_field_file(g, path) -> np.ndarray:
+    """The field of a `<vertex> <value>` line file, zero where it names none."""
     vals = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ScenarioError(f"{path}:{lineno}: expected '<vertex> <value>'")
-        if parts[0] in vals:
-            raise ScenarioError(f"{path}:{lineno}: duplicate vertex {parts[0]!r}")
-        vals[parts[0]] = float(parts[1])
+
+    def record(vertex, value):
+        if vertex in vals or vertex not in g.index:
+            fault = "duplicate" if vertex in vals else "unknown"
+            raise ValueError(f"{fault} vertex {vertex!r}")
+        vals[vertex] = value
+
+    _read_records(Path(path).read_text(encoding="utf-8"), f"{path}:",
+                  "<vertex> <value>", record)
     return field_values(g, vals)
 
 
@@ -121,10 +121,8 @@ def _cmd_converge_p(args) -> int:
 def _cmd_project(args) -> int:
     g = load_graph(args.graph)
     z = _read_field_file(g, args.field)
-    K = ConstraintSet.from_kind(g, args.kind)
-    u = project(g, K, z)
-    lines = [f"{v} {repr(float(x))}" for v, x in zip(g.vertices, u)]
-    text = "\n".join(lines) + "\n"
+    u = project(g, ConstraintSet.from_kind(g, args.kind), z)
+    text = "".join(f"{v} {float(x)!r}\n" for v, x in zip(g.vertices, u))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
@@ -188,7 +186,7 @@ def _build_parser() -> _Parser:
     proj.add_argument("graph", help="edge-list file")
     proj.add_argument("field", help="field file: one '<vertex> <value>' per line")
     proj.add_argument("--kind", default="uniform",
-                      choices=[spec.token for spec in CONSTRAINT_KINDS.values()])
+                      choices=tuple(CONSTRAINT_KINDS))
     proj.add_argument("--output")
     proj.set_defaults(run=_cmd_project)
 

@@ -65,9 +65,10 @@ class SourceSchedule:
                 raise ValueError(f"segment [{t0}, {t1}) is empty")
             segs.append((t0, t1, field_values(self.graph, vals)))
         segs.sort(key=lambda s: s[0])
-        for (_, e0, _), (s1, _, _) in zip(segs, segs[1:]):
+        for (s0, e0, _), (s1, e1, _) in zip(segs, segs[1:]):
             if s1 < e0 - 1e-15:
-                raise ValueError("source segments overlap")
+                raise ValueError(f"source segments [{s0}, {e0}) and "
+                                 f"[{s1}, {e1}) overlap")
         object.__setattr__(self, "segments", tuple(segs))
 
     @classmethod
@@ -244,10 +245,10 @@ def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
     Trajectory with the kept samples, per-step mass residuals, and
     activation events.
     """
+    proj = DykstraProjector(g, K, tol)
     u = field_values(g, u0).copy()
     if not is_stable(u, K, 1e-8):
         raise ValueError("initial datum not stable for the constraint set")
-    proj = DykstraProjector(g, K, tol)
     return _integrate(
         g, u, time_grid(0.0, T, dt, f.boundaries()), lambda t, _: f(t),
         lambda z, h: proj.project(z), 0.0, sample_every, proj)
@@ -264,13 +265,13 @@ def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
     is already stable (L <= 1) is returned unchanged with a single-sample
     trajectory.
     """
+    proj = DykstraProjector(g, K, tol)
     u0v = field_values(g, u0).copy()
     L = max_relative_slope(u0v, K)
     if L <= 1.0:
         grid, v = np.array([1.0]), u0v
     else:  # start at tau = 1/L from u0 * tau
         grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
-    proj = DykstraProjector(g, K, tol)
     traj = _integrate(g, v, grid, lambda t, v: v / t,
                       lambda z, h: proj.project(z), 0.0, sample_every, proj)
     return traj.final_state(), traj
@@ -320,11 +321,8 @@ def converge_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSched
     out = []
     for p in p_list:
         flow = solve_p_flow(g, p, K, u0, f, T, dt, tol=tol)
-        if len(flow.times) != len(limit.times):  # pragma: no cover
-            raise RuntimeError("flows sampled on different grids")
-        errs = [nu_norm(g, flow.states[k] - limit.states[k])
-                for k in range(len(limit.times))]
-        out.append((float(p), float(max(errs))))
+        err = max(nu_norm(g, v - w) for v, w in zip(flow.states, limit.states))
+        out.append((float(p), err))
     return out
 
 

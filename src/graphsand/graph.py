@@ -46,34 +46,12 @@ class WeightedGraph:
                  "_elimination_plan")
 
     def __init__(self, edge_list, guard_vertices: Iterable[str] = ()):
-        cleaned = []
-        seen = set()
-        for entry in edge_list:
-            try:
-                a, b, w = entry
-            except (TypeError, ValueError):
-                raise ValueError(f"edge entry {entry!r} is not (vertex, vertex, weight)")
-            a, b = str(a), str(b)
-            w = float(w)
-            if a == b:
-                raise ValueError(f"self-loop on vertex {a!r} is not allowed")
-            if not (w > 0.0 and math.isfinite(w)):
-                fault = "nonpositive" if w <= 0.0 else "non-finite"
-                raise ValueError(f"edge ({a!r}, {b!r}) has {fault} weight {w}")
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]!r}, {key[1]!r})")
-            seen.add(key)
-            cleaned.append((key[0], key[1], w))
+        seen: set = set()
+        cleaned = sorted(_edge_entry(entry, seen) for entry in edge_list)
         if not cleaned:
             raise ValueError("graph needs at least one edge")
 
-        cleaned.sort(key=lambda e: (e[0], e[1]))
         vertices = sorted({v for a, b, _ in cleaned for v in (a, b)})
-        # labels are written unquoted into `t,vertex,u` CSV rows
-        bad = next((v for v in vertices if "," in v or "\r" in v or "\n" in v), None)
-        if bad is not None:
-            raise ValueError(f"vertex label {bad!r} contains ',' or a line break")
         index = {v: k for k, v in enumerate(vertices)}
 
         self.vertices = tuple(vertices)
@@ -103,7 +81,7 @@ class WeightedGraph:
         self.guard_index = tuple(sorted(index[v] for v in guard))
 
     def _check_connected(self):
-        _, hops = next(distance_rows(self, None, [0]))
+        _, hops = next(distance_rows(self, "graph", [0]))
         seen = hops < np.inf
         if not seen.all():
             missing = [self.vertices[k] for k in np.flatnonzero(~seen)[:4]]
@@ -125,6 +103,28 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph({self.n_vertices} vertices, {self.n_edges} edges)"
+
+
+def _edge_entry(entry, seen: set) -> tuple[str, str, float]:
+    """An edge entry, checked against `seen` (the pairs before it), ends in order."""
+    try:
+        a, b, w = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"edge entry {entry!r} is not (vertex, vertex, weight)")
+    a, b, w = str(a), str(b), float(w)
+    if a == b:
+        raise ValueError(f"self-loop on vertex {a!r} is not allowed")
+    for v in (a, b):  # labels are written unquoted into `t,vertex,u` CSV rows
+        if "," in v or "\r" in v or "\n" in v:
+            raise ValueError(f"vertex label {v!r} contains ',' or a line break")
+    if not (w > 0.0 and math.isfinite(w)):
+        fault = "nonpositive" if w <= 0.0 else "non-finite"
+        raise ValueError(f"edge ({a!r}, {b!r}) has {fault} weight {w}")
+    key = (a, b) if a < b else (b, a)
+    if key in seen:
+        raise ValueError(f"duplicate edge ({key[0]!r}, {key[1]!r})")
+    seen.add(key)
+    return key[0], key[1], w
 
 
 def field_values(g: WeightedGraph, u) -> np.ndarray:
@@ -159,31 +159,42 @@ def build_graph(edge_list: Sequence[tuple]) -> WeightedGraph:
     return WeightedGraph(edge_list)
 
 
-def parse_edge_lines(text: str) -> WeightedGraph:
-    """Parse the edge-list format: one `<vertex> <vertex> <weight>` per line.
-
-    Blank lines and lines starting with '#' are skipped.
-    """
-    edges = []
+def _read_records(text: str, where: str, form: str, record) -> list:
+    """record(*labels, number) of each line of `text` with the fields of `form`,
+    blank and '#' lines skipped; a fault raises ValueError at `{where}{line}: `."""
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected '<vertex> <vertex> <weight>', "
-                             f"got {raw!r}")
         try:
-            w = float(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad weight {parts[2]!r}")
-        edges.append((parts[0], parts[1], w))
-    return build_graph(edges)
+            if len(fields) != len(form.split()):
+                raise ValueError(f"expected {form!r}, got {raw!r}")
+            number = float(fields[-1])
+            if not math.isfinite(number):
+                raise ValueError(f"{fields[-1]!r} is not a finite number")
+            out.append(record(*fields[:-1], number))
+        except ValueError as exc:
+            raise ValueError(f"{where}{lineno}: {exc}") from None
+    return out
+
+
+def _edge_graph(text: str, where: str) -> WeightedGraph:
+    seen: set = set()
+    return build_graph(_read_records(text, where, "<vertex> <vertex> <weight>",
+                                     lambda a, b, w: _edge_entry((a, b, w), seen)))
+
+
+def parse_edge_lines(text: str) -> WeightedGraph:
+    """Parse the edge-list format: one `<vertex> <vertex> <weight>` per line,
+    blank and '#' lines skipped; a fault of line N reads `line N: ...`."""
+    return _edge_graph(text, "line ")
 
 
 def load_graph(path) -> WeightedGraph:
+    """The graph of an edge-list file; a fault of line N reads `path:N: ...`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_lines(fh.read())
+        return _edge_graph(fh.read(), f"{path}:")
 
 
 def nu_norm(g: WeightedGraph, u, ord: float = 2) -> float:
@@ -198,14 +209,29 @@ def nu_norm(g: WeightedGraph, u, ord: float = 2) -> float:
     raise ValueError(f"unsupported norm order {ord!r}")
 
 
-def distance_rows(g: WeightedGraph, lengths=None, sources=None):
+def _metric(g: WeightedGraph, lengths):
+    """"graph" (hops), or `lengths` as read-only positive finite edge lengths."""
+    if isinstance(lengths, str) and lengths == "graph":
+        return lengths
+    try:
+        out = np.array(lengths, dtype=float)
+    except (TypeError, ValueError):  # "hops", say
+        out = np.array(math.nan)
+    if out.shape != (g.n_edges,) or not np.all((out > 0) & np.isfinite(out)):
+        raise ValueError(f'distance: must be "graph" or {g.n_edges} positive '
+                         f"finite edge lengths, got {lengths!r}")
+    out.flags.writeable = False
+    return out
+
+
+def distance_rows(g: WeightedGraph, lengths="graph", sources=None):
     """Yield (source, row) for each source vertex id (default: all), where
     row[k] is the shortest-path distance from the source to vertex k.
 
-    `lengths=None` is the hop metric (breadth-first search); per-edge lengths,
-    an array aligned with g.edges, use Dijkstra.  Each row is an unbounded
-    search of `distance_balls` copied into a fresh length-n array, so memory
-    stays O(n + E) however many rows are drawn.
+    `lengths` is "graph", the hop metric (breadth-first search), or
+    per-edge lengths, an array aligned with g.edges (Dijkstra).  Each row is
+    an unbounded search of `distance_balls` copied into a fresh length-n
+    array, so memory stays O(n + E) however many rows are drawn.
     """
     sources = range(g.n_vertices) if sources is None else sources
     for src, _ball, dist in distance_balls(g, lengths, sources):
@@ -221,19 +247,16 @@ def distance_balls(g: WeightedGraph, lengths, sources, reaches=None):
     `ball`, the very float a search without a reach computes.  `dist` is
     one buffer per call and is valid only until the next row is drawn:
     entries touched by a search are reset after it, so a search costs
-    O(ball) rather than O(n).  Hops (`lengths=None`) use breadth-first
+    O(ball) rather than O(n).  Hops (`lengths="graph"`) use breadth-first
     search, per-edge lengths Dijkstra.
     """
     n = g.n_vertices
     inf, pop, push = math.inf, heapq.heappop, heapq.heappush
-    if lengths is None:
+    lengths = _metric(g, lengths)
+    hops = isinstance(lengths, str)
+    if hops:
         adj = g.neighbors
     else:
-        lengths = np.asarray(lengths, dtype=float)
-        if lengths.shape != (g.n_edges,):
-            raise ValueError(f"expected {g.n_edges} edge lengths, got {lengths.shape}")
-        if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
-            raise ValueError("edge lengths must be strictly positive")
         adj = [[] for _ in range(n)]
         for (i, j), c in zip(g.edge_index.tolist(), lengths.tolist()):
             adj[i].append((j, c))
@@ -243,7 +266,7 @@ def distance_balls(g: WeightedGraph, lengths, sources, reaches=None):
     dist = [inf] * n
     for src, reach in zip(sources, reaches):
         dist[src] = 0.0
-        if lengths is None:
+        if hops:
             ball = touched = [src]
             for i in ball:  # grows while scanned: the BFS queue
                 d = dist[i]

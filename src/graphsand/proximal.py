@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import conductance, edge_gaps, scatter
+from .calculus import _bounds_on, conductance, edge_gaps, scatter
 from .graph import WeightedGraph, field_values
 from .ldl import elimination_plan
 
@@ -42,17 +42,12 @@ ROUNDING = 16 * np.finfo(float).eps
 FLOOR_AFTER = 16
 
 
-class ConstraintKind(NamedTuple):
-    token: str           # spelling in scenario files and on the command line
-    bounds: Callable[[WeightedGraph], np.ndarray]  # slope bounds from weights
-
-
-# the named stable sets; "custom" (a user table of bounds) is the only other
+# the slope bounds of each named stable set, keyed by its token in scenario
+# files and on the command line; "custom" (a user table) is the only other
 CONSTRAINT_KINDS = {
-    "uniform": ConstraintKind("uniform", lambda g: np.ones(g.n_edges)),
-    "inverse_sqrt_weight": ConstraintKind(
-        "inv-sqrt-w", lambda g: 1.0 / np.sqrt(g.weights)),
-    "inverse_weight": ConstraintKind("inv-w", lambda g: 1.0 / g.weights),
+    "uniform": lambda g: np.ones(g.n_edges),
+    "inv-sqrt-w": lambda g: 1.0 / np.sqrt(g.weights),
+    "inv-w": lambda g: 1.0 / g.weights,
 }
 
 
@@ -66,20 +61,15 @@ class ResolventError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Per-edge slope bounds c_xy > 0 encoding a stable-configuration set.
-
-    kind is a key of CONSTRAINT_KINDS ("uniform" bounds every slope by 1,
-    "inverse_sqrt_weight" by 1/sqrt(w_xy), "inverse_weight" by 1/w_xy) or
-    "custom", a user table.
+    """Per-edge slope bounds c_xy > 0 encoding a stable-configuration set:
+    a CONSTRAINT_KINDS entry ("uniform" bounds every slope by 1,
+    "inv-sqrt-w" by 1/sqrt(w_xy), "inv-w" by 1/w_xy) or a custom table.
     """
 
     graph: WeightedGraph
-    kind: str
     bounds: np.ndarray
 
     def __post_init__(self):
-        if self.kind != "custom" and self.kind not in CONSTRAINT_KINDS:
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
         b = np.asarray(self.bounds, dtype=float)
         if b.shape != (self.graph.n_edges,):
             raise ValueError(f"expected {self.graph.n_edges} bounds, got {b.shape}")
@@ -93,23 +83,22 @@ class ConstraintSet:
 
     @classmethod
     def inverse_sqrt_weight(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls.from_kind(g, "inverse_sqrt_weight")
+        return cls.from_kind(g, "inv-sqrt-w")
 
     @classmethod
     def inverse_weight(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls.from_kind(g, "inverse_weight")
+        return cls.from_kind(g, "inv-w")
 
     @classmethod
     def custom(cls, g: WeightedGraph, bounds) -> "ConstraintSet":
-        return cls(g, "custom", bounds)
+        return cls(g, bounds)
 
     @classmethod
     def from_kind(cls, g: WeightedGraph, kind: str) -> "ConstraintSet":
-        """Named constraint set; kind is a CONSTRAINT_KINDS key or token."""
-        for name, spec in CONSTRAINT_KINDS.items():
-            if kind in (name, spec.token):
-                return cls(g, name, spec.bounds(g))
-        raise ValueError(f"unknown constraint kind {kind!r}")
+        """Named constraint set; kind is a CONSTRAINT_KINDS token."""
+        if not isinstance(kind, str) or kind not in CONSTRAINT_KINDS:
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        return cls(g, CONSTRAINT_KINDS[kind](g))
 
 
 def is_stable(u, K: ConstraintSet, tol: float = 1e-9) -> bool:
@@ -144,8 +133,7 @@ class DykstraProjector:
     """
 
     def __init__(self, g: WeightedGraph, K: ConstraintSet, tol: float = 1e-10):
-        if K.graph is not g:
-            raise ValueError("constraint set belongs to a different graph")
+        bounds = _bounds_on(g, K)
         self.graph = g
         self.K = K
         i, j = g.edge_index.T
@@ -162,9 +150,9 @@ class DykstraProjector:
         self._invdjl = inv_dj.tolist()
         self._invsuml = invsum.tolist()
         self._coefl = (1.0 / invsum).tolist()
-        self._cl = K.bounds.tolist()
+        self._cl = bounds.tolist()
         self.tol = tol
-        self._limit = K.bounds + tol
+        self._limit = bounds + tol
         self._plan_key = self._plan = None
         self.abs_gaps = None
         self.reset()
@@ -310,9 +298,9 @@ class DykstraProjector:
         return v
 
 
-def project(g: WeightedGraph, K: ConstraintSet, z, tol: float = 1e-10) -> np.ndarray:
+def project(g: WeightedGraph, K: ConstraintSet, z) -> np.ndarray:
     """Cold-start Dykstra projection of z onto the constraint polytope."""
-    return DykstraProjector(g, K, tol).project(z)
+    return DykstraProjector(g, K).project(z)
 
 
 def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
@@ -331,12 +319,12 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
         raise ValueError(f"p must be >= 2, got {p}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
+    D, w, bounds = g.degrees, g.weights, _bounds_on(g, K)
     zv = field_values(g, z)
     if lam == 0.0:
         return zv.copy()
 
     ends = g.edge_index.ravel()
-    D, w, bounds = g.degrees, g.weights, K.bounds
     plan = elimination_plan(g)
 
     def evaluate(v):

@@ -122,7 +122,7 @@ class ScenarioConfig:
     """Validated scenario: graph, constraint kind, mode, data, and steps."""
 
     graph: WeightedGraph
-    constraint: str          # a CONSTRAINT_KINDS token
+    constraint: str          # a CONSTRAINT_KINDS key
     mode: str                # one of MODES
     u0: np.ndarray
     source: SourceSchedule
@@ -215,7 +215,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
 
     g = _build_scenario_graph(doc.get("graph"), base_dir)
 
-    tokens = tuple(spec.token for spec in CONSTRAINT_KINDS.values())
+    tokens = tuple(CONSTRAINT_KINDS)
     constraint = doc.get("constraint", "uniform")
     if not isinstance(constraint, str) or constraint not in tokens:
         _fail("constraint", f"expected one of {tokens}, got {constraint!r}")

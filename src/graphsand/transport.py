@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import WeightedGraph, distance_balls, distance_rows, field_values
+from .graph import WeightedGraph, _metric, distance_balls, distance_rows, \
+    field_values
 
 __all__ = [
     "TransportInstance",
@@ -29,11 +30,6 @@ __all__ = [
 ]
 
 _SUPPORT_LIMIT = 50
-
-
-def _metric_lengths(dist):
-    """The edge lengths of a metric: None (hops) for "graph", else `dist`."""
-    return None if isinstance(dist, str) and dist == "graph" else dist
 
 
 def _check_tol(tol):
@@ -71,17 +67,7 @@ class TransportInstance:
             raise ValueError(f"densities must have equal mass ({m0} vs {m1})")
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)
-        if not (isinstance(self.distance, str) and self.distance == "graph"):
-            try:
-                lengths = np.array(self.distance, dtype=float)
-            except (TypeError, ValueError):  # "hops", say
-                lengths = np.array(math.nan)
-            if lengths.shape != (self.graph.n_edges,) \
-                    or not np.all((lengths > 0) & np.isfinite(lengths)):
-                raise ValueError(f'distance: must be "graph" or {self.graph.n_edges}'
-                                 f" positive finite edge lengths, got {self.distance!r}")
-            lengths.flags.writeable = False
-            object.__setattr__(self, "distance", lengths)
+        object.__setattr__(self, "distance", _metric(self.graph, self.distance))
 
     @cached_property
     def _cost(self) -> float:
@@ -107,8 +93,7 @@ def is_lipschitz_wrt(g: WeightedGraph, dist, u, tol: float = 1e-9) -> bool:
         x = vals[a]
         reaches[a] = max(top - x, x - bottom)
         top, bottom = max(top, x), min(bottom, x)
-    for a, ball, d in distance_balls(g, _metric_lengths(dist),
-                                     range(g.n_vertices - 1), reaches):
+    for a, ball, d in distance_balls(g, dist, range(g.n_vertices - 1), reaches):
         ua = vals[a]
         for b in ball:
             if b > a and abs(ua - vals[b]) > d[b] + tol:
@@ -236,7 +221,7 @@ def _solve_cost(instance: TransportInstance) -> float:
     # the metric is symmetric: search from the smaller support, transpose
     near, far = (supp0, supp1) if len(supp0) <= len(supp1) else (supp1, supp0)
     rows = [[dist[k] for k in far] for _, _, dist in
-            distance_balls(g, _metric_lengths(instance.distance), near)]
+            distance_balls(g, instance.distance, near)]
     if near is supp1:
         rows = list(zip(*rows))
     costs, cost_den = _dyadic([c for row in rows for c in row])
@@ -275,7 +260,7 @@ def verify_dual_criteria(g: WeightedGraph, dist, u, T_map: Mapping, f0,
     uu = field_values(g, u)
     f0v = field_values(g, f0)
     diffs = []
-    for k, row in distance_rows(g, _metric_lengths(dist), np.flatnonzero(f0v > 0)):
+    for k, row in distance_rows(g, dist, np.flatnonzero(f0v > 0)):
         x = g.vertices[k]
         tk = g.vertex_id(T_map[x]) if x in T_map else k
         diffs.append((float(uu[k] - uu[tk]), float(row[tk])))

@@ -53,8 +53,10 @@ def test_schedule_evaluation(p4):
 
 
 def test_schedule_overlap_rejected(p4):
-    with pytest.raises(ValueError, match="overlap"):
-        SourceSchedule(p4, ((0.0, 2.0, np.zeros(4)), (1.0, 3.0, np.zeros(4))))
+    # the message names both intervals, in time order
+    with pytest.raises(ValueError, match=r"^source segments \[0\.0, 2\.0\) and "
+                                         r"\[1\.0, 3\.0\) overlap$"):
+        SourceSchedule(p4, ((1.0, 3.0, np.zeros(4)), (0.0, 2.0, np.zeros(4))))
     with pytest.raises(ValueError, match="empty"):
         SourceSchedule(p4, ((1.0, 1.0, np.zeros(4)),))
 
@@ -77,6 +79,24 @@ def test_time_grid_refuses_too_many_steps_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("t_start, t_end, dt, message", [
+    (0.0, 1.0, 0.0, "dt must be positive"),
+    (0.0, 1.0, -0.1, "dt must be positive"),
+    (1.0, 1.0, 0.1, "need t_end > t_start"),
+    (2.0, 1.0, 0.1, "need t_end > t_start"),
+], ids=["dt-zero", "dt-negative", "empty-span", "backward-span"])
+def test_time_grid_refusals(t_start, t_end, dt, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        time_grid(t_start, t_end, dt)
+
+
+def test_collapse_via_p_needs_positive_probe_times(p4, p4_uniform):
+    u0 = np.array([0.0, 3.0, 0.0, 1.0])
+    for probes in ([0.0, 1.0], [-1.0], []):
+        with pytest.raises(ValueError, match="^probe times must be positive$"):
+            collapse_via_p_experiment(p4, p4_uniform, u0, 8.0, probes, 0.1)
 
 
 def test_time_grid_exact_division():

@@ -1,12 +1,14 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from graphsand import (build_graph, build_path, build_star, build_truncated_z,
-                       distance_rows, field_values, kantorovich_pairing,
-                       nu_norm, parse_edge_lines)
+from graphsand import (WeightedGraph, build_graph, build_path, build_star,
+                       build_truncated_z, distance_rows, field_values,
+                       kantorovich_pairing, load_graph, nu_norm, parse_edge_lines)
+from graphsand.graph import distance_balls
 from conftest import random_connected_graph
 
 
@@ -15,7 +17,7 @@ def degree(g, v):
 
 
 def distance(g, lengths, x, y):
-    """Shortest-path distance from x to y: hops when lengths is None."""
+    """Shortest-path distance from x to y: hops when lengths is "graph"."""
     (_, row), = distance_rows(g, lengths, [g.vertex_id(x)])
     return row[g.vertex_id(y)]
 
@@ -71,6 +73,22 @@ def test_disconnected_rejected():
         build_graph([("a", "b", 1.0), ("c", "d", 1.0)])
 
 
+@pytest.mark.parametrize("edges, guard, message", [
+    ([("a", "b")], (), r"edge entry \('a', 'b'\) is not \(vertex, vertex, weight\)"),
+    ([3], (), r"edge entry 3 is not \(vertex, vertex, weight\)"),
+    ([], (), "graph needs at least one edge"),
+    ([("a", "b", 1.0)], ("a", "q"), r"guard vertices \['q'\] not in graph"),
+], ids=["two-fields", "not-a-triple", "no-edges", "unknown-guard"])
+def test_weighted_graph_refusals(edges, guard, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(edges, guard_vertices=guard)
+
+
+def test_build_star_needs_two_weights():
+    with pytest.raises(ValueError, match="star needs at least 2 edges"):
+        build_star([1.0])
+
+
 def test_weight_symmetry():
     # w_xy = w_yx: the graph does not depend on how each pair is oriented
     rng = np.random.default_rng(0)
@@ -123,11 +141,11 @@ def test_inner_product_nu(p4):
 
 
 def test_graph_distance(p4):
-    assert distance(p4, None, "x2", "x2") == 0
-    assert distance(p4, None, "x1", "x4") == 3
+    assert distance(p4, "graph", "x2", "x2") == 0
+    assert distance(p4, "graph", "x1", "x4") == 3
     # the hop metric ignores the weights
     g = build_path(4, weights=[10.0, 0.1, 5.0])
-    assert all(distance(g, None, a, b) == distance(p4, None, a, b)
+    assert all(distance(g, "graph", a, b) == distance(p4, "graph", a, b)
                for a in p4.vertices for b in p4.vertices)
 
 
@@ -136,8 +154,8 @@ def test_graph_distance_triangle_inequality():
     for _ in range(10):
         g = random_connected_graph(rng, n_max=8)
         for a, b, c in itertools.product(g.vertices, repeat=3):
-            assert distance(g, None, a, c) <= \
-                distance(g, None, a, b) + distance(g, None, b, c)
+            assert distance(g, "graph", a, c) <= \
+                distance(g, "graph", a, b) + distance(g, "graph", b, c)
 
 
 def test_constraint_distance_chain(chain_w4):
@@ -154,7 +172,7 @@ def test_constraint_distance_unit_equals_hops():
         for a in g.vertices:
             for b in g.vertices:
                 assert distance(g, ones, a, b) == \
-                    pytest.approx(distance(g, None, a, b))
+                    pytest.approx(distance(g, "graph", a, b))
 
 
 def test_constraint_distance_symmetry():
@@ -190,8 +208,39 @@ def test_edge_list_roundtrip(p4):
     g = parse_edge_lines(text)
     assert g.edges == p4.edges
     assert np.allclose(g.weights, p4.weights)
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="^line 1: expected '<vertex> <vertex> "
+                                         "<weight>', got 'x1 x2'$"):
         parse_edge_lines("x1 x2\n")
+
+
+# each line of an edge file is checked as it is read, so its faults name the
+# line; a fault of the whole graph names the graph
+@pytest.mark.parametrize("line, message", [
+    ("b c abc", "could not convert string to float: 'abc'"),
+    ("b c nan", "'nan' is not a finite number"),
+    ("b c -inf", "'-inf' is not a finite number"),
+    ("b c 0", r"edge \('b', 'c'\) has nonpositive weight 0.0"),
+    ("b b 1", "self-loop on vertex 'b' is not allowed"),
+    ("b a 2", r"duplicate edge \('a', 'b'\)"),
+    ("b c 1 2", "expected '<vertex> <vertex> <weight>', got 'b c 1 2'"),
+], ids=["not-a-number", "nan", "inf", "zero", "self-loop", "duplicate", "four-fields"])
+def test_edge_file_faults_name_file_and_line(tmp_path, line, message):
+    path = tmp_path / "g.txt"
+    path.write_text(f"# a path\na b 1\n\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: {message}$"):
+        load_graph(path)
+    with pytest.raises(ValueError, match=f"^line 4: {message}$"):
+        parse_edge_lines(path.read_text())
+
+
+def test_edge_file_graph_faults(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# nothing but a comment\n")
+    with pytest.raises(ValueError, match="^graph needs at least one edge$"):
+        load_graph(path)
+    path.write_text("a b 1\nc d 1\n")
+    with pytest.raises(ValueError, match="^graph is disconnected"):
+        load_graph(path)
 
 
 def test_vertex_field():
@@ -222,3 +271,21 @@ def test_vertex_field():
             field_values(g, bad)
     with pytest.raises(ValueError, match="shape"):
         field_values(g, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("lengths", [
+    np.ones(2), np.ones(4), [1.0, 0.0, 1.0], [1.0, -2.0, 1.0], [1.0, math.nan, 1.0],
+    "hops", None,
+], ids=["too-few", "too-many", "zero", "negative", "nan", "hops", "none"])
+def test_distance_search_refuses_bad_lengths(p4, lengths):
+    message = 'distance: must be "graph" or 3 positive finite edge lengths, got '
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(distance_balls(p4, lengths, [0]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(distance_rows(p4, lengths))
+
+
+def test_distance_rows_default_is_hops(p4):
+    rows = [row.tolist() for _, row in distance_rows(p4)]
+    assert rows == [row.tolist() for _, row in distance_rows(p4, "graph")]
+    assert rows[0] == [0.0, 1.0, 2.0, 3.0]

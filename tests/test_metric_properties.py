@@ -69,17 +69,16 @@ def edgewise_lipschitz(g, lengths, u, tol):
 def test_distance_kernel_matches_floyd_warshall(case, data):
     g, metric, lengths = case
     D = floyd_warshall(g, lengths)
-    kernel_lengths = None if isinstance(metric, str) else metric
-    rows = list(distance_rows(g, kernel_lengths))
+    rows = list(distance_rows(g, metric))
     assert [s for s, _ in rows] == list(range(g.n_vertices))
     assert all(np.array_equal(row, D[s]) for s, row in rows)
     sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), max_size=4))
-    picked = list(distance_rows(g, kernel_lengths, sources))
+    picked = list(distance_rows(g, metric, sources))
     assert [s for s, _ in picked] == sources
     assert all(np.array_equal(row, D[s]) for s, row in picked)
 
     # unit lengths give the hop metric, row by row and bit for bit
-    if kernel_lengths is None:
+    if isinstance(metric, str):
         assert all(np.array_equal(row, D[s])
                    for s, row in distance_rows(g, lengths))
 
@@ -88,13 +87,12 @@ def test_distance_kernel_matches_floyd_warshall(case, data):
 @given(graphs_with_lengths(), st.data())
 def test_bounded_search_is_the_full_row_cut_at_its_reach(case, data):
     g, metric, lengths = case
-    kernel_lengths = None if isinstance(metric, str) else metric
-    rows = dict(distance_rows(g, kernel_lengths))
+    rows = dict(distance_rows(g, metric))
     n = g.n_vertices
     sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
     reaches = data.draw(st.lists(st.integers(0, 24).map(lambda k: k / 8.0),
                                  min_size=len(sources), max_size=len(sources)))
-    searches = distance_balls(g, kernel_lengths, sources, reaches)
+    searches = distance_balls(g, metric, sources, reaches)
     for (src, ball, dist), want, reach in zip(searches, sources, reaches):
         row = rows[src]
         assert src == want and len(set(ball)) == len(ball)
@@ -143,7 +141,7 @@ def test_lipschitz_rejects_slack_accumulated_along_a_path():
     g = build_path(12)
     D = floyd_warshall(g, lengths)
     first = g.vertex_id("x1")
-    (_, hops), = distance_rows(g, None, [first])
+    (_, hops), = distance_rows(g, "graph", [first])
     u = D[first] + 0.9 * TOL * hops
     # each edge exceeds its length by 0.9 tol: fine edge by edge, but the
     # end-to-end pair exceeds its distance by 9.9 tol

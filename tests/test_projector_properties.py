@@ -38,7 +38,7 @@ def constrained_graphs(draw, cycles=True):
         eighths = draw(st.lists(st.integers(2, 16), min_size=g.n_edges,
                                 max_size=g.n_edges))
         return g, ConstraintSet.custom(g, np.array(eighths) / 8.0)
-    return g, ConstraintSet.from_kind(g, kind)
+    return g, getattr(ConstraintSet, kind)(g)
 
 
 def fields(g, lo, hi):
@@ -210,7 +210,7 @@ def large_graphs(draw):
         eighths = draw(st.lists(st.integers(2, 16), min_size=g.n_edges,
                                 max_size=g.n_edges))
         return g, ConstraintSet.custom(g, np.array(eighths) / 8.0)
-    return g, ConstraintSet.from_kind(g, kind)
+    return g, getattr(ConstraintSet, kind)(g)
 
 
 def sparse_fields(g, lo, hi):

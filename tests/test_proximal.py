@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphsand import (ConstraintSet, build_graph, build_path,
+from graphsand import (ConstraintSet, SourceSchedule, build_graph, build_path,
+                       collapse_via_p_experiment, converge_p_experiment,
                        is_stable, max_relative_slope, nu_norm, p_laplacian,
-                       project, resolvent_p)
+                       project, resolvent_p, solve_collapse, solve_growth,
+                       solve_p_flow)
 from graphsand import proximal
 from graphsand.calculus import edge_gaps, p_flux, scatter
 from graphsand.proximal import DykstraProjector, ProjectionError
@@ -33,9 +37,24 @@ def test_constraint_kinds(chain_w4):
     iw = ConstraintSet.inverse_weight(chain_w4)
     assert np.allclose(iw.bounds, [1.0, 0.25])
     with pytest.raises(ValueError):
-        ConstraintSet(chain_w4, "uniform", np.array([1.0, -1.0]))
+        ConstraintSet(chain_w4, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match=r"expected 2 bounds, got \(3,\)"):
+        ConstraintSet(chain_w4, np.ones(3))
     with pytest.raises(ValueError):
         ConstraintSet.from_kind(chain_w4, "bogus")
+
+
+def test_constraint_kinds_are_named_by_token(chain_w4):
+    # one spelling per stable set: the token of scenario files and the CLI
+    assert tuple(proximal.CONSTRAINT_KINDS) == ("uniform", "inv-sqrt-w", "inv-w")
+    for token, method in (("uniform", "uniform"), ("inv-sqrt-w", "inverse_sqrt_weight"),
+                          ("inv-w", "inverse_weight")):
+        K = ConstraintSet.from_kind(chain_w4, token)
+        assert np.array_equal(K.bounds, getattr(ConstraintSet, method)(chain_w4).bounds)
+    for name in ("inverse_sqrt_weight", "inverse_weight", ["uniform"], None):
+        message = re.escape(f"unknown constraint kind {name!r}")
+        with pytest.raises(ValueError, match=message):
+            ConstraintSet.from_kind(chain_w4, name)
 
 
 def test_is_stable(p4, p4_uniform):
@@ -362,3 +381,29 @@ def test_resolvent_validation(p4, p4_uniform):
         resolvent_p(p4, 1.2, p4_uniform, 1.0, np.zeros(4))
     with pytest.raises(ValueError):
         resolvent_p(p4, 3.0, p4_uniform, -1.0, np.zeros(4))
+
+
+# every solver reads the bounds of K against the edges of g: a K built on
+# another graph of the same size must be refused, not read on g's edges
+Z = (0.0, 3.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, K: DykstraProjector(g, K),
+    lambda g, K: project(g, K, Z),
+    lambda g, K: resolvent_p(g, 4.0, K, 0.1, Z),
+    lambda g, K: resolvent_p(g, 4.0, K, 0.0, Z),
+    lambda g, K: p_laplacian(g, Z, 4.0, K),
+    lambda g, K: solve_p_flow(g, 4.0, K, Z, SourceSchedule.zero(g), 0.1, 0.05),
+    lambda g, K: solve_growth(g, K, np.zeros(4), SourceSchedule.zero(g), 0.1, 0.05),
+    lambda g, K: solve_collapse(g, K, Z, 0.05),
+    lambda g, K: converge_p_experiment(g, K, np.zeros(4), SourceSchedule.zero(g),
+                                       [4.0], 0.1, 0.05),
+    lambda g, K: collapse_via_p_experiment(g, K, Z, 4.0, [0.1], 0.05),
+], ids=["projector", "project", "resolvent", "resolvent-lam0", "p_laplacian",
+        "p_flow", "growth", "collapse", "converge_p", "collapse_via_p"])
+def test_constraint_set_of_another_graph_is_refused(call):
+    g = build_path(4)
+    foreign = ConstraintSet.inverse_sqrt_weight(build_path(4, [1.0, 4.0, 9.0]))
+    with pytest.raises(ValueError, match="constraint set belongs to a different graph"):
+        call(g, foreign)

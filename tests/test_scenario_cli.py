@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import time
 from pathlib import Path
 
@@ -50,6 +51,10 @@ def test_parse_missing_dt_default():
     (lambda d: d.update(constraint="weird"), "constraint"),
     (lambda d: d.update(mode="p-flow"), "p"),
     (lambda d: d.update(graph={"kind": "mystery"}), "graph.kind"),
+    (lambda d: d.update(graph={"kind": "edges", "edges": []}),
+     "graph.edges: expected a non-empty list"),
+    (lambda d: d.update(graph={"kind": "file", "path": 3}),
+     "graph.path: expected a file path string"),
     (lambda d: d.update(dT=0.5), "dT"),
     (lambda d: d.update(graph={"kind": "path", "nn": 4}), "graph.nn"),
     (lambda d: d["source"][0].update(valuez={}), "source[0].valuez"),
@@ -67,6 +72,20 @@ def test_parse_schema_errors(mutate, path_fragment):
     doc = json.loads(json.dumps(MINIMAL))
     mutate(doc)
     with pytest.raises(ScenarioError, match=path_fragment.replace("[", r"\[")):
+        parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"growth"', "null"])
+def test_parse_refuses_a_document_that_is_not_an_object(text):
+    with pytest.raises(ScenarioError, match="^document: expected a JSON object$"):
+        parse_scenario(text)
+
+
+def test_parse_names_overlapping_source_segments():
+    doc = dict(MINIMAL, source=[{"start": 0.5, "end": 1.0, "values": {}},
+                                {"start": 0.0, "end": 0.6, "values": {}}])
+    with pytest.raises(ScenarioError, match=re.escape(
+            "source: source segments [0.0, 0.6) and [0.5, 1.0) overlap")):
         parse_scenario(json.dumps(doc))
 
 
@@ -98,6 +117,15 @@ def test_trajectory_roundtrip(tmp_path, p4, p4_uniform):
     mass = (tmp_path / "run.mass.csv").read_text().splitlines()
     assert mass[0] == "t,residual"
     assert len(mass) == 1 + len(traj.step_times)
+
+
+def test_mass_file_of_a_path_without_csv_suffix(tmp_path, p4, p4_uniform):
+    traj = solve_growth(p4, p4_uniform, np.zeros(4),
+                        SourceSchedule.constant(p4, {"x2": 1.0}), 0.1, 0.05)
+    assert write_trajectory(traj, tmp_path / "run.out") == tmp_path / "run.out"
+    assert (tmp_path / "run.out.mass.csv").read_text().splitlines() == \
+        ["t,residual"] + [f"{t!r},{r!r}" for t, r in
+                          zip(traj.step_times.tolist(), traj.mass_residuals.tolist())]
 
 
 def test_empty_trajectory_header_only(tmp_path, p4):
@@ -230,6 +258,33 @@ def test_cli_project_refuses_duplicate_vertex(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+# every fault of a field or graph file, as `project` reports it, names the
+# file and the line
+@pytest.mark.parametrize("graph, field, message", [
+    ("a b 1.0\nb c 1.0\n", "a 1\nb abc\n",
+     "z.txt:2: could not convert string to float: 'abc'"),
+    ("a b 1.0\nb c 1.0\n", "b nan\n", "z.txt:1: 'nan' is not a finite number"),
+    ("a b 1.0\nb c 1.0\n", "# zz is no vertex\n\nzz 1\n",
+     "z.txt:3: unknown vertex 'zz'"),
+    ("a b 1.0\nb c 1.0\n", "b 1 2\n",
+     "z.txt:1: expected '<vertex> <value>', got 'b 1 2'"),
+    ("a b 1.0\nb c\n", "b 1\n",
+     "g.txt:2: expected '<vertex> <vertex> <weight>', got 'b c'"),
+    ("a b 1.0\nb c x\n", "b 1\n", "g.txt:2: could not convert string to float: 'x'"),
+    ("a b 1.0\nc b 1.0\nb c 2.0\n", "b 1\n", "g.txt:3: duplicate edge ('b', 'c')"),
+], ids=["value-not-a-number", "value-nan", "unknown-vertex", "three-fields",
+        "edge-two-fields", "edge-weight-not-a-number", "duplicate-edge"])
+def test_cli_project_names_file_and_line(tmp_path, monkeypatch, capsys, graph,
+                                         field, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "z.txt").write_text(field)
+    assert run_command(["project", "g.txt", "z.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_transport_check(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     scenario = {
@@ -243,6 +298,31 @@ def test_cli_transport_check(tmp_path, monkeypatch, capsys):
     rc = run_command(["transport-check", "s.json", "--t", "2.5"])
     assert rc == 0
     assert "verified" in capsys.readouterr().out
+
+
+def test_cli_transport_check_refuses_collapse_scenario(monkeypatch, capsys):
+    rc = run_command(["transport-check", str(SCENARIOS / "p4_collapse_b1.json"),
+                      "--t", "0.5"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: mode: transport-check needs a growth scenario\n"
+
+
+def test_cli_transport_check_refuses_supports_above_oracle_limit(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the oracle is exact on supports of at most 50 vertices: a source on 51
+    # vertices is a validation error, not a solver failure
+    monkeypatch.chdir(tmp_path)
+    values = {f"x{k}": 1.0 for k in range(1, 52)}
+    scenario = {"graph": {"kind": "path", "n": 60}, "mode": "growth",
+                "source": [{"start": 0.0, "end": 1.0, "values": values}],
+                "T": 0.1, "dt": 0.05}
+    (tmp_path / "wide.json").write_text(json.dumps(scenario))
+    assert run_command(["transport-check", "wide.json", "--t", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: transport oracle supports at most 50 support vertices\n"
+    assert captured.out == ""
 
 
 def test_cli_transport_check_keeps_every_step(tmp_path, monkeypatch, capsys):

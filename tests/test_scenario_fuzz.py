@@ -275,6 +275,7 @@ def test_cli_refuses_comma_label_in_graph_file(tmp_path, monkeypatch, capsys):
     doc = dict(BASE, graph={"kind": "file", "path": "g.txt"})
     (tmp_path / "s.json").write_text(json.dumps(doc))
     assert run_command(["simulate", "s.json", "--output", "s.csv"]) == 1
-    assert "graph.path: vertex label 'a,b' contains ','" in capsys.readouterr().err
+    assert "graph.path: g.txt:1: vertex label 'a,b' contains ','" \
+        in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 

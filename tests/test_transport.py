@@ -382,8 +382,7 @@ def full_scan_lipschitz(g, dist, u, tol):
     """Reference check: every pair (a, b), b > a, against the full distance
     row of a, with no reach; the arithmetic of the bounded check."""
     vals = field_values(g, u)
-    lengths = None if isinstance(dist, str) else dist
-    for a, row in distance_rows(g, lengths, range(g.n_vertices - 1)):
+    for a, row in distance_rows(g, dist, range(g.n_vertices - 1)):
         if np.any(np.abs(vals[a] - vals[a + 1:]) > row[a + 1:] + tol):
             return False
     return True
@@ -524,3 +523,18 @@ def test_transport_check_arguments_fuzzed(short_growth, t, tol, glued, extra):
     if code != 1:
         assert len(lines) == 2 and CHECK_LINE.fullmatch(lines[0])
         assert lines[1] in ("potential: verified", "potential: NOT optimal")
+
+
+def test_oracle_refuses_supports_above_its_limit():
+    f = np.zeros(60)
+    f[:51] = 1.0
+    instance = TransportInstance(build_path(60), f, f)
+    with pytest.raises(ValueError, match="^transport oracle supports at most 50 "
+                                         "support vertices$"):
+        ot_cost_oracle(instance)
+
+
+def test_oracle_cost_of_empty_supports_is_zero(p4):
+    assert ot_cost_oracle(TransportInstance(p4, np.zeros(4), np.zeros(4))) == 0.0
+    assert ot_cost_oracle(TransportInstance(p4, np.zeros(4), np.zeros(4),
+                                            np.ones(3))) == 0.0
