@@ -161,9 +161,11 @@ def build_graph(edge_list: Sequence[tuple]) -> WeightedGraph:
 
 def _read_records(text: str, where: str, form: str, record) -> list:
     """record(*labels, number) of each line of `text` with the fields of `form`,
-    blank and '#' lines skipped; a fault raises ValueError at `{where}{line}: `."""
+    blank and '#' lines skipped; a fault raises ValueError at `{where}{line}: `.
+    Lines end at "\n" only (text-mode reads turn "\r\n" and "\r" into it):
+    a form feed or a Unicode line separator inside a line does not end it."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -180,9 +182,16 @@ def _read_records(text: str, where: str, form: str, record) -> list:
 
 
 def _edge_graph(text: str, where: str) -> WeightedGraph:
-    seen: set = set()
-    return build_graph(_read_records(text, where, "<vertex> <vertex> <weight>",
-                                     lambda a, b, w: _edge_entry((a, b, w), seen)))
+    form = "<vertex> <vertex> <weight>"
+    entries = _read_records(text, where, form, lambda a, b, w: (a, b, w))
+    try:
+        return build_graph(entries)
+    except ValueError:
+        # the graph checks each entry; only a refused file is read again, to
+        # name the line of a faulty entry (a fault of the whole graph stands)
+        seen: set = set()
+        _read_records(text, where, form, lambda a, b, w: _edge_entry((a, b, w), seen))
+        raise
 
 
 def parse_edge_lines(text: str) -> WeightedGraph:

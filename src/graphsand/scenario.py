@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .evolution import MAX_STEPS, SourceSchedule, Trajectory, solve_collapse, \
     solve_growth, solve_p_flow
-from .graph import WeightedGraph, build_graph, build_path, build_star, \
-    build_truncated_z, load_graph
+from .graph import WeightedGraph, _edge_entry, build_graph, build_path, \
+    build_star, build_truncated_z, load_graph
 from .proximal import CONSTRAINT_KINDS, ConstraintSet, is_stable
 
 __all__ = [
@@ -50,6 +51,10 @@ _SEGMENT_KEYS = ("start", "end", "values")
 MAX_GRAPH_COUNT = 100_000
 # T/dt (1/dt in collapse mode) is bounded by evolution.MAX_STEPS, the cap of
 # its time grid, which is built in full before the first step
+
+# write_trajectory compares about this many cells per numpy call, so it
+# holds the changed cells of a block of rows, never of the whole trajectory
+_WRITE_BLOCK = 1 << 14
 
 
 class ScenarioError(ValueError):
@@ -162,6 +167,13 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
         try:
             return build_graph(triples)
         except ValueError as exc:
+            # check the entries again one by one, to name a faulty one
+            seen: set = set()
+            for k, entry in enumerate(triples):
+                try:
+                    _edge_entry(entry, seen)
+                except ValueError as fault:
+                    _fail(f"{path}.edges[{k}]", str(fault))
             _fail(f"{path}.edges", str(exc))
     if kind == "file":
         rel = node.get("path")
@@ -307,15 +319,43 @@ def _mass_path(path: Path) -> Path:
         else Path(str(path) + ".mass.csv")
 
 
+def _sample_texts(traj: Trajectory):
+    """The header, then the `t,vertex,u` rows of each sample as one text.
+
+    A vertex's cell is formatted again only where its 64-bit pattern differs
+    from the sample before (so 0.0 and -0.0, or two NaN payloads, are told
+    apart): on a growing pile most cells hold from one sample to the next.
+    """
+    yield "t,vertex,u\n"
+    states = np.ascontiguousarray(traj.states, dtype=np.float64)
+    bits = states.view(np.int64)
+    n = len(traj.graph.vertices)
+    # cells[j] is vertex j - 1's row after its time, `,v,x\n`; cells[0] stays
+    # empty, so ts.join(cells) is the sample at time text ts
+    heads = [""] + [f",{v}," for v in traj.graph.vertices]
+    cells = [""] * (n + 1)
+    times = traj.times.tolist()
+    rows = max(1, _WRITE_BLOCK // n)
+    for start in range(0, len(times), rows):
+        block = bits[start:start + rows]
+        changed = np.empty(block.shape, dtype=bool)
+        changed[0] = block[0] != bits[start - 1] if start else True
+        np.not_equal(block[1:], block[:-1], out=changed[1:])
+        cols = (np.nonzero(changed)[1] + 1).tolist()
+        vals = states[start:start + rows][changed].tolist()
+        k = 0
+        for t, end in zip(times[start:start + rows],
+                          np.cumsum(changed.sum(axis=1)).tolist()):
+            for j, x in zip(cols[k:end], vals[k:end]):
+                cells[j] = f"{heads[j]}{x!r}\n"
+            k = end
+            yield repr(t).join(cells)
+
+
 def write_trajectory(traj: Trajectory, path) -> Path:
     """Write `t,vertex,u` rows plus the sibling mass-residual CSV."""
     path = Path(path)
-    labels = [f",{v}," for v in traj.graph.vertices]
-    parts = ["t,vertex,u\n"]
-    for t, row in zip(traj.times.tolist(), traj.states.tolist()):
-        ts = repr(t)
-        parts.append("".join([f"{ts}{lab}{x!r}\n" for lab, x in zip(labels, row)]))
-    path.write_text("".join(parts), encoding="utf-8")
+    path.write_text("".join(_sample_texts(traj)), encoding="utf-8")
 
     rows = zip(traj.step_times.tolist(), traj.mass_residuals.tolist())
     _mass_path(path).write_text(
@@ -338,8 +378,7 @@ def _floats(path, cells, what, line_of) -> np.ndarray:
 
 
 def _bad_row(path, lines, first_line):
-    for k, line in enumerate(lines):
-        text = line.rstrip("\n")
+    for k, text in enumerate(lines):
         if text.count(",") != 2:
             got = "a blank line" if not text.strip() else \
                 f"{text.count(',') + 1} fields in {text[:80]!r}"
@@ -350,7 +389,7 @@ def _bad_row(path, lines, first_line):
 def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Read a trajectory CSV back as (times, vertices, states).
 
-    The file is read in chunks of about 64 KiB of lines, so memory stays a
+    The file is read in chunks of about 64 KiB of text, so memory stays a
     small multiple of the file size.  Every sample time needs exactly one cell
     per vertex; a row without three fields, a cell that is not a number, and
     a missing or duplicated cell raise ValueError naming the path and the
@@ -365,21 +404,27 @@ def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
         if header != "t,vertex,u":
             raise ValueError(f"{path}: not a trajectory CSV (header {header[:80]!r})")
         first_line = 2
-        while lines := fh.readlines(1 << 16):
-            if not lines[-1].endswith("\n"):
-                lines[-1] += "\n"
+        while text := fh.read(1 << 16):
+            text += fh.readline()
+            if not text.endswith("\n"):
+                text += "\n"
+            n_lines = text.count("\n")
             # a well-formed line splits into the four cells t, vertex, u, "\n"
-            cells = "".join(lines).replace("\n", ",\n,").split(",")
+            cells = text.replace("\n", ",\n,").split(",")
             del cells[-1]
-            if len(cells) != 4 * len(lines) or cells[3::4].count("\n") != len(lines):
-                _bad_row(path, lines, first_line)
-            tids.append(np.array([tkeys.setdefault(s, len(tkeys)) for s in cells[0::4]],
-                                 dtype=np.int32))
+            if len(cells) != 4 * n_lines or cells[3::4].count("\n") != n_lines:
+                # rows end at "\n" only: labels may hold other line breaks
+                _bad_row(path, text[:-1].split("\n"), first_line)
+            # a sample's rows share one time cell: look each run up once
+            runs = [(tkeys.setdefault(s, len(tkeys)), len(list(run)))
+                    for s, run in groupby(cells[0::4])]
+            ids, counts = zip(*runs)
+            tids.append(np.repeat(np.array(ids, dtype=np.int32), counts))
             vids.append(np.array([vkeys.setdefault(s, len(vkeys)) for s in cells[1::4]],
                                  dtype=np.int32))
             vals.append(_floats(path, cells[2::4], "value",
                                 lambda k: first_line + k))
-            first_line += len(lines)
+            first_line += n_lines
     tid, vid, val = np.concatenate(tids), np.concatenate(vids), np.concatenate(vals)
     del tids, vids, vals  # free the chunks before the states are built
 

@@ -8,6 +8,7 @@ import pytest
 from graphsand import (WeightedGraph, build_graph, build_path, build_star,
                        build_truncated_z, distance_rows, field_values,
                        kantorovich_pairing, load_graph, nu_norm, parse_edge_lines)
+from graphsand import graph as graph_module
 from graphsand.graph import distance_balls
 from conftest import random_connected_graph
 
@@ -231,6 +232,38 @@ def test_edge_file_faults_name_file_and_line(tmp_path, line, message):
         load_graph(path)
     with pytest.raises(ValueError, match=f"^line 4: {message}$"):
         parse_edge_lines(path.read_text())
+
+
+# a line ends at "\n" only: a form feed, a NEL or a Unicode line separator in
+# a line neither splits it nor shifts the number of a line after it
+@pytest.mark.parametrize("text, message", [
+    ("a b 1\nb c 1\x0cc d 1\nd e x\n",
+     "2: expected '<vertex> <vertex> <weight>', got 'b c 1\\x0cc d 1'"),
+    ("# a\x85note\u2028here\na b 1\nb c x\n",
+     "3: could not convert string to float: 'x'"),
+], ids=["two-records-on-a-line", "line-after-a-separator"])
+def test_edge_file_lines_end_at_newline_only(tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        load_graph(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'line {message}')}$"):
+        parse_edge_lines(text)
+
+
+def test_edge_file_entries_are_checked_once(tmp_path, monkeypatch):
+    checked = []
+    check = graph_module._edge_entry
+    monkeypatch.setattr(graph_module, "_edge_entry",
+                        lambda entry, seen: checked.append(entry) or check(entry, seen))
+    path = tmp_path / "g.txt"
+    path.write_text("a b 1\nb c 2\nc d 3\n")
+    assert load_graph(path).n_edges == 3
+    assert len(checked) == 3
+    # a refused file is read again to name the line of the faulty entry
+    path.write_text("a b 1\nb c 2\nc b 3\n")
+    with pytest.raises(ValueError, match=r"^.*g\.txt:3: duplicate edge \('b', 'c'\)$"):
+        load_graph(path)
 
 
 def test_edge_file_graph_faults(tmp_path):

@@ -272,8 +272,14 @@ def test_cli_project_refuses_duplicate_vertex(tmp_path, monkeypatch, capsys):
      "g.txt:2: expected '<vertex> <vertex> <weight>', got 'b c'"),
     ("a b 1.0\nb c x\n", "b 1\n", "g.txt:2: could not convert string to float: 'x'"),
     ("a b 1.0\nc b 1.0\nb c 2.0\n", "b 1\n", "g.txt:3: duplicate edge ('b', 'c')"),
+    # a line ends at "\n" only: a form feed or a record separator in a line
+    # neither splits it nor makes a record of the comment's tail
+    ("a b 1.0\nb c 1.0\n", "a 1\nb 2\x0cc 3\n",
+     "z.txt:2: expected '<vertex> <value>', got 'b 2\\x0cc 3'"),
+    ("a b 1.0\nb c 1.0\n", "# a\x1enote\nzz 1\n", "z.txt:2: unknown vertex 'zz'"),
 ], ids=["value-not-a-number", "value-nan", "unknown-vertex", "three-fields",
-        "edge-two-fields", "edge-weight-not-a-number", "duplicate-edge"])
+        "edge-two-fields", "edge-weight-not-a-number", "duplicate-edge",
+        "two-records-on-a-line", "line-after-a-separator"])
 def test_cli_project_names_file_and_line(tmp_path, monkeypatch, capsys, graph,
                                          field, message):
     monkeypatch.chdir(tmp_path)

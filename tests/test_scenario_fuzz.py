@@ -204,11 +204,22 @@ P_ENTRY = "--p-list: must be a finite number >= 2"
     row("change15", {"u0": {"x2": None}}, "u0.x2: expected a number, got None"),
     # vertex labels that would break the `t,vertex,u` CSV
     row("change16", {"graph": {"kind": "edges", "edges": [["a,b", "c", 1.0]]}},
-        "graph.edges: vertex label 'a,b' contains ','"),
+        "graph.edges[0]: vertex label 'a,b' contains ','"),
     row("change17", {"graph": {"kind": "edges", "edges": [["x2", "b\n", 1.0]]}},
-        "graph.edges: vertex label 'b\\n' contains"),
+        "graph.edges[0]: vertex label 'b\\n' contains"),
     row("change18", {"graph": {"kind": "edges", "edges": [["x2", "b\r", 1.0]]}},
-        "graph.edges: vertex label 'b\\r' contains"),
+        "graph.edges[0]: vertex label 'b\\r' contains"),
+    # a fault of one edge entry names the entry, a fault of the graph the list
+    row("edge-duplicate",
+        {"graph": {"kind": "edges", "edges": [["x1", "x2", 1.0], ["x2", "x1", 2.0]]}},
+        "graph.edges[1]: duplicate edge ('x1', 'x2')"),
+    row("edge-self-loop",
+        {"graph": {"kind": "edges",
+                   "edges": [["x1", "x2", 1.0], ["x2", "x3", 1.0], ["x3", "x3", 1.0]]}},
+        "graph.edges[2]: self-loop on vertex 'x3' is not allowed"),
+    row("edge-disconnected",
+        {"graph": {"kind": "edges", "edges": [["x1", "x2", 1.0], ["x3", "x4", 1.0]]}},
+        "graph.edges: graph is disconnected"),
     # vertex counts beyond the schema's bound, refused before any graph
     # of that size is built
     row("change19", {"graph": {"kind": "path", "n": HUGE}},

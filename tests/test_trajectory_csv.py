@@ -2,7 +2,7 @@
 
 `write_trajectory` prints every cell as `repr(float(.))`, so its bytes are
 compared with a per-cell reference formatter kept here.  `read_trajectory`
-reads in chunks of about 64 KiB of lines; every malformed input must fail
+reads in chunks of about 64 KiB of text; every malformed input must fail
 with a ValueError naming the path and the line, time or vertex, and the
 reader's peak allocation must stay a small multiple of the file size.
 """
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphsand import (ConstraintSet, SourceSchedule, build_graph, build_path,
                        read_trajectory, solve_growth, write_trajectory)
+from graphsand import scenario
 from graphsand.evolution import Trajectory
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -197,3 +198,104 @@ def test_reader_peak_memory_is_bounded_by_the_file_size(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(got, states)
     assert peak < 4 * size, f"peak {peak} B for a {size} B file"
+
+
+def bits_to_floats(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+QNAN, QNAN_1 = bits_to_floats(0x7FF8000000000000, 0x7FF8000000000001)
+
+
+@pytest.mark.parametrize("column", [
+    [0.0, -0.0, 0.0, -0.0, -0.0],
+    [QNAN, QNAN_1, QNAN, -QNAN, 1.0],
+    [2.5] * 5,
+], ids=["signed-zero", "nan-payloads", "held"])
+def test_writer_formats_a_cell_again_when_its_bits_change(tmp_path, column):
+    """Cells are reused while their bits hold: 0.0 == -0.0, yet their texts
+    differ, so a sign flip must be written; a vertex beside it moves."""
+    g = build_path(2)
+    states = np.column_stack([column, np.arange(5.0)])
+    traj = Trajectory(g, np.arange(5) / 4.0, states)
+    out = write_trajectory(traj, tmp_path / "run.csv")
+    assert out.read_text() == reference_csvs(traj)[0]
+
+
+def test_writer_compares_across_its_blocks(tmp_path):
+    """Rows are compared a block at a time; a cell that changes, or holds,
+    at the first row of a block is compared with the last row before it."""
+    g = build_path(3)
+    rows = scenario._WRITE_BLOCK // 3
+    states = np.zeros((3 * rows + 2, 3))
+    states[rows:, 0] = -0.0                 # flips at the first row of block 2
+    states[2 * rows - 1:, 1] = 1.0          # changes at the last row of block 2
+    states[:, 2] = np.arange(len(states)) // 7
+    traj = Trajectory(g, np.arange(len(states)) / 8.0, states)
+    out = write_trajectory(traj, tmp_path / "run.csv")
+    assert out.read_text() == reference_csvs(traj)[0]
+
+
+@st.composite
+def repeating_trajectories(draw):
+    """Drawn trajectories whose rows mostly repeat the row before, cell by
+    cell, as a growing pile's do: the writer's reuse of cell texts is the
+    common case here."""
+    traj = draw(drawn_trajectories())
+    states = traj.states.copy()
+    for i in range(1, len(states)):
+        held = draw(st.lists(st.booleans(), min_size=states.shape[1],
+                             max_size=states.shape[1]))
+        states[i, held] = states[i - 1, held]
+    return Trajectory(traj.graph, traj.times, states, traj.step_times,
+                      traj.mass_residuals)
+
+
+@PROPERTY
+@given(repeating_trajectories())
+def test_writer_bytes_where_rows_repeat(tmp_path_factory, traj):
+    out = tmp_path_factory.mktemp("csv") / "run.csv"
+    write_trajectory(traj, out)
+    assert out.read_bytes() == reference_csvs(traj)[0].encode("utf-8")
+    times, _, states = read_trajectory(out)
+    assert same_floats(times, traj.times)
+    assert same_floats(states, traj.states)
+
+
+# labels may hold every line break but "\n" and "\r": rows end at "\n" only
+ODD_LABELS = ["a\x0bb", "c\x0c", "\x1cd", "e\x85", "f\u2028g"]
+
+
+def test_labels_with_other_line_breaks_round_trip(tmp_path):
+    g = build_graph([(a, b, 1.0) for a, b in zip(ODD_LABELS, ODD_LABELS[1:])])
+    states = np.arange(15.0).reshape(3, 5)
+    out = write_trajectory(Trajectory(g, np.arange(3) / 2.0, states),
+                           tmp_path / "run.csv")
+    assert out.read_text(encoding="utf-8") == reference_csvs(
+        Trajectory(g, np.arange(3) / 2.0, states))[0]
+    times, vertices, got = read_trajectory(out)
+    assert vertices == list(g.vertices)
+    assert times.tolist() == [0.0, 0.5, 1.0]
+    assert np.array_equal(got, states)
+
+
+def test_malformed_row_after_odd_labels_names_its_line(tmp_path):
+    g = build_graph([(a, b, 1.0) for a, b in zip(ODD_LABELS, ODD_LABELS[1:])])
+    out = write_trajectory(Trajectory(g, np.arange(3) / 2.0, np.ones((3, 5))),
+                           tmp_path / "run.csv")
+    lines = out.read_text(encoding="utf-8").split("\n")
+    lines.insert(12, "0.5,x")               # after two samples of odd labels
+    out.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="line 13: expected t,vertex,u, got 2 fields "
+                                         "in '0.5,x'"):
+        read_trajectory(out)
+
+
+def test_reader_times_interleaved_keep_first_seen_order(tmp_path):
+    """Time cells are looked up once per run of equal cells; runs of one
+    cell, and a time that comes back after another, read as before."""
+    text = "t,vertex,u\n0.5,a,1.0\n0.0,a,2.0\n0.5,b,3.0\n0.0,b,4.0\n"
+    times, vertices, states = read_trajectory(write(tmp_path, text))
+    assert times.tolist() == [0.5, 0.0]
+    assert vertices == ["a", "b"]
+    assert states.tolist() == [[1.0, 3.0], [2.0, 4.0]]
