@@ -10,6 +10,7 @@ carrying w^(p/2) per edge.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,13 +37,19 @@ def _bounds_on(g: WeightedGraph, K: ConstraintSet) -> np.ndarray:
     return K.bounds
 
 
+def _check_p(p: float):
+    """Refuse a p that is not finite and at least 2 (nan and inf included)."""
+    if not 2.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 2, got {p}")
+
+
 def conductance(gaps: np.ndarray, p: float, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     """w * |g / c|^(p-2) per edge, the one edge power of the p-energy: the
     flux is cond * g, the energy sum(cond * g^2) / p and the Newton Hessian
-    weight (p-1) * cond.  |g|^0 == 1, and overflow gives inf rather than a
-    warning."""
-    with np.errstate(over="ignore"):
-        return w * np.abs(gaps / c) ** (p - 2.0)
+    weight (p-1) * cond.  |g|^0 == 1.  Where the power overflows it is inf:
+    callers evaluate it, and what they form from it, under one
+    np.errstate(over="ignore")."""
+    return w * np.abs(gaps / c) ** (p - 2.0)
 
 
 def edge_gaps(g: WeightedGraph, vals: np.ndarray) -> np.ndarray:
@@ -68,16 +75,16 @@ def p_flux(gaps: np.ndarray, p: float, w: np.ndarray, c: np.ndarray) -> np.ndarr
 def p_energy(gaps: np.ndarray, p: float, w: np.ndarray, c: np.ndarray) -> float:
     """sum over canonical edges of w * c^2 * |g / c|^p / p."""
     with np.errstate(over="ignore"):
-        return float(np.sum(p_flux(gaps, p, w, c) * gaps) / p)
+        return float((conductance(gaps, p, w, c) * gaps * gaps).sum() / p)
 
 
 def p_laplacian(g: WeightedGraph, u, p: float, K: ConstraintSet) -> np.ndarray:
-    """Degree-normalized p-Laplacian of the p-energy of K; p is real, >= 2."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    """Degree-normalized p-Laplacian of the p-energy of K; p is real,
+    finite and >= 2."""
+    _check_p(p)
     gaps = edge_gaps(g, field_values(g, u))
     flux = p_flux(gaps, p, g.weights, _bounds_on(g, K))
-    if not np.all(np.isfinite(flux)):
+    if not np.isfinite(flux).all():
         raise FloatingPointError(
             f"p-Laplacian overflow at p={p}: slope magnitudes too large")
     return scatter(g, flux) / g.degrees

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import edge_gaps
+from .calculus import _check_p, edge_gaps
 from .graph import WeightedGraph, field_values, nu_norm
 from .proximal import ConstraintSet, DykstraProjector, is_stable, \
     max_relative_slope, resolvent_p
@@ -289,8 +289,9 @@ def solve_p_flow(g: WeightedGraph, p: float, K: ConstraintSet, u0,
     first step starts from z): the correction moves by O(h) per step, so
     Newton mostly needs one solve.  The smooth flow has no finite
     propagation speed, so on truncated lattices the guard check allows
-    magnitudes up to 1e-12.
+    magnitudes up to 1e-12.  p must be finite and >= 2.
     """
+    _check_p(p)
     last = None  # (z, v, h) of the previous step
 
     def step(z, h):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import _bounds_on, conductance, edge_gaps, scatter
+from .calculus import _bounds_on, _check_p, conductance, edge_gaps, scatter
 from .graph import WeightedGraph, field_values
 from .ldl import elimination_plan
 
@@ -308,17 +308,17 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
     """Resolvent of the p-energy of K: minimize
     (1/2)||v - z||_nu^2 + lam * J_p(v), J_p(v) = sum w c^2 |grad v / c|^p / p.
 
-    Damped Newton with Armijo backtracking from start (z when None); stops
-    once the gradient in the nu-weighted norm is below tol.  The energy is
-    strictly convex, so the minimiser does not depend on start, only the
-    number of Newton steps does.  The Newton step solves the Hessian
-    system, which has the graph's sparsity pattern, with a sparse LDL^T
-    factorization (:mod:`graphsand.ldl`).  lam == 0 returns z itself.
+    p must be finite and >= 2, lam finite and >= 0.  Damped Newton with
+    Armijo backtracking from start (z when None); stops once the gradient
+    in the nu-weighted norm is below tol.  The energy is strictly convex,
+    so the minimiser does not depend on start, only the number of Newton
+    steps does.  The Newton step solves the Hessian system, which has the
+    graph's sparsity pattern, with a sparse LDL^T factorization
+    (:mod:`graphsand.ldl`).  lam == 0 returns a copy of z.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _check_p(p)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     D, w, bounds = g.degrees, g.weights, _bounds_on(g, K)
     zv = field_values(g, z)
     if lam == 0.0:
@@ -326,27 +326,29 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
 
     ends = g.edge_index.ravel()
     plan = elimination_plan(g)
+    inv_D = 1.0 / D
 
     def evaluate(v):
-        # one edge power per point: the gradient and Hessian reuse flux, c
+        # one edge power per point: the gradient and Hessian reuse flux, c;
+        # an overflow is an inf in phi, which the line search refuses
         gaps = edge_gaps(g, v)
-        c = conductance(gaps, p, w, bounds)
         with np.errstate(over="ignore"):
+            c = conductance(gaps, p, w, bounds)
             flux = c * gaps
             phi = 0.5 * float(np.dot(D, (v - zv) ** 2)) \
-                + lam * float(np.sum(flux * gaps)) / p
+                + lam * float((flux * gaps).sum()) / p
         return phi, flux, c
 
     v = (zv if start is None else field_values(g, start)).copy()
-    scale = max(1.0, float(np.sqrt(np.dot(D, zv * zv))))
+    scale = max(1.0, math.sqrt(np.dot(D, zv * zv)))
     phi0, flux, c = evaluate(v)
     flat = None  # (gn, v) where phi stopped resolving the decrease
     for _ in range(NEWTON_STEPS):
         gr = D * (v - zv) - lam * scatter(g, flux)
-        if not np.all(np.isfinite(gr)):
+        if not np.isfinite(gr).all():
             raise ResolventError(f"nonfinite gradient at p={p}, lam={lam}")
         # gradient in L^2(nu) is D^{-1} gr
-        gn = float(np.sqrt(np.dot(gr * gr, 1.0 / D)))
+        gn = math.sqrt(np.dot(gr * gr, inv_D))
         if gn <= tol * scale:
             return v
         if flat is not None and gn >= flat[0]:
@@ -354,22 +356,22 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
         # Hessian diag(D) + B' diag(coeff) B, kept in the graph's sparsity
         coeff = lam * (p - 1.0) * c
         diag = D + np.bincount(ends, weights=coeff.repeat(2))
-        diag += 1e-12 * (1.0 + np.max(diag))
+        diag += 1e-12 * (1.0 + diag.max())
         step = plan.solve(diag, -coeff, -gr)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise ResolventError(f"nonfinite Newton step at p={p}, lam={lam}")
         slope = float(np.dot(gr, step))
         if slope >= 0:  # numerical loss of descent; fall back to -gradient
-            step = -gr / np.max(np.abs(gr))
+            step = -gr / np.abs(gr).max()
             slope = float(np.dot(gr, step))
         t = 1.0
         accepted = None
         for _ in range(70):
             cand = v + t * step
-            if np.array_equal(cand, v):
+            if (cand == v).all():
                 break  # step underflowed: nothing representable is left to try
             phi, cand_flux, cand_c = evaluate(cand)
-            if np.isfinite(phi) and phi <= phi0 + 1e-4 * t * slope:
+            if math.isfinite(phi) and phi <= phi0 + 1e-4 * t * slope:
                 accepted = cand
                 break
             t *= 0.5
@@ -387,7 +389,7 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
             flat = (gn, v)
             accepted = v + step
             phi, cand_flux, cand_c = evaluate(accepted)
-            if not np.isfinite(phi):
+            if not math.isfinite(phi):
                 return v
         v, phi0, flux, c = accepted, phi, cand_flux, cand_c
     raise ResolventError(f"Newton did not converge in {NEWTON_STEPS} iterations "

@@ -4,13 +4,14 @@ code, 0, 1 or 2, and never raises.
 The inputs are tiny files written once per module: a 3-vertex path growth
 scenario of 2 steps, a collapse scenario on the same path, and an edge-list
 graph with a field file for `project`.  Every output path lies in the
-module's temporary directory.
+module's temporary directory, apart from the inputs.
 """
 
 import json
+import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphsand.cli import run_command
 
@@ -33,6 +34,8 @@ def files(tmp_path_factory):
         (root / name).write_text(json.dumps(doc))
     (root / "g.txt").write_text("a b 1.0\nb c 2.0\n")
     (root / "z.txt").write_text("b 3.0\n")
+    (root / "out").mkdir()
+    (root / "cwd").mkdir()
     return root
 
 
@@ -81,9 +84,28 @@ def test_project_kind_fuzzed(files, kind, field, extra):
        scenario=st.sampled_from(["growth.json", "collapse.json", "missing.json", None]),
        tokens=st.lists(st.sampled_from(["--output", "out.csv", "--bogus", "-x", "--T",
                                         "1", "growth.json", ""]), max_size=3))
+@example(command="simulate", scenario="growth.json", tokens=["--output", "1"])
+@example(command="simulate", scenario="growth.json", tokens=["--output", "growth.json"])
 def test_simulate_and_collapse_arguments_fuzzed(files, command, scenario, tokens):
-    # scenario and output names resolve in the module's directory; the
-    # rest are unknown options, stray values or missing arguments
-    argv = [command] + [str(files / tok) if tok.endswith((".json", ".csv")) else tok
-                        for tok in ([scenario] if scenario else []) + tokens]
-    assert run_command(argv) in (0, 1, 2)
+    # a value of --output resolves in the module's out/ directory, other
+    # .json and .csv names in the module's directory; the rest are unknown
+    # options, stray values or missing arguments.  A run writes nothing
+    # into the directory it runs from and leaves the scenarios unchanged.
+    args = ([scenario] if scenario else []) + tokens
+    argv = [command]
+    for prev, tok in zip([None] + args, args):
+        if prev == "--output" and tok and not tok.startswith("-"):
+            tok = str(files / "out" / tok)
+        elif tok.endswith((".json", ".csv")):
+            tok = str(files / tok)
+        argv.append(tok)
+    inputs = {name: (files / name).read_bytes()
+              for name in ("growth.json", "collapse.json")}
+    home = os.getcwd()
+    os.chdir(files / "cwd")
+    try:
+        assert run_command(argv) in (0, 1, 2)
+    finally:
+        os.chdir(home)
+    assert not any((files / "cwd").iterdir())
+    assert inputs == {name: (files / name).read_bytes() for name in inputs}

@@ -332,6 +332,42 @@ def test_uniform_p_flow_bit_identical(p, digest):
     assert got == digest
 
 
+def weighted_zigzag():
+    """The kinds of the benchmark's p-flow mix on a small case: a weighted
+    31-path with inv-sqrt-w bounds, a zigzag datum at 0.9 of each bound and
+    two point sources switched off at t = 0.6."""
+    weights = [0.5 + 0.125 * ((5 * k) % 13) for k in range(30)]
+    g = build_path(31, weights=weights)
+    u0 = {"x1": 0.0}
+    for k, w in enumerate(weights):
+        u0[f"x{k + 2}"] = u0[f"x{k + 1}"] + (0.9 if k % 2 else -0.9) / math.sqrt(w)
+    f = SourceSchedule(g, ((0.0, 0.6, {"x16": 2.0, "x7": 1.0}),))
+    return g, ConstraintSet.inverse_sqrt_weight(g), u0, f
+
+
+@pytest.mark.parametrize("p, digest", [
+    (4.0, "5e7821071a48637abb01e9cd1d499058c87f942ff2a61eaecb9250b0406f9ad5"),
+    (64.0, "288c683e99a6e5fe0d918ea195503a3541c02ea23d422865b796717bf824a14b"),
+])
+def test_weighted_p_flow_bit_identical(p, digest):
+    # pinned SHA-256 of the times and states; about three Newton solves a
+    # step, so every branch of the resolvent's arithmetic is in the bits
+    g, K, u0, f = weighted_zigzag()
+    assert is_stable(u0, K)
+    traj = solve_p_flow(g, p, K, u0, f, 1.0, 0.05)
+    assert traj.states.shape == (21, 31)
+    got = hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
+    assert got == digest
+
+
+def test_converge_p_table_bit_identical():
+    g, K, u0, f = weighted_zigzag()
+    table = converge_p_experiment(g, K, u0, f, [4.0, 16.0, 64.0], 0.5, 0.01)
+    assert [p for p, _ in table] == [4.0, 16.0, 64.0]
+    got = hashlib.sha256(np.array(table).tobytes()).hexdigest()
+    assert got == "5f3e82d3473c0bd96fb492d6c191b8c735849154327743f3ea4ef3fb81e5e176"
+
+
 @pytest.mark.parametrize("p", [2.0, 4.0, 64.0])
 def test_p_flow_matches_cold_start_reference(p):
     # each step starts Newton from the last step's correction; the

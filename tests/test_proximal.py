@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -9,9 +10,9 @@ from graphsand import (ConstraintSet, SourceSchedule, build_graph, build_path,
                        is_stable, max_relative_slope, nu_norm, p_laplacian,
                        project, resolvent_p, solve_collapse, solve_growth,
                        solve_p_flow)
-from graphsand import proximal
-from graphsand.calculus import edge_gaps, p_flux, scatter
-from graphsand.proximal import DykstraProjector, ProjectionError
+from graphsand import calculus, proximal
+from graphsand.calculus import edge_gaps, p_energy, p_flux, scatter
+from graphsand.proximal import DykstraProjector, ProjectionError, ResolventError
 from conftest import constraint_sets, grid_graph, random_connected_graph, \
     random_field, weighted_graphs
 from reference import project_oracle
@@ -222,6 +223,7 @@ def test_resolvent_lambda_zero(p4, p4_uniform):
     z = random_field(rng, p4)
     out = resolvent_p(p4, 3.0, p4_uniform, 0.0, z)
     assert np.array_equal(out, z)
+    assert out is not z
 
 
 def test_resolvent_constant_fixed(p4, p4_uniform):
@@ -383,6 +385,42 @@ def test_resolvent_validation(p4, p4_uniform):
         resolvent_p(p4, 3.0, p4_uniform, -1.0, np.zeros(4))
 
 
+def test_overflowing_edge_power_is_ignored_inside_an_evaluation(monkeypatch):
+    # |g / c|^62 overflows beyond |g / c| of about 9e4: the flux and energy
+    # read inf, and no RuntimeWarning (an error in this suite) is raised
+    g = build_path(4)
+    K = ConstraintSet.uniform(g)
+    z = np.array([0.0, 1e6, 0.0, 0.0])
+    gaps = edge_gaps(g, z)
+    assert p_flux(gaps, 64.0, g.weights, K.bounds).tolist() == [math.inf, -math.inf, 0.0]
+    assert p_energy(gaps, 64.0, g.weights, K.bounds) == math.inf
+    with pytest.raises(ResolventError, match="^nonfinite gradient at p=64.0, lam=0.1$"):
+        resolvent_p(g, 64.0, K, 0.1, z)
+    # from the constant of equal mass the first Newton candidates lie near
+    # z, where the power overflows: the line search refuses their inf
+    # energy and halves, to the values pinned here
+    overflowed = []
+
+    def counted(*args):
+        out = calculus.conductance(*args)
+        overflowed.append(not np.isfinite(out).all())
+        return out
+
+    monkeypatch.setattr(proximal, "conductance", counted)
+    start = np.full(4, 1e6 / 3)
+    for lam, expected in (
+        (1e-3, [333333.1177643089, 333334.4832394093, 333333.0937439609,
+                333331.7282689508]),
+        (0.1, [333333.13295981655, 333334.40218229115, 333333.11063266586,
+               333331.8414102693]),
+        (10.0, [333333.14708418946, 333334.326838906, 333333.12633088254,
+                333331.9465762335]),
+    ):
+        overflowed.clear()
+        assert resolvent_p(g, 64.0, K, lam, z, start=start).tolist() == expected
+        assert any(overflowed)
+
+
 # every solver reads the bounds of K against the edges of g: a K built on
 # another graph of the same size must be refused, not read on g's edges
 Z = (0.0, 3.0, 0.0, 1.0)
@@ -407,3 +445,28 @@ def test_constraint_set_of_another_graph_is_refused(call):
     foreign = ConstraintSet.inverse_sqrt_weight(build_path(4, [1.0, 4.0, 9.0]))
     with pytest.raises(ValueError, match="constraint set belongs to a different graph"):
         call(g, foreign)
+
+
+P_REFUSAL = r"^p must be finite and >= 2, got {}$"
+LAMBDA_REFUSAL = r"^lambda must be finite and >= 0, got {}$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, K: resolvent_p(g, math.nan, K, 0.1, Z), P_REFUSAL.format("nan")),
+    (lambda g, K: resolvent_p(g, math.inf, K, 0.1, Z), P_REFUSAL.format("inf")),
+    (lambda g, K: resolvent_p(g, 4.0, K, math.nan, Z), LAMBDA_REFUSAL.format("nan")),
+    (lambda g, K: resolvent_p(g, 4.0, K, math.inf, Z), LAMBDA_REFUSAL.format("inf")),
+    (lambda g, K: p_laplacian(g, Z, math.nan, K), P_REFUSAL.format("nan")),
+    (lambda g, K: p_laplacian(g, Z, math.inf, K), P_REFUSAL.format("inf")),
+    (lambda g, K: solve_p_flow(g, math.nan, K, Z, SourceSchedule.zero(g), 0.1, 0.05),
+     P_REFUSAL.format("nan")),
+    (lambda g, K: solve_p_flow(g, math.inf, K, Z, SourceSchedule.zero(g), 0.1, 0.05),
+     P_REFUSAL.format("inf")),
+], ids=["resolvent-p-nan", "resolvent-p-inf", "resolvent-lam-nan",
+        "resolvent-lam-inf", "p_laplacian-p-nan", "p_laplacian-p-inf",
+        "p_flow-p-nan", "p_flow-p-inf"])
+def test_nonfinite_p_and_lambda_are_refused(p4, p4_uniform, call, message):
+    # p = nan or lam = nan used to reach Newton as a nonfinite gradient,
+    # and p_laplacian at p = inf returned a field
+    with pytest.raises(ValueError, match=message):
+        call(p4, p4_uniform)
