@@ -12,6 +12,7 @@ active edge set changes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,10 @@ MAX_STEPS = 10_000_000
 # tolerances of the bound; activation flips are recorded as events
 _EVENT_BAND = 10.0
 
+# the most state cells (steps x vertices) one free-flight block holds; a run
+# of free steps starts with a block of an eighth of that and doubles it
+_FREE_CELLS = 1 << 15
+
 
 class TruncationError(RuntimeError):
     """The active support reached the guard band of a truncated lattice."""
@@ -51,11 +56,13 @@ class SourceSchedule:
 
     Segments are (t_start, t_end, values); f(t) is the field of the segment
     containing t and zero outside all segments.  Segment ends are open so
-    adjacent segments do not overlap.
+    adjacent segments do not overlap.  The fields are read-only, and one
+    zero field is shared by every time outside all segments.
     """
 
     graph: WeightedGraph
     segments: tuple[tuple[float, float, np.ndarray], ...]
+    _zero: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = []
@@ -63,13 +70,15 @@ class SourceSchedule:
             t0, t1 = float(t0), float(t1)
             if not (t0 < t1):
                 raise ValueError(f"segment [{t0}, {t1}) is empty")
-            segs.append((t0, t1, field_values(self.graph, vals)))
+            segs.append((t0, t1, _read_only(field_values(self.graph, vals))))
         segs.sort(key=lambda s: s[0])
         for (s0, e0, _), (s1, e1, _) in zip(segs, segs[1:]):
             if s1 < e0 - 1e-15:
                 raise ValueError(f"source segments [{s0}, {e0}) and "
                                  f"[{s1}, {e1}) overlap")
         object.__setattr__(self, "segments", tuple(segs))
+        object.__setattr__(self, "_zero",
+                           _read_only(np.zeros(self.graph.n_vertices)))
 
     @classmethod
     def zero(cls, graph: WeightedGraph) -> "SourceSchedule":
@@ -77,13 +86,19 @@ class SourceSchedule:
 
     @classmethod
     def constant(cls, graph: WeightedGraph, values) -> "SourceSchedule":
-        return cls(graph, ((0.0, math.inf, field_values(graph, values)),))
+        return cls(graph, ((0.0, math.inf, values),))
 
     def __call__(self, t: float) -> np.ndarray:
+        return self.piece(t)[0]
+
+    def piece(self, t: float) -> tuple[np.ndarray, float]:
+        """(f(t), t_end): f is this same field on all of [t, t_end)."""
         for t0, t1, vals in self.segments:
             if t0 <= t < t1:
-                return vals
-        return np.zeros(self.graph.n_vertices)
+                return vals, t1
+        # no segment holds t, so none starting at or before t reaches past it
+        return self._zero, next((t0 for t0, _, _ in self.segments if t0 > t),
+                                math.inf)
 
     def boundaries(self) -> list[float]:
         out = set()
@@ -92,6 +107,13 @@ class SourceSchedule:
             if math.isfinite(t1):
                 out.add(t1)
         return sorted(out)
+
+
+def _read_only(vals: np.ndarray) -> np.ndarray:
+    """A read-only copy of a field."""
+    vals = vals.copy()
+    vals.flags.writeable = False
+    return vals
 
 
 @dataclass
@@ -176,35 +198,94 @@ def time_grid(t_start: float, t_end: float, dt: float,
 
 
 def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
-               advance, guard_limit: float, sample_every: int,
-               proj: DykstraProjector | None = None) -> Trajectory:
+               step, guard_limit: float, sample_every: int) -> Trajectory:
     """The backward-Euler driver shared by every solver.
 
-    Step n maps u to advance(u + h * source(t_n, u), h) with h the step
-    length, checks |u| <= guard_limit on the guard band, and records the
-    nu-mass residual of the step.  With a projector, slope constraints that
-    switch between binding and free are recorded as events.  The state is
-    kept at steps that are multiples of sample_every and at the last step.
+    Step n maps u to step(u + h * f, h) with h the step length and f the
+    source field at t_n: source(t_n) of a SourceSchedule, or source(t_n, u)
+    of a map that reads the state.  step is a map (z, h) -> new state, or a
+    DykstraProjector, which steps by projecting z.  Each step checks
+    |u| <= guard_limit on the guard band and records the nu-mass residual of
+    the step.  With a projector, slope constraints that switch between
+    binding and free are recorded as events.  The state is kept at steps
+    that are multiples of sample_every and at the last step.
+
+    Free flight: while the projector holds no multiplier and the source is
+    a schedule, the steps of one source field are taken as a block.  Their
+    states are a running sum (np.cumsum adds in the order u + h * f would),
+    the projector certifies the leading ones it would return unchanged, and
+    the first state it would move goes through the single-step path.  Every
+    output is the one single steps would give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+    proj = step if isinstance(step, DykstraProjector) else None
+    advance = step if proj is None else lambda z, h: proj.project(z)
+    schedule = source if isinstance(source, SourceSchedule) else None
+    if schedule is not None:
+        source = lambda t, _: schedule(t)  # noqa: E731
     steps = len(grid) - 1
     kept = list(range(0, steps, sample_every)) + [steps]
     states = np.empty((len(kept), g.n_vertices))
     states[0] = u
     slot = 1
     deg = g.degrees
+    guard = list(g.guard_index)
     residuals = np.empty(steps)
     events: list = []
     threshold = None if proj is None else proj.K.bounds - _EVENT_BAND * proj.tol
     binding = None if proj is None else np.abs(edge_gaps(g, u)) >= threshold
     times = grid.tolist()  # Python floats: no numpy scalar arithmetic per step
-    for n in range(steps):
+    cap = max(1, _FREE_CELLS // g.n_vertices)
+    run = first = max(1, cap // 8)
+    n = 0
+    while n < steps:
+        if schedule is not None and proj is not None \
+                and not proj.holds_multipliers():
+            fv, end = schedule.piece(times[n])
+            m = min(bisect_left(times, end, n, steps) - n, run)
+            # flight[k] is the state after k free steps from u; a state that
+            # overflows is refused below and stepped singly, which warns
+            hs = np.diff(grid[n:n + m + 1])
+            flight = np.empty((m + 1, g.n_vertices))
+            flight[0] = u
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(hs[:, None], fv, out=flight[1:])
+                flight = np.cumsum(flight, axis=0)
+            cand = flight[1:]
+            if guard:
+                out = (np.abs(cand[:, guard]) > guard_limit).any(axis=1)
+                if out.any():
+                    cand = cand[:int(out.argmax())]
+            # only edges at a vertex where f is nonzero can move
+            moving = np.flatnonzero((fv != 0)[g.edge_index].any(axis=1))
+            k, moved = proj.pass_through(u, cand, moving)
+            if k:
+                # the operations of a single step, which warn alike
+                residuals[n:n + k] = [
+                    float(np.dot(deg, d) - h * np.dot(deg, fv)) for d, h in
+                    zip(np.diff(flight[:k + 1], axis=0), hs[:k].tolist())]
+                now = moved[:k] >= threshold[moving]
+                flips = now != np.vstack([binding[moving], now[:-1]])
+                for r, c in zip(*np.nonzero(flips)):
+                    kind = "activated" if now[r, c] else "deactivated"
+                    events.append((times[n + r + 1], g.edges[moving[c]], kind))
+                binding[moving] = now[-1]
+                last = bisect_right(kept, n + k, slot)
+                states[slot:last] = cand[np.array(kept[slot:last], dtype=np.intp)
+                                         - (n + 1)]
+                slot = last
+                u = cand[k - 1].copy()
+                n += k
+            if k == m:
+                run = min(2 * run, cap)
+                continue
+            run = first
         t0, t1 = times[n], times[n + 1]
         h = t1 - t0
         fv = source(t0, u)
         new = advance(u + h * fv, h)
-        for i in g.guard_index:
+        for i in guard:
             if abs(new[i]) > guard_limit:
                 raise TruncationError(
                     "truncation too small: the active support reached the "
@@ -219,7 +300,8 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                     kind = "activated" if now[e] else "deactivated"
                     events.append((t1, g.edges[e], kind))
                 binding = now
-        if (n + 1) % sample_every == 0 or n + 1 == steps:
+        n += 1
+        if n % sample_every == 0 or n == steps:
             states[slot] = u
             slot += 1
     return Trajectory(g, grid[kept], states, grid[1:], residuals, events)
@@ -249,9 +331,8 @@ def solve_growth(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
     u = field_values(g, u0).copy()
     if not is_stable(u, K, 1e-8):
         raise ValueError("initial datum not stable for the constraint set")
-    return _integrate(
-        g, u, time_grid(0.0, T, dt, f.boundaries()), lambda t, _: f(t),
-        lambda z, h: proj.project(z), 0.0, sample_every, proj)
+    return _integrate(g, u, time_grid(0.0, T, dt, f.boundaries()), f, proj,
+                      0.0, sample_every)
 
 
 def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
@@ -272,8 +353,7 @@ def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
         grid, v = np.array([1.0]), u0v
     else:  # start at tau = 1/L from u0 * tau
         grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
-    traj = _integrate(g, v, grid, lambda t, v: v / t,
-                      lambda z, h: proj.project(z), 0.0, sample_every, proj)
+    traj = _integrate(g, v, grid, lambda t, v: v / t, proj, 0.0, sample_every)
     return traj.final_state(), traj
 
 
@@ -303,7 +383,7 @@ def solve_p_flow(g: WeightedGraph, p: float, K: ConstraintSet, u0,
 
     return _integrate(
         g, field_values(g, u0).copy(), time_grid(0.0, T, dt, f.boundaries()),
-        lambda t, _: f(t), step, 1e-12, sample_every)
+        f, step, 1e-12, sample_every)
 
 
 def converge_p_experiment(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,

@@ -161,6 +161,43 @@ class DykstraProjector:
         self.mu = [0.0] * self.graph.n_edges
         self._active = []
 
+    def holds_multipliers(self) -> bool:
+        """True when some multiplier is nonzero: project() then moves even
+        a stable input."""
+        mu = self.mu
+        return any(mu[e] != 0.0 for e in self._active)
+
+    def pass_through(self, start: np.ndarray, rows: np.ndarray,
+                     edges: np.ndarray) -> tuple[int, np.ndarray | None]:
+        """(k, moved): project() would return each of the k leading rows as
+        it is; moved holds every row's |gaps| on `edges`, or is None where
+        no row can pass.
+
+        Requires that no multiplier is held (holds_multipliers() is False):
+        project() then returns a row as it is exactly when every |gap| is
+        within bound + tol, which also refuses a row that is not finite.
+        Each row may differ from start only at ends of `edges`, so every
+        other |gap| is start's, checked once.  A gap that overflows is inf
+        and refuses its row without a warning; project() warns when it
+        reaches that row.  The k rows are taken as results: abs_gaps holds
+        the last one's |gaps|, and the next call continues from it.
+        """
+        a = np.abs(edge_gaps(self.graph, start))
+        over = a > self._limit
+        over[edges] = False
+        if over.any():
+            return 0, None
+        i, j = self.graph.edge_index[edges].T
+        with np.errstate(over="ignore", invalid="ignore"):  # refused rows
+            moved = np.abs(rows[:, j] - rows[:, i])
+        fits = (moved <= self._limit[edges]).all(axis=1)
+        k = len(fits) if fits.all() else int(fits.argmin())
+        if k:
+            a[edges] = moved[k - 1]
+            self.abs_gaps = a
+            self._active = []
+        return k, moved
+
     def _sweep_plan(self, active: list) -> _SweepPlan:
         """The plan of an active list, kept until the list changes; the
         list is rebuilt on every call, so it is compared by value."""
@@ -345,10 +382,14 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
     flat = None  # (gn, v) where phi stopped resolving the decrease
     for _ in range(NEWTON_STEPS):
         gr = D * (v - zv) - lam * scatter(g, flux)
-        if not np.isfinite(gr).all():
+        big = float(np.abs(gr).max())
+        if not math.isfinite(big):
             raise ResolventError(f"nonfinite gradient at p={p}, lam={lam}")
-        # gradient in L^2(nu) is D^{-1} gr
-        gn = math.sqrt(np.dot(gr * gr, inv_D))
+        # gradient in L^2(nu) is D^{-1} gr; far from the minimiser gr * gr
+        # overflows exactly where big * big does, and the norm is then inf,
+        # which only means "not converged"
+        gn = math.sqrt(np.dot(gr * gr, inv_D)) if big * big < math.inf \
+            else math.inf
         if gn <= tol * scale:
             return v
         if flat is not None and gn >= flat[0]:
@@ -362,7 +403,7 @@ def resolvent_p(g: WeightedGraph, p: float, K: ConstraintSet, lam: float, z,
             raise ResolventError(f"nonfinite Newton step at p={p}, lam={lam}")
         slope = float(np.dot(gr, step))
         if slope >= 0:  # numerical loss of descent; fall back to -gradient
-            step = -gr / np.abs(gr).max()
+            step = -gr / big
             slope = float(np.dot(gr, step))
         t = 1.0
         accepted = None

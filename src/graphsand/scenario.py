@@ -397,6 +397,8 @@ def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """
     tkeys: dict[str, int] = {}  # time text -> id, in first-seen order
     vkeys: dict[str, int] = {}
+    order: list[str] = []  # the labels of vkeys, by id
+    at = 0  # the id of the vertex cell expected next
     # seeded so that a header-only file concatenates to empty arrays
     tids, vids, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
     with open(path, encoding="utf-8") as fh:
@@ -420,8 +422,18 @@ def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
                     for s, run in groupby(cells[0::4])]
             ids, counts = zip(*runs)
             tids.append(np.repeat(np.array(ids, dtype=np.int32), counts))
-            vids.append(np.array([vkeys.setdefault(s, len(vkeys)) for s in cells[1::4]],
-                                 dtype=np.int32))
+            # every sample repeats the vertex column: compare the chunk's
+            # whole against the labels in order, and look cells up only
+            # where it differs
+            col, n = cells[1::4], len(order)
+            if n and col == (order[at:] + order * (len(col) // n + 1))[:len(col)]:
+                chunk = np.arange(at, at + len(col), dtype=np.int32) % n
+            else:
+                chunk = np.array([vkeys.setdefault(s, len(vkeys)) for s in col],
+                                 dtype=np.int32)
+                order = list(vkeys)
+            at = (int(chunk[-1]) + 1) % len(order)
+            vids.append(chunk)
             vals.append(_floats(path, cells[2::4], "value",
                                 lambda k: first_line + k))
             first_line += n_lines
@@ -435,8 +447,13 @@ def read_trajectory(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     merged = [by_value.setdefault(t, len(by_value)) for t in raw.tolist()]
     times, tid = np.array(list(by_value)), np.array(merged, dtype=np.intp)[tid]
     vertices = list(vkeys)
+    shape = (len(times), len(vertices))
+    if len(vid) == shape[0] * shape[1] \
+            and (vid.reshape(shape) == np.arange(shape[1])).all() \
+            and (tid.reshape(shape) == np.arange(shape[0])[:, None]).all():
+        return times, vertices, val.reshape(shape)  # samples complete, in order
 
-    filled = np.zeros((len(times), len(vertices)), dtype=bool)
+    filled = np.zeros(shape, dtype=bool)
     filled[tid, vid] = True
     if np.count_nonzero(filled) < len(tid):
         seen = np.zeros(len(tid), dtype=bool)

@@ -3,7 +3,8 @@ the solvers', for the tests to compare against.
 
 project_oracle solves the projection exactly by enumerating active sets;
 mass_balance recomputes the per-step mass residuals of a trajectory from
-its states; p_flow_cold steps the p-flow with every resolvent started cold.
+its states; p_flow_cold steps the p-flow with every resolvent started cold;
+growth_per_step steps the growth model with one projection per step.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from itertools import combinations
 
 import numpy as np
 
-from graphsand import ConstraintSet, SourceSchedule, Trajectory, WeightedGraph, \
-    field_values, resolvent_p
+from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, Trajectory, \
+    TruncationError, WeightedGraph, field_values, is_stable, resolvent_p
 from graphsand.calculus import edge_gaps
-from graphsand.evolution import time_grid
+from graphsand.evolution import _EVENT_BAND, time_grid
 
 
 def project_oracle(g: WeightedGraph, K: ConstraintSet, z) -> np.ndarray:
@@ -144,3 +145,41 @@ def p_flow_cold(g: WeightedGraph, p: float, K: ConstraintSet, u0,
         h = t1 - t0
         states.append(resolvent_p(g, p, K, h, states[-1] + h * f(t0), tol=tol))
     return times, np.array(states)
+
+
+def growth_per_step(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
+                    T: float, dt: float, tol: float = 1e-10,
+                    sample_every: int = 1) -> Trajectory:
+    """solve_growth stepped one projection per step: the projected backward
+    Euler loop with no free flight, keeping the same samples, residuals and
+    events, and raising the same errors at the same step."""
+    proj = DykstraProjector(g, K, tol)
+    u = field_values(g, u0).copy()
+    if not is_stable(u, K, 1e-8):
+        raise ValueError("initial datum not stable for the constraint set")
+    grid = time_grid(0.0, T, dt, f.boundaries())
+    steps = len(grid) - 1
+    threshold = K.bounds - _EVENT_BAND * tol
+    binding = np.abs(edge_gaps(g, u)) >= threshold
+    deg = g.degrees
+    times, states, residuals, events = [grid[0]], [u], [], []
+    for n, (t0, t1) in enumerate(zip(grid.tolist(), grid[1:].tolist()), 1):
+        h = t1 - t0
+        fv = f(t0)
+        new = proj.project(u + h * fv)
+        for i in g.guard_index:
+            if abs(new[i]) > 0.0:
+                raise TruncationError(
+                    "truncation too small: the active support reached the "
+                    f"guard band at t={t1!r} (|u| = {abs(new[i]):.3e} "
+                    f"at {g.vertices[i]!r})")
+        residuals.append(float(np.dot(deg, new - u) - h * np.dot(deg, fv)))
+        u = new
+        now = proj.abs_gaps >= threshold
+        for e in np.flatnonzero(now != binding):
+            events.append((t1, g.edges[e], "activated" if now[e] else "deactivated"))
+        binding = now
+        if n % sample_every == 0 or n == steps:
+            times.append(t1)
+            states.append(u)
+    return Trajectory(g, times, states, grid[1:], np.array(residuals), events)

@@ -108,17 +108,24 @@ def _count_calls(monkeypatch, owner, attr):
 
 def test_solvers_step_through_the_span_targets(monkeypatch):
     # the tracer wraps evolution.resolvent_p and DykstraProjector.project:
-    # a solver that bound them another way, or skipped them on some steps,
-    # would leave its steps out of the proximal spans
+    # a solver that bound them another way, or skipped them on steps that
+    # need them, would leave its steps out of the proximal spans
     g = build_path(5)
     K = ConstraintSet.uniform(g)
     f = SourceSchedule(g, ((0.0, 0.25, {"x3": 1.0}),))
     calls = _count_calls(monkeypatch, evolution, "resolvent_p")
     traj = solve_p_flow(g, 4.0, K, np.zeros(5), f, 0.5, 0.05)
     assert len(calls) == len(traj.step_times) == 10
+    # growth projects exactly the steps on which a slope binds or a
+    # multiplier is held; the others are free flight, with no projection.
+    # At x3 = 1 the pile never binds; at x3 = 10 it binds on steps 3-5 and
+    # step 6, the first after the source, still holds the multipliers
     calls = _count_calls(monkeypatch, proximal.DykstraProjector, "project")
     traj = solve_growth(g, K, np.zeros(5), f, 0.5, 0.05)
-    assert len(calls) == len(traj.step_times) == 10
+    assert len(calls) == 0 and len(traj.step_times) == 10
+    steep = SourceSchedule(g, ((0.0, 0.25, {"x3": 10.0}),))
+    traj = solve_growth(g, K, np.zeros(5), steep, 0.5, 0.05)
+    assert len(calls) == 4 and len(traj.step_times) == 10
     calls.clear()
     _, traj = solve_collapse(g, K, np.array([0.0, 3.0, 0.0, 1.0, 0.0]), 0.05)
     assert len(calls) == len(traj.step_times) > 0

@@ -52,6 +52,28 @@ def test_schedule_evaluation(p4):
     assert f.boundaries() == [0.0, 1.0, 2.0, 3.0]
 
 
+def test_schedule_fields_are_read_only(p4):
+    vals = np.array([1.0, 0, 0, 0])
+    f = SourceSchedule(p4, ((0.0, 1.0, vals), (2.0, 3.0, {"x2": 2.0})))
+    for t in (0.5, 1.5, 2.5, 9.0):
+        with pytest.raises(ValueError, match="read-only"):
+            f(t)[0] = 99.0
+    assert f(0.2).tolist() == [1.0, 0.0, 0.0, 0.0]
+    vals[0] = 7.0  # the schedule holds a copy; the caller's array stays writable
+    assert f(0.5)[0] == 1.0
+    assert f(1.5) is f(9.0) and not f(9.0).any()  # one shared zero field
+
+
+def test_schedule_pieces_hold_one_field(p4):
+    f = SourceSchedule(p4, ((1.0, 2.0, {"x1": 1.0}), (2.0, 3.0, {"x2": 1.0}),
+                            (4.0, math.inf, {"x3": 1.0})))
+    for t, end in ((0.0, 1.0), (1.0, 2.0), (1.5, 2.0), (2.0, 3.0),
+                   (3.0, 4.0), (3.5, 4.0), (4.0, math.inf)):
+        field, until = f.piece(t)
+        assert field is f(t) and until == end
+    assert SourceSchedule.zero(p4).piece(5.0)[1] == math.inf
+
+
 def test_schedule_overlap_rejected(p4):
     # the message names both intervals, in time order
     with pytest.raises(ValueError, match=r"^source segments \[0\.0, 2\.0\) and "

@@ -1,0 +1,235 @@
+"""Free flight against one projection per step.
+
+solve_growth takes the steps on which no slope binds as one block (a
+running sum the projector certifies); `reference.growth_per_step` projects
+every step.  The two must agree bit for bit in sample times, states, step
+times, mass residuals and events, give the same numpy warnings in the
+same order, and raise the same TruncationError or ValueError at the same
+step.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, \
+    TruncationError, build_path, build_star, build_truncated_z, evolution, \
+    solve_growth
+from graphsand.calculus import edge_gaps
+from graphsand.proximal import CONSTRAINT_KINDS
+from conftest import grid_graph
+from reference import growth_per_step
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None)
+
+# a source value at one vertex: signed zeros, growth, excavation, steep
+SOURCE_VALUES = [-0.0, 0.0, 0.5, 1.0, 4.0, 10.0, 40.0, -1.0, -3.0]
+# an edge gap of the initial datum, in units of the edge's bound c; the
+# drawn slack puts an edge between c + tol and c + 1e-8
+GAP_SHARES = [0.0, -0.0, 0.25, -0.5, 1.0, -1.0]
+
+
+def _graph(draw):
+    shape = draw(st.sampled_from(["path", "star", "z", "grid"]))
+    weight = st.integers(1, 16).map(lambda k: k / 4.0)
+    if shape == "path":
+        n = draw(st.integers(2, 8))
+        return build_path(n, draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
+    if shape == "star":
+        return build_star(draw(st.lists(weight, min_size=2, max_size=6)))
+    if shape == "z":
+        return build_truncated_z(draw(st.integers(3, 8)))
+    seed = draw(st.integers(0, 2 ** 16))
+    return grid_graph(draw(st.integers(2, 4)), 0.5, 2.0, np.random.default_rng(seed))
+
+
+def _tree_datum(draw, g, K, tol):
+    """Drawn gaps on the edges of a tree, each a share of its bound or its
+    bound plus a slack above tol, with signed zeros left where they fall."""
+    c = K.bounds
+    u = np.full(g.n_vertices, np.nan)
+    u[0] = draw(st.sampled_from([0.0, -0.0, 0.5]))
+    slack = st.sampled_from([2 * tol, 1e-9, 5e-9, 9e-9])
+    while np.isnan(u).any():
+        for e, (i, j) in enumerate(g.edge_index.tolist()):
+            if np.isnan(u[i]) == np.isnan(u[j]):
+                continue
+            if draw(st.booleans()):
+                gap = draw(st.sampled_from(GAP_SHARES)) * c[e]
+            else:
+                gap = draw(st.sampled_from([1.0, -1.0])) * (c[e] + draw(slack))
+            if np.isnan(u[j]):
+                u[j] = u[i] + gap
+            else:
+                u[i] = u[j] - gap
+    return u
+
+
+def _datum(draw, g, K, tol):
+    if g.guard_index:  # a tent about the origin of a Z window, zero elsewhere
+        u = np.array([-0.0 if draw(st.booleans()) else 0.0
+                      for _ in range(g.n_vertices)])
+        height = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]))
+        for v in g.vertices:
+            if abs(int(v)) < height:
+                u[g.vertex_id(v)] = height - abs(int(v))
+        return u
+    if g.n_edges == g.n_vertices - 1:
+        return _tree_datum(draw, g, K, tol)
+    share = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5])
+    return np.array([draw(share) for _ in range(g.n_vertices)]) * K.bounds.min()
+
+
+def _segments(draw, g, T):
+    """Segments over drawn breakpoints, each span a segment or a gap; a
+    segment's field is a few point values or one value everywhere."""
+    marks = sorted(set(draw(st.lists(st.integers(0, 40), min_size=2, max_size=7))))
+    out = []
+    for a, b in zip(marks, marks[1:]):
+        if draw(st.integers(0, 2)) == 0:
+            continue
+        if draw(st.integers(0, 3)) == 0:
+            vals = np.full(g.n_vertices, draw(st.sampled_from([3.0, -0.0, 1e308])))
+        else:
+            vals = np.zeros(g.n_vertices)
+            for x in draw(st.lists(st.integers(0, g.n_vertices - 1),
+                                      min_size=1, max_size=3)):
+                vals[x] = draw(st.sampled_from(SOURCE_VALUES))
+        out.append((a * T / 32, b * T / 32, vals))
+    return out
+
+
+@st.composite
+def growth_cases(draw):
+    g = _graph(draw)
+    kinds = [ConstraintSet.from_kind(g, kind) for kind in CONSTRAINT_KINDS]
+    K = draw(st.sampled_from(
+        kinds + [ConstraintSet.custom(g, np.linspace(0.5, 1.5, g.n_edges))]))
+    tol = draw(st.sampled_from([1e-10, 1e-9]))
+    dt = draw(st.sampled_from([0.05, 1 / 16, 0.03, 0.1]))
+    T = dt * draw(st.integers(1, 80)) + draw(st.sampled_from([0.0, dt / 3]))
+    f = SourceSchedule(g, tuple(_segments(draw, g, T)))
+    return g, K, _datum(draw, g, K, tol), f, T, dt, tol, draw(st.integers(1, 7))
+
+
+def _run(solver, case):
+    """The solver's trajectory, or its error and the input of its last
+    projection (the step it failed at), and the numpy warnings it gave.
+
+    The warnings are recorded, not raised, so a run that warns (a state or
+    a mass residual on its way to overflow) goes on: two runs that give the
+    same warnings in the same order and the same result also raise the same
+    first warning under the suite's `error::RuntimeWarning` filter."""
+    g, K, u0, f, T, dt, tol, every = case
+    original = DykstraProjector.project
+    last = [None]
+
+    def project(self, z):
+        last[0] = np.array(z)
+        return original(self, z)
+
+    DykstraProjector.project = project
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = solver(g, K, u0, f, T, dt, tol=tol, sample_every=every), None
+        except (TruncationError, ValueError) as exc:
+            out = exc, last[0]
+        finally:
+            DykstraProjector.project = original
+    return (*out, [(w.category, str(w.message)) for w in caught])
+
+
+def _raised(solver, case):
+    """The error the solver raises under the suite's warning filter."""
+    g, K, u0, f, T, dt, tol, every = case
+    try:
+        solver(g, K, u0, f, T, dt, tol=tol, sample_every=every)
+    except (TruncationError, ValueError, RuntimeWarning) as exc:
+        return exc
+    return None
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@PROPERTY
+@given(growth_cases(), st.sampled_from([1, 64, evolution._FREE_CELLS]))
+def test_growth_matches_one_projection_per_step(case, cells):
+    # a small cell budget splits each free run into blocks of one step, or
+    # into blocks that double from one step
+    budget = evolution._FREE_CELLS
+    evolution._FREE_CELLS = cells
+    try:
+        got, got_last, got_warned = _run(solve_growth, case)
+    finally:
+        evolution._FREE_CELLS = budget
+    want, want_last, want_warned = _run(growth_per_step, case)
+    assert got_warned == want_warned
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert (got_last is None) == (want_last is None)
+        if want_last is not None:
+            assert _bits(got_last) == _bits(want_last)
+        return
+    for name in ("times", "states", "step_times", "mass_residuals"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert got.events == want.events
+
+
+@PROPERTY
+@given(growth_cases(), st.integers(1, 12), st.sampled_from([0.05, 0.25, 1.0]))
+def test_pass_through_certifies_what_project_returns_unchanged(case, m, h):
+    # m rows of a running sum from the drawn datum under the first
+    # segment's field: pass_through takes exactly the leading rows that
+    # single projections return bit for bit, and leaves abs_gaps as they would
+    g, K, u0, f, _, _, tol, _ = case
+    fv = f.segments[0][2] if f.segments else np.zeros(g.n_vertices)
+    with np.errstate(over="ignore"):
+        rows = np.cumsum(np.vstack([u0, np.tile(h * fv, (m, 1))]), axis=0)[1:]
+    moving = np.flatnonzero((fv != 0)[g.edge_index].any(axis=1))
+    proj, ref = DykstraProjector(g, K, tol), DykstraProjector(g, K, tol)
+    k, moved = proj.pass_through(u0, rows, moving)
+    want, gaps = 0, None
+    for row in rows:
+        if not np.isfinite(row).all() or _bits(ref.project(row)) != _bits(row):
+            break
+        want, gaps = want + 1, ref.abs_gaps
+    assert k == want
+    if k:
+        assert _bits(moved[:k]) == _bits(np.abs(edge_gaps(g, rows[:k].T).T[:, moving]))
+        assert _bits(proj.abs_gaps) == _bits(gaps)
+        assert not proj.holds_multipliers()
+
+
+def test_free_flight_hands_over_at_the_guard_and_at_overflow():
+    # a source switched on at a guard vertex after a free run, a uniform
+    # free run until the state overflows, and one whose mass residuals
+    # overflow (inf - inf) from the first step: under the suite's filter
+    # each fails at the step, with the message, of single steps, and
+    # recorded they give the same warnings
+    z = build_truncated_z(4)
+    light, path = build_path(5, [0.1] * 4), build_path(5)
+    cases = [
+        (z, ConstraintSet.uniform(z), np.zeros(9),
+         SourceSchedule(z, ((0.5, 1.0, {"4": 0.25}),)), 1.0, 0.1, 1e-10, 1),
+        (light, ConstraintSet.uniform(light), np.zeros(5),
+         SourceSchedule.constant(light, np.full(5, 1e308)), 2.0, 0.125, 1e-10, 3),
+        (path, ConstraintSet.uniform(path), np.zeros(5),
+         SourceSchedule.constant(path, np.full(5, 1e308)), 2.0, 0.5, 1e-10, 1),
+    ]
+    raised = ("truncation too small", "overflow encountered in add",
+              "overflow encountered in dot")
+    for case, message in zip(cases, raised):
+        got, want = _raised(solve_growth, case), _raised(growth_per_step, case)
+        assert type(got) is type(want) and message in str(want)
+        assert str(got) == str(want)
+        got, got_last, got_warned = _run(solve_growth, case)
+        want, want_last, want_warned = _run(growth_per_step, case)
+        assert type(got) is type(want) and str(got) == str(want)
+        assert _bits(got_last) == _bits(want_last)
+        assert got_warned == want_warned
+    assert (RuntimeWarning, "invalid value encountered in scalar subtract") \
+        in want_warned

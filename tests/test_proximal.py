@@ -421,6 +421,17 @@ def test_overflowing_edge_power_is_ignored_inside_an_evaluation(monkeypatch):
         assert any(overflowed)
 
 
+def test_overflowing_gradient_norm_is_ignored():
+    # far from the minimiser gr * gr overflows in the gradient's nu-norm:
+    # the norm reads inf, Newton goes on, and no RuntimeWarning is raised
+    g = build_path(4)
+    K = ConstraintSet.uniform(g)
+    v = resolvent_p(g, 64.0, K, 0.1, np.array([0.0, 1e3, 0.0, 0.0]))
+    assert [x.hex() for x in v.tolist()] == [
+        "0x1.4d275c112dc91p+8", "0x1.4e4a89047d7fbp+8",
+        "0x1.4d223e3e60737p+8", "0x1.4bff156916506p+8"]
+
+
 # every solver reads the bounds of K against the edges of g: a K built on
 # another graph of the same size must be refused, not read on g's edges
 Z = (0.0, 3.0, 0.0, 1.0)

@@ -161,6 +161,22 @@ def test_reader_across_chunks(tmp_path):
     assert np.array_equal(got, states)
 
 
+def test_reader_takes_a_sample_in_another_vertex_order_by_label(tmp_path):
+    """A vertex column that leaves the first sample's order is looked up
+    cell by cell, in a short file and deep in a chunked one."""
+    text = "t,vertex,u\n0.0,a,1.0\n0.0,b,2.0\n0.5,b,3.0\n0.5,a,4.0\n0.9,a,5.0\n0.9,b,6.0\n"
+    times, vertices, states = read_trajectory(write(tmp_path, text))
+    assert times.tolist() == [0.0, 0.5, 0.9]
+    assert vertices == ["a", "b"]
+    assert states.tolist() == [[1.0, 2.0], [4.0, 3.0], [5.0, 6.0]]
+    out, lines, want = chunked_lines(tmp_path)
+    lines[10004], lines[10005] = lines[10005], lines[10004]
+    out.write_text("".join(lines))
+    _, vertices, got = read_trajectory(out)
+    assert vertices == list(build_path(20).vertices)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("fault, message", [
     (lambda lines: lines.insert(17001, "12.5,x3\n"),
      "line 17002: expected t,vertex,u, got 2 fields"),
