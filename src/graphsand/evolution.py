@@ -45,6 +45,10 @@ _EVENT_BAND = 10.0
 # of free steps starts with a block of an eighth of that and doubles it
 _FREE_CELLS = 1 << 15
 
+# the most steps one held block takes, and no more than a free-flight block
+# holds on the graph: its rows are kept until they are certified
+_HELD_ROWS = 64
+
 
 class TruncationError(RuntimeError):
     """The active support reached the guard band of a truncated lattice."""
@@ -197,33 +201,44 @@ def time_grid(t_start: float, t_end: float, dt: float,
     return np.asarray(times)
 
 
+def _collapse_drive(t, v):
+    """The drive of collapse at time t: the rescaled state v / t, of a
+    state array or of one vertex's value alike."""
+    return v / t
+
+
 def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                step, guard_limit: float, sample_every: int) -> Trajectory:
     """The backward-Euler driver shared by every solver.
 
     Step n maps u to step(u + h * f, h) with h the step length and f the
-    source field at t_n: source(t_n) of a SourceSchedule, or source(t_n, u)
-    of a map that reads the state.  step is a map (z, h) -> new state, or a
-    DykstraProjector, which steps by projecting z.  Each step checks
-    |u| <= guard_limit on the guard band and records the nu-mass residual of
-    the step.  With a projector, slope constraints that switch between
+    drive at t_n: source(t_n) of a SourceSchedule, or, where source is
+    None, the collapse drive u / t_n.  step is a map (z, h) -> new state,
+    or a DykstraProjector, which steps by projecting z.  Each step checks
+    |u| <= guard_limit on the guard band and records the nu-mass residual
+    of the step.  With a projector, slope constraints that switch between
     binding and free are recorded as events.  The state is kept at steps
     that are multiples of sample_every and at the last step.
 
-    Free flight: while the projector holds no multiplier and the source is
-    a schedule, the steps of one source field are taken as a block.  Their
-    states are a running sum (np.cumsum adds in the order u + h * f would),
-    the projector certifies the leading ones it would return unchanged, and
-    the first state it would move goes through the single-step path.  Every
-    output is the one single steps would give, bit for bit.
+    With a projector, runs of steps are taken as blocks, and the first
+    step a block refuses goes through the single-step path:
+
+    * free flight: while the projector holds no multiplier and the source
+      is a schedule, the steps of one source field.  Their states are a
+      running sum (np.cumsum adds in the order u + h * f would), and the
+      projector certifies the leading ones it would return unchanged.
+    * held blocks: while it holds one under the collapse drive, up to
+      _HELD_ROWS steps on which its active list holds
+      (DykstraProjector.hold).
+
+    A block's residuals, events and samples are then taken row by row with
+    the single step's expressions, so every output, error and numpy
+    warning is the one single steps would give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     proj = step if isinstance(step, DykstraProjector) else None
     advance = step if proj is None else lambda z, h: proj.project(z)
-    schedule = source if isinstance(source, SourceSchedule) else None
-    if schedule is not None:
-        source = lambda t, _: schedule(t)  # noqa: E731
     steps = len(grid) - 1
     kept = list(range(0, steps, sample_every)) + [steps]
     states = np.empty((len(kept), g.n_vertices))
@@ -240,50 +255,57 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     run = first = max(1, cap // 8)
     n = 0
     while n < steps:
-        if schedule is not None and proj is not None \
+        k = m = 0
+        if proj is not None and source is None and proj.holds_multipliers():
+            m = min(_HELD_ROWS, cap, steps - n)
+            k, rows, moved, edges = proj.hold(
+                u, times[n:n + m + 1], _collapse_drive, guard, guard_limit)
+        elif proj is not None and source is not None \
                 and not proj.holds_multipliers():
-            fv, end = schedule.piece(times[n])
+            fv, end = source.piece(times[n])
             m = min(bisect_left(times, end, n, steps) - n, run)
-            # flight[k] is the state after k free steps from u; a state that
+            # rows[k] is the state after k free steps from u; a state that
             # overflows is refused below and stepped singly, which warns
             hs = np.diff(grid[n:n + m + 1])
-            flight = np.empty((m + 1, g.n_vertices))
-            flight[0] = u
+            rows = np.empty((m + 1, g.n_vertices))
+            rows[0] = u
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(hs[:, None], fv, out=flight[1:])
-                flight = np.cumsum(flight, axis=0)
-            cand = flight[1:]
+                np.multiply(hs[:, None], fv, out=rows[1:])
+                rows = np.cumsum(rows, axis=0)
+            cand = rows[1:]
             if guard:
                 out = (np.abs(cand[:, guard]) > guard_limit).any(axis=1)
                 if out.any():
                     cand = cand[:int(out.argmax())]
             # only edges at a vertex where f is nonzero can move
-            moving = np.flatnonzero((fv != 0)[g.edge_index].any(axis=1))
-            k, moved = proj.pass_through(u, cand, moving)
-            if k:
-                # the operations of a single step, which warn alike
-                residuals[n:n + k] = [
-                    float(np.dot(deg, d) - h * np.dot(deg, fv)) for d, h in
-                    zip(np.diff(flight[:k + 1], axis=0), hs[:k].tolist())]
-                now = moved[:k] >= threshold[moving]
-                flips = now != np.vstack([binding[moving], now[:-1]])
-                for r, c in zip(*np.nonzero(flips)):
-                    kind = "activated" if now[r, c] else "deactivated"
-                    events.append((times[n + r + 1], g.edges[moving[c]], kind))
-                binding[moving] = now[-1]
-                last = bisect_right(kept, n + k, slot)
-                states[slot:last] = cand[np.array(kept[slot:last], dtype=np.intp)
-                                         - (n + 1)]
-                slot = last
-                u = cand[k - 1].copy()
-                n += k
-            if k == m:
-                run = min(2 * run, cap)
-                continue
-            run = first
+            edges = np.flatnonzero((fv != 0)[g.edge_index].any(axis=1))
+            k, moved = proj.pass_through(u, cand, edges)
+            run = min(2 * run, cap) if k == m else first
+        if k:
+            # the operations of a single step, which warn alike; a held
+            # step's drive is that of the row before it
+            drives = [fv] * k if source is not None \
+                else _collapse_drive(grid[n:n + k, None], rows[:k])
+            residuals[n:n + k] = [
+                float(deg.dot(d) - h * deg.dot(fv)) for d, h, fv in
+                zip(np.diff(rows[:k + 1], axis=0),
+                    np.diff(grid[n:n + k + 1]).tolist(), drives)]
+            now = moved[:k] >= threshold[edges]
+            flips = now != np.vstack([binding[edges], now[:-1]])
+            for r, c in zip(*np.nonzero(flips)):
+                kind = "activated" if now[r, c] else "deactivated"
+                events.append((times[n + r + 1], g.edges[edges[c]], kind))
+            binding[edges] = now[-1]
+            last = bisect_right(kept, n + k, slot)
+            states[slot:last] = rows[np.array(kept[slot:last], dtype=np.intp) - n]
+            slot = last
+            u = rows[k].copy()
+            n += k
+        if m and k == m:
+            continue
         t0, t1 = times[n], times[n + 1]
         h = t1 - t0
-        fv = source(t0, u)
+        fv = _collapse_drive(t0, u) if source is None else source(t0)
         new = advance(u + h * fv, h)
         for i in guard:
             if abs(new[i]) > guard_limit:
@@ -291,7 +313,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                     "truncation too small: the active support reached the "
                     f"guard band at t={t1!r} (|u| = {abs(new[i]):.3e} "
                     f"at {g.vertices[i]!r})")
-        residuals[n] = float(np.dot(deg, new - u) - h * np.dot(deg, fv))
+        residuals[n] = float(deg.dot(new - u) - h * deg.dot(fv))
         u = new
         if proj is not None:
             now = proj.abs_gaps >= threshold
@@ -353,7 +375,7 @@ def solve_collapse(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
         grid, v = np.array([1.0]), u0v
     else:  # start at tau = 1/L from u0 * tau
         grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
-    traj = _integrate(g, v, grid, lambda t, v: v / t, proj, 0.0, sample_every)
+    traj = _integrate(g, v, grid, None, proj, 0.0, sample_every)
     return traj.final_state(), traj
 
 

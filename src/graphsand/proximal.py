@@ -122,6 +122,21 @@ class _SweepPlan(NamedTuple):
     incident_ends: np.ndarray  # their (i, j) vertex ids
 
 
+def _holds(xl: list, free: list, bound: list, lift: float, mu=None) -> bool:
+    """True when a held step keeps its active list at these values: every
+    edge in free is within its limit + lift, every gap in bound is finite
+    and, given the multipliers mu (after the fold), every edge in bound
+    whose multiplier is 0 is past its limit."""
+    for i, j, lim in free:
+        if not abs(xl[j] - xl[i]) <= lim + lift:
+            return False
+    for i, j, lim, e in bound:
+        gap = abs(xl[j] - xl[i])
+        if not gap < math.inf or mu is not None and mu[e] == 0.0 and not gap > lim:
+            return False
+    return True
+
+
 class DykstraProjector:
     """Cyclic Dykstra projection onto a slope polytope at tolerance tol.
 
@@ -153,7 +168,7 @@ class DykstraProjector:
         self._cl = bounds.tolist()
         self.tol = tol
         self._limit = bounds + tol
-        self._plan_key = self._plan = None
+        self._plan_key = self._plan = self._held_cache = None
         self.abs_gaps = None
         self.reset()
 
@@ -239,6 +254,172 @@ class DykstraProjector:
         rounding_change = (floor * s) ** 2 * sum(t[4] for t in plan.sweep)
         return floor, s, max((self.tol * s) ** 2, rounding_change)
 
+    def _sweep(self, vl: list, plan: _SweepPlan, sweeps: int,
+               change: float) -> tuple[float, int, float]:
+        """Cyclic sweeps over plan's active list until one changes the
+        iterate by at most tol; returns (floor, sweeps, change).
+
+        vl leads with the values at plan.ends; it and the multipliers are
+        updated in place.  sweeps and change carry the projection's sweep
+        count and its last sweep's change, for the error message.  After
+        FLOOR_AFTER sweeps the loop goes on at the rounding floor of its
+        field (floor > 0), in the units _rounding_floor picks.
+        """
+        mu = self.mu
+        ends = len(plan.ends)
+        sweep = plan.sweep
+        floor, s, stop = 0.0, 1.0, self.tol * self.tol
+        first = sweeps
+        while True:
+            if sweeps >= MAX_SWEEPS:
+                raise ProjectionError(
+                    f"projection did not converge within {MAX_SWEEPS} sweeps "
+                    f"(residual change {np.sqrt(change) / s:.3e})")
+            sweeps += 1
+            change = 0.0
+            for e, i, j, invsum, coef, c, invdi, invdj in sweep:
+                m = mu[e]
+                gap = vl[j] - vl[i] + m * invsum
+                if gap > c:
+                    m_new = (gap - c) * coef
+                elif gap < -c:
+                    m_new = (gap + c) * coef
+                else:
+                    m_new = 0.0
+                dmu = m_new - m
+                if dmu != 0.0:
+                    vl[i] += dmu * invdi
+                    vl[j] -= dmu * invdj
+                    change += dmu * dmu * invsum
+                    mu[e] = m_new
+            if change <= stop:
+                break
+            if sweeps - first == FLOOR_AFTER:
+                floor, s, stop = self._rounding_floor(vl[:ends], plan)
+                # go on in units of s: the bounds, field and multipliers
+                sweep = [t[:5] + (t[5] * s,) + t[6:] for t in sweep]
+                vl[:ends] = [x * s for x in vl[:ends]]
+                for t in sweep:
+                    mu[t[0]] *= s
+        if s != 1.0:
+            vl[:ends] = [x / s for x in vl[:ends]]
+            for t in sweep:
+                mu[t[0]] /= s
+        return floor, sweeps, change
+
+    def _held_plan(self, plan: _SweepPlan) -> tuple:
+        """(nb, fold, free, bound, incident) of held steps over plan's
+        active list, kept with the plan: nb holds plan.ends and then the
+        other ends of the edges at them; fold is (edge, local i, local j,
+        d_i, d_j) per active edge; free and bound are the edges at the ends
+        off and on the list, as (local i, local j, limit[, edge]); and
+        incident marks those edges among all edges."""
+        if self._held_cache is None or self._held_cache[0] is not plan:
+            deg, active, ends = self._degl, set(self._plan_key), plan.ends.tolist()
+            nb = ends + sorted(set(plan.incident_ends.ravel().tolist()) - set(ends))
+            local = {x: k for k, x in enumerate(nb)}
+            free, bound = [], []
+            for (i, j), e, lim in zip(plan.incident_ends.tolist(),
+                                      plan.incident.tolist(),
+                                      self._limit[plan.incident].tolist()):
+                if e in active:
+                    bound.append((local[i], local[j], lim, e))
+                else:
+                    free.append((local[i], local[j], lim))
+            incident = np.zeros(self.graph.n_edges, dtype=bool)
+            incident[plan.incident] = True
+            fold = [(t[0], t[1], t[2], deg[self._il[t[0]]], deg[self._jl[t[0]]])
+                    for t in plan.sweep]
+            self._held_cache = (plan, np.array(nb), fold, free, bound, incident)
+        return self._held_cache[1:]
+
+    def hold(self, start: np.ndarray, times: list, drive, guard,
+             guard_limit: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(k, rows, moved, live): project() on k steps whose input is
+        x + h * drive(t, x), x the last result, while the active list holds.
+
+        times are the step times t_0 < t_1 < ... as Python floats, and
+        start is the last result, at t_0.  rows[r] is the result after r
+        steps (rows[0] is start) and moved[r - 1] its |gaps| on the edges
+        live, those with an end that is nonzero in some row; each other
+        edge joins two zeros that no step moves.
+
+        Each step drives the neighbourhood (the ends of the active edges
+        and the other ends of the edges at them) and the other nonzero
+        vertices of start as one numpy row op; a zero vertex outside the
+        neighbourhood stays as it is, sign included.  On the neighbourhood
+        it then does project()'s own arithmetic in Python floats: the fold,
+        the checks of the edges at the ends after the fold and after the
+        sweep, and _sweep.  A step is held when project() would keep the
+        active list on it and every gap there is finite.  The held rows are
+        then certified in bulk: every other live edge within its limit
+        (which refuses a value that is not finite) and the columns guard
+        within guard_limit.  The k leading rows that are held and certified
+        are the results: the multipliers and abs_gaps are left as k
+        project() calls leave them (rows, moved and live are None where no
+        step is held).  Requires that a multiplier is held.
+        """
+        mu, active = self.mu, self._active
+        plan = self._sweep_plan(active)
+        nb, fold, free, bound, incident = self._held_plan(plan)
+        # z[r] holds row r at the neighbourhood (first) and the other nonzero
+        # vertices of start; every other vertex keeps its value
+        cols = np.concatenate(
+            [nb, np.setdiff1d(np.flatnonzero(start), nb, assume_unique=True)])
+        z = np.empty((len(times), len(cols)))
+        z[0] = start[cols]
+        snaps = []
+        sweep, tol, size = self._sweep, self.tol, len(nb)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused rows
+            for r in range(len(times) - 1):
+                t, h = times[r], times[r + 1] - times[r]
+                np.add(z[r], h * drive(t, z[r]), out=z[r + 1])
+                xl = z[r + 1, :size].tolist()
+                snap = [mu[e] for e in active]
+                for e, i, _, di, _ in fold:
+                    if mu[e] != 0.0:
+                        xl[i] += mu[e] / di
+                for e, _, j, _, dj in fold:
+                    if mu[e] != 0.0:
+                        xl[j] += -mu[e] / dj
+                held = _holds(xl, free, bound, 0.0, mu)
+                if held:
+                    try:
+                        floor = sweep(xl, plan, 0, math.inf)[0]
+                    except ProjectionError:  # the single step raises it
+                        held = False
+                    else:
+                        held = _holds(xl, free, bound,
+                                      floor - tol if floor > tol else 0.0)
+                if not held:
+                    for e, m in zip(active, snap):
+                        mu[e] = m
+                    break
+                z[r + 1, :size] = xl
+                snaps.append(snap)
+        k = len(snaps)
+        if not k:
+            return 0, None, None, None
+        g = self.graph
+        rows = np.tile(start, (k + 1, 1))
+        rows[1:, cols] = z[1:k + 1]
+        live = np.flatnonzero((rows != 0).any(axis=0)[g.edge_index].any(axis=1))
+        i, j = g.edge_index[live].T
+        rest = ~incident[live]
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = np.abs(rows[1:, j] - rows[1:, i])
+            fits = (moved[:, rest] <= self._limit[live[rest]]).all(axis=1)
+        if guard:
+            fits &= (np.abs(rows[1:, guard]) <= guard_limit).all(axis=1)
+        if not fits.all():
+            k = int(fits.argmin())
+            for e, m in zip(active, snaps[k]):
+                mu[e] = m
+        if k:
+            self.abs_gaps = self.abs_gaps.copy()
+            self.abs_gaps[live] = moved[k - 1]
+        return k, rows[:k + 1], moved[:k], live
+
     def project(self, z) -> np.ndarray:
         """Weighted projection of z onto the polytope.
 
@@ -276,44 +457,7 @@ class DykstraProjector:
             plan = self._sweep_plan(active)
             # the sweep reads and writes only the ends of the active edges
             vl = v[plan.ends].tolist()
-            sweep = plan.sweep
-            floor, s, stop = 0.0, 1.0, self.tol * self.tol
-            first = sweeps
-            while True:
-                if sweeps >= MAX_SWEEPS:
-                    raise ProjectionError(
-                        f"projection did not converge within {MAX_SWEEPS} sweeps "
-                        f"(residual change {np.sqrt(change) / s:.3e})")
-                sweeps += 1
-                change = 0.0
-                for e, i, j, invsum, coef, c, invdi, invdj in sweep:
-                    m = mu[e]
-                    gap = vl[j] - vl[i] + m * invsum
-                    if gap > c:
-                        m_new = (gap - c) * coef
-                    elif gap < -c:
-                        m_new = (gap + c) * coef
-                    else:
-                        m_new = 0.0
-                    dmu = m_new - m
-                    if dmu != 0.0:
-                        vl[i] += dmu * invdi
-                        vl[j] -= dmu * invdj
-                        change += dmu * dmu * invsum
-                        mu[e] = m_new
-                if change <= stop:
-                    break
-                if sweeps - first == FLOOR_AFTER:
-                    floor, s, stop = self._rounding_floor(vl, plan)
-                    # go on in units of s: the bounds, field and multipliers
-                    sweep = [t[:5] + (t[5] * s,) + t[6:] for t in sweep]
-                    vl = [x * s for x in vl]
-                    for t in sweep:
-                        mu[t[0]] *= s
-            if s != 1.0:
-                vl = [x / s for x in vl]
-                for t in sweep:
-                    mu[t[0]] /= s
+            floor, sweeps, change = self._sweep(vl, plan, sweeps, change)
             v[plan.ends] = vl
             # every edge over its limit before the sweep is on the active
             # list, so only edges at a moved end can have been pushed past

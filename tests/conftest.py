@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from graphsand import ConstraintSet, build_graph, build_path
+from graphsand import ConstraintSet, build_graph, build_path, build_star, \
+    build_truncated_z
 from graphsand.proximal import CONSTRAINT_KINDS
 
 
@@ -80,3 +81,20 @@ def grid_graph(m, w_lo=1.0, w_hi=1.0, rng=None):
                     w = 1.0 if rng is None else float(rng.uniform(w_lo, w_hi))
                     edges.append((f"g{a}_{b}", f"g{a2}_{b2}", w))
     return build_graph(edges)
+
+
+@st.composite
+def solver_graphs(draw):
+    """A graph the solvers' block properties run on: a weighted path or
+    star, a Z window with its guard band, or a 2-4 grid (with cycles)."""
+    shape = draw(st.sampled_from(["path", "star", "z", "grid"]))
+    weight = st.integers(1, 16).map(lambda k: k / 4.0)
+    if shape == "path":
+        n = draw(st.integers(2, 8))
+        return build_path(n, draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
+    if shape == "star":
+        return build_star(draw(st.lists(weight, min_size=2, max_size=6)))
+    if shape == "z":
+        return build_truncated_z(draw(st.integers(3, 8)))
+    seed = draw(st.integers(0, 2 ** 16))
+    return grid_graph(draw(st.integers(2, 4)), 0.5, 2.0, np.random.default_rng(seed))

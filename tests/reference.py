@@ -4,7 +4,8 @@ the solvers', for the tests to compare against.
 project_oracle solves the projection exactly by enumerating active sets;
 mass_balance recomputes the per-step mass residuals of a trajectory from
 its states; p_flow_cold steps the p-flow with every resolvent started cold;
-growth_per_step steps the growth model with one projection per step.
+growth_per_step and collapse_per_step step the growth model and the
+collapse flow with one projection per step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, Trajectory, \
-    TruncationError, WeightedGraph, field_values, is_stable, resolvent_p
+    TruncationError, WeightedGraph, field_values, is_stable, max_relative_slope, \
+    resolvent_p
 from graphsand.calculus import edge_gaps
 from graphsand.evolution import _EVENT_BAND, time_grid
 
@@ -147,25 +149,19 @@ def p_flow_cold(g: WeightedGraph, p: float, K: ConstraintSet, u0,
     return times, np.array(states)
 
 
-def growth_per_step(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
-                    T: float, dt: float, tol: float = 1e-10,
-                    sample_every: int = 1) -> Trajectory:
-    """solve_growth stepped one projection per step: the projected backward
-    Euler loop with no free flight, keeping the same samples, residuals and
-    events, and raising the same errors at the same step."""
-    proj = DykstraProjector(g, K, tol)
-    u = field_values(g, u0).copy()
-    if not is_stable(u, K, 1e-8):
-        raise ValueError("initial datum not stable for the constraint set")
-    grid = time_grid(0.0, T, dt, f.boundaries())
+def _per_step(g: WeightedGraph, proj: DykstraProjector, u: np.ndarray,
+              grid: np.ndarray, drive, sample_every: int) -> Trajectory:
+    """The projected backward Euler loop with one projection per step: step
+    n projects u + h * drive(t_n, u), checks the guard band at 0, and keeps
+    the samples, mass residuals and events the solvers keep."""
     steps = len(grid) - 1
-    threshold = K.bounds - _EVENT_BAND * tol
+    threshold = proj.K.bounds - _EVENT_BAND * proj.tol
     binding = np.abs(edge_gaps(g, u)) >= threshold
     deg = g.degrees
     times, states, residuals, events = [grid[0]], [u], [], []
     for n, (t0, t1) in enumerate(zip(grid.tolist(), grid[1:].tolist()), 1):
         h = t1 - t0
-        fv = f(t0)
+        fv = drive(t0, u)
         new = proj.project(u + h * fv)
         for i in g.guard_index:
             if abs(new[i]) > 0.0:
@@ -183,3 +179,34 @@ def growth_per_step(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
             times.append(t1)
             states.append(u)
     return Trajectory(g, times, states, grid[1:], np.array(residuals), events)
+
+
+def growth_per_step(g: WeightedGraph, K: ConstraintSet, u0, f: SourceSchedule,
+                    T: float, dt: float, tol: float = 1e-10,
+                    sample_every: int = 1) -> Trajectory:
+    """solve_growth stepped one projection per step: the projected backward
+    Euler loop with no free flight, keeping the same samples, residuals and
+    events, and raising the same errors at the same step."""
+    proj = DykstraProjector(g, K, tol)
+    u = field_values(g, u0).copy()
+    if not is_stable(u, K, 1e-8):
+        raise ValueError("initial datum not stable for the constraint set")
+    return _per_step(g, proj, u, time_grid(0.0, T, dt, f.boundaries()),
+                     lambda t, _: f(t), sample_every)
+
+
+def collapse_per_step(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
+                      tol: float = 1e-10,
+                      sample_every: int = 1) -> tuple[np.ndarray, Trajectory]:
+    """solve_collapse stepped one projection per step, each driven by v/t
+    at the step start: no held blocks, the same (v(1), trajectory), and
+    the same errors at the same step."""
+    proj = DykstraProjector(g, K, tol)
+    u0v = field_values(g, u0).copy()
+    L = max_relative_slope(u0v, K)
+    if L <= 1.0:
+        grid, v = np.array([1.0]), u0v
+    else:
+        grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
+    traj = _per_step(g, proj, v, grid, lambda t, v: v / t, sample_every)
+    return traj.final_state(), traj

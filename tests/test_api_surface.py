@@ -126,6 +126,18 @@ def test_solvers_step_through_the_span_targets(monkeypatch):
     steep = SourceSchedule(g, ((0.0, 0.25, {"x3": 10.0}),))
     traj = solve_growth(g, K, np.zeros(5), steep, 0.5, 0.05)
     assert len(calls) == 4 and len(traj.step_times) == 10
+    # collapse projects exactly the steps that are not held: the others
+    # are taken by DykstraProjector.hold while the active list holds
     calls.clear()
+    held = []
+    hold = proximal.DykstraProjector.hold
+
+    def counted_hold(self, *args):
+        out = hold(self, *args)
+        held.append(out[0])
+        return out
+
+    monkeypatch.setattr(proximal.DykstraProjector, "hold", counted_hold)
     _, traj = solve_collapse(g, K, np.array([0.0, 3.0, 0.0, 1.0, 0.0]), 0.05)
-    assert len(calls) == len(traj.step_times) > 0
+    assert len(calls) + sum(held) == len(traj.step_times) == 14
+    assert len(calls) == 1 and sum(held) == 13

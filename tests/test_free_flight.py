@@ -14,11 +14,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, \
-    TruncationError, build_path, build_star, build_truncated_z, evolution, \
-    solve_growth
+    TruncationError, build_path, build_truncated_z, evolution, solve_growth
 from graphsand.calculus import edge_gaps
 from graphsand.proximal import CONSTRAINT_KINDS
-from conftest import grid_graph
+from conftest import solver_graphs
 from reference import growth_per_step
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
@@ -28,20 +27,6 @@ SOURCE_VALUES = [-0.0, 0.0, 0.5, 1.0, 4.0, 10.0, 40.0, -1.0, -3.0]
 # an edge gap of the initial datum, in units of the edge's bound c; the
 # drawn slack puts an edge between c + tol and c + 1e-8
 GAP_SHARES = [0.0, -0.0, 0.25, -0.5, 1.0, -1.0]
-
-
-def _graph(draw):
-    shape = draw(st.sampled_from(["path", "star", "z", "grid"]))
-    weight = st.integers(1, 16).map(lambda k: k / 4.0)
-    if shape == "path":
-        n = draw(st.integers(2, 8))
-        return build_path(n, draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
-    if shape == "star":
-        return build_star(draw(st.lists(weight, min_size=2, max_size=6)))
-    if shape == "z":
-        return build_truncated_z(draw(st.integers(3, 8)))
-    seed = draw(st.integers(0, 2 ** 16))
-    return grid_graph(draw(st.integers(2, 4)), 0.5, 2.0, np.random.default_rng(seed))
 
 
 def _tree_datum(draw, g, K, tol):
@@ -102,7 +87,7 @@ def _segments(draw, g, T):
 
 @st.composite
 def growth_cases(draw):
-    g = _graph(draw)
+    g = draw(solver_graphs())
     kinds = [ConstraintSet.from_kind(g, kind) for kind in CONSTRAINT_KINDS]
     K = draw(st.sampled_from(
         kinds + [ConstraintSet.custom(g, np.linspace(0.5, 1.5, g.n_edges))]))

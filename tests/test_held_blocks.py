@@ -1,0 +1,193 @@
+"""Held blocks against one projection per step.
+
+solve_collapse takes the steps on which the projector's active list holds
+as blocks (`DykstraProjector.hold`); `reference.collapse_per_step` projects
+every step.  The two must agree bit for bit in sample times, states, step
+times, mass residuals and events, give the same numpy warnings in the same
+order, and raise the same TruncationError, ProjectionError or ValueError at
+the same step.
+"""
+
+import copy
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from graphsand import ConstraintSet, DykstraProjector, ProjectionError, \
+    TruncationError, build_truncated_z, evolution, field_values, \
+    max_relative_slope, proximal, solve_collapse
+from graphsand.evolution import time_grid
+from graphsand.proximal import CONSTRAINT_KINDS
+from graphsand.scenario import load_scenario, run_scenario
+from conftest import solver_graphs
+from reference import collapse_per_step
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# a datum's value at one vertex, in units of the bounds' scale: signed
+# zeros, values within the bounds' slopes and well past them
+VALUES = [0.0, -0.0, 0.5, 1.5, 3.0, -2.0, 4.0, 6.0]
+# the scale of bounds and datum: plain, bounds below the projector's
+# tolerance, fields whose rounding exceeds it, and gaps that overflow
+SCALES = [1.0, 1.0, 1e-12, 1e300, 2.5e307, 2.9e307]
+
+
+def _datum(draw, g, scale):
+    """Drawn values, zero (of either sign) off a drawn support: on a Z
+    window a run of labels about a drawn centre, which may reach the guard
+    band, elsewhere a drawn subset of the vertices."""
+    values = st.sampled_from(VALUES)
+    if g.guard_index:
+        radius = (g.n_vertices - 1) // 2
+        centre = draw(st.integers(-radius, radius))
+        width = draw(st.integers(0, 3))
+        on = [abs(int(v) - centre) <= width for v in g.vertices]
+    else:
+        on = draw(st.lists(st.booleans(), min_size=g.n_vertices,
+                           max_size=g.n_vertices))
+    return np.array([draw(values) if x else draw(st.sampled_from([0.0, -0.0]))
+                     for x in on]) * scale
+
+
+@st.composite
+def collapse_cases(draw):
+    g = draw(solver_graphs())
+    kinds = [ConstraintSet.from_kind(g, kind).bounds for kind in CONSTRAINT_KINDS]
+    bounds = draw(st.sampled_from(kinds + [np.linspace(0.5, 1.5, g.n_edges)]))
+    scale = draw(st.sampled_from(SCALES))
+    K = ConstraintSet.custom(g, bounds * scale)
+    tol = draw(st.sampled_from([1e-10, 1e-9]))
+    dt = draw(st.sampled_from([0.1, 0.05, 1 / 64, 0.01]))
+    return g, K, _datum(draw, g, scale), dt, tol, draw(st.integers(1, 7))
+
+
+def _run(solver, case):
+    """The solver's trajectory, or its error and the input of its last
+    projection (the step it failed at), and the numpy warnings it gave,
+    recorded in order rather than raised."""
+    g, K, u0, dt, tol, every = case
+    original = DykstraProjector.project
+    last = [None]
+
+    def project(self, z):
+        last[0] = np.array(z)
+        return original(self, z)
+
+    DykstraProjector.project = project
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = solver(g, K, u0, dt, tol=tol, sample_every=every)[1], None
+        except (TruncationError, ProjectionError, ValueError) as exc:
+            out = exc, last[0]
+        finally:
+            DykstraProjector.project = original
+    return (*out, [(w.category, str(w.message)) for w in caught])
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@PROPERTY
+@given(collapse_cases(), st.sampled_from([1, 3, 64]), st.sampled_from([3, 40, 5000]))
+def test_collapse_matches_one_projection_per_step(case, rows, sweeps):
+    # blocks of one step, of a few, and of the default cap; a sweep budget
+    # that fails most projections holding a multiplier, some, or none
+    held, budget = evolution._HELD_ROWS, proximal.MAX_SWEEPS
+    evolution._HELD_ROWS, proximal.MAX_SWEEPS = rows, sweeps
+    try:
+        got, got_last, got_warned = _run(solve_collapse, case)
+        want, want_last, want_warned = _run(collapse_per_step, case)
+    finally:
+        evolution._HELD_ROWS, proximal.MAX_SWEEPS = held, budget
+    assert got_warned == want_warned
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert (got_last is None) == (want_last is None)
+        if want_last is not None:
+            assert _bits(got_last) == _bits(want_last)
+        return
+    for name in ("times", "states", "step_times", "mass_residuals"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert got.events == want.events
+
+
+def test_held_blocks_take_almost_every_collapse_step(monkeypatch):
+    # the active list of the shipped b = 2 collapse holds from its first
+    # projection on, so project() runs on under 1 % of its 6667 steps
+    calls = []
+    original = DykstraProjector.project
+
+    def project(self, z):
+        calls.append(None)
+        return original(self, z)
+
+    monkeypatch.setattr(DykstraProjector, "project", project)
+    traj = run_scenario(load_scenario(SCENARIOS / "p4_collapse_b2.json"))
+    assert len(traj.step_times) == 6667
+    assert 0 < len(calls) < 0.01 * len(traj.step_times)
+
+
+def test_hold_takes_no_row_outside_the_guard_band():
+    # a collapse on a Z window whose active edges reach the guard vertex 2:
+    # the same two steps are held with no guard band, and none with it
+    g = build_truncated_z(3)
+    K = ConstraintSet.uniform(g)
+    projectors = [DykstraProjector(g, K), DykstraProjector(g, K)]
+    for proj in projectors:
+        v, t = field_values(g, {"1": 1.5}), 0.5
+        for _ in range(3):
+            v, t = proj.project(v + 0.01 * (v / t)), t + 0.01
+    assert v[g.vertex_id("2")] != 0.0 and g.vertex_id("2") in g.guard_index
+    times = [t, t + 0.01, t + 0.02]
+    free, guarded = projectors
+    assert free.hold(v, times, evolution._collapse_drive, [], 0.0)[0] == 2
+    mu = list(guarded.mu)
+    k, rows, moved, live = guarded.hold(v, times, evolution._collapse_drive,
+                                        list(g.guard_index), 0.0)
+    assert k == 0 and guarded.mu == mu
+
+
+@PROPERTY
+@given(collapse_cases(), st.integers(1, 8))
+def test_hold_takes_the_rows_project_would_give(case, m):
+    # from every step of a collapse that holds a multiplier, a copy of the
+    # projector holds up to m steps: each row it takes is project()'s result
+    # on a step that keeps the active list, and it leaves the multipliers
+    # and abs_gaps as those project() calls leave them
+    g, K, u0, dt, tol, _ = case
+    guard = list(g.guard_index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        L = max_relative_slope(u0, K)
+        if not 1.0 < L < np.inf:
+            return
+        grid = time_grid(1.0 / L, 1.0, dt).tolist()
+        u, proj = u0 / L, DykstraProjector(g, K, tol)
+        for n in range(len(grid) - 1):
+            if proj.holds_multipliers():
+                held, check = copy.copy(proj), copy.copy(proj)
+                held.mu, check.mu = list(proj.mu), list(proj.mu)
+                k, rows, moved, live = held.hold(u, grid[n:n + m + 1],
+                                                 evolution._collapse_drive, guard, 0.0)
+                v = u
+                for r in range(k):
+                    t0, t1 = grid[n + r], grid[n + r + 1]
+                    v = check.project(v + (t1 - t0) * (v / t0))
+                    assert check._active == proj._active
+                    assert _bits(rows[r + 1]) == _bits(v)
+                    assert _bits(moved[r]) == _bits(check.abs_gaps[live])
+                assert held.mu == check.mu
+                if k:
+                    assert _bits(held.abs_gaps) == _bits(check.abs_gaps)
+            t0, t1 = grid[n], grid[n + 1]
+            try:
+                u = proj.project(u + (t1 - t0) * (u / t0))
+            except (ProjectionError, ValueError):
+                return
+            if any(u[i] != 0.0 for i in guard):
+                return
