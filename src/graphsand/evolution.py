@@ -41,12 +41,12 @@ MAX_STEPS = 10_000_000
 # tolerances of the bound; activation flips are recorded as events
 _EVENT_BAND = 10.0
 
-# the most state cells (steps x vertices) one free-flight block holds; a run
-# of free steps starts with a block of an eighth of that and doubles it
+# the most state cells (steps x vertices) one block holds: its rows are kept
+# until they are certified
 _FREE_CELLS = 1 << 15
 
-# the most steps one held block takes, and no more than a free-flight block
-# holds on the graph: its rows are kept until they are certified
+# the most steps one collapse block takes: its rows are certified in bulk
+# after the last one, so a row refused there wastes the steps after it
 _HELD_ROWS = 64
 
 
@@ -220,20 +220,16 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     binding and free are recorded as events.  The state is kept at steps
     that are multiples of sample_every and at the last step.
 
-    With a projector, runs of steps are taken as blocks, and the first
-    step a block refuses goes through the single-step path:
-
-    * free flight: while the projector holds no multiplier and the source
-      is a schedule, the steps of one source field.  Their states are a
-      running sum (np.cumsum adds in the order u + h * f would), and the
-      projector certifies the leading ones it would return unchanged.
-    * held blocks: while it holds one under the collapse drive, up to
-      _HELD_ROWS steps on which its active list holds
-      (DykstraProjector.hold).
-
-    A block's residuals, events and samples are then taken row by row with
-    the single step's expressions, so every output, error and numpy
-    warning is the one single steps would give, bit for bit.
+    With a projector, runs of steps on which the active list holds are
+    taken as blocks by DykstraProjector.hold, and the first step a block
+    refuses goes through the single-step path.  Collapse takes blocks
+    while a multiplier is held, up to _HELD_ROWS steps; growth takes them
+    while none is, over the steps of one source field, which are then a
+    running sum (free flight), starting at an eighth of _FREE_CELLS state
+    cells and doubling up to all of it.  A block's residuals, events and
+    samples are taken row by row with the single step's expressions, so
+    every output, error and numpy warning is the one single steps would
+    give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
@@ -256,31 +252,17 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     n = 0
     while n < steps:
         k = m = 0
-        if proj is not None and source is None and proj.holds_multipliers():
-            m = min(_HELD_ROWS, cap, steps - n)
-            k, rows, moved, edges = proj.hold(
-                u, times[n:n + m + 1], _collapse_drive, guard, guard_limit)
-        elif proj is not None and source is not None \
-                and not proj.holds_multipliers():
-            fv, end = source.piece(times[n])
-            m = min(bisect_left(times, end, n, steps) - n, run)
-            # rows[k] is the state after k free steps from u; a state that
-            # overflows is refused below and stepped singly, which warns
-            hs = np.diff(grid[n:n + m + 1])
-            rows = np.empty((m + 1, g.n_vertices))
-            rows[0] = u
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(hs[:, None], fv, out=rows[1:])
-                rows = np.cumsum(rows, axis=0)
-            cand = rows[1:]
-            if guard:
-                out = (np.abs(cand[:, guard]) > guard_limit).any(axis=1)
-                if out.any():
-                    cand = cand[:int(out.argmax())]
-            # only edges at a vertex where f is nonzero can move
-            edges = np.flatnonzero((fv != 0)[g.edge_index].any(axis=1))
-            k, moved = proj.pass_through(u, cand, edges)
-            run = min(2 * run, cap) if k == m else first
+        # blocks: collapse while a multiplier is held, growth while none is
+        if proj is not None and (source is None) == proj.holds_multipliers():
+            if source is None:
+                fv, m = None, min(_HELD_ROWS, cap, steps - n)
+            else:
+                fv, end = source.piece(times[n])
+                m = min(bisect_left(times, end, n, steps) - n, run)
+            k, rows, moved, edges = proj.hold(u, grid[n:n + m + 1], fv,
+                                              guard, guard_limit)
+            if fv is not None:
+                run = min(2 * run, cap) if k == m else first
         if k:
             # the operations of a single step, which warn alike; a held
             # step's drive is that of the row before it

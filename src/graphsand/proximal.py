@@ -78,22 +78,6 @@ class ConstraintSet:
         object.__setattr__(self, "bounds", b)
 
     @classmethod
-    def uniform(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls.from_kind(g, "uniform")
-
-    @classmethod
-    def inverse_sqrt_weight(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls.from_kind(g, "inv-sqrt-w")
-
-    @classmethod
-    def inverse_weight(cls, g: WeightedGraph) -> "ConstraintSet":
-        return cls.from_kind(g, "inv-w")
-
-    @classmethod
-    def custom(cls, g: WeightedGraph, bounds) -> "ConstraintSet":
-        return cls(g, bounds)
-
-    @classmethod
     def from_kind(cls, g: WeightedGraph, kind: str) -> "ConstraintSet":
         """Named constraint set; kind is a CONSTRAINT_KINDS token."""
         if not isinstance(kind, str) or kind not in CONSTRAINT_KINDS:
@@ -114,12 +98,15 @@ def max_relative_slope(u, K: ConstraintSet) -> float:
 
 
 class _SweepPlan(NamedTuple):
-    """What a sweep over one active list touches."""
+    """What a sweep, or a held step, over one active list touches."""
     ends: np.ndarray      # vertex ids of the active edges' ends, sorted
     sweep: list           # per active edge: (edge, local i, local j,
                           # 1/d_i + 1/d_j, its inverse, bound, 1/d_i, 1/d_j)
     incident: np.ndarray  # edges with an end among `ends`, sorted
     incident_ends: np.ndarray  # their (i, j) vertex ids
+    at_ends: np.ndarray   # incident, as a mask over all edges
+    held: list            # hold's tables of the list, made on its first
+                          # use: nb, fold, free and bound (see _sweep_plan)
 
 
 def _holds(xl: list, free: list, bound: list, lift: float, mu=None) -> bool:
@@ -168,7 +155,7 @@ class DykstraProjector:
         self._cl = bounds.tolist()
         self.tol = tol
         self._limit = bounds + tol
-        self._plan_key = self._plan = self._held_cache = None
+        self._plan_key = self._plan = None
         self.abs_gaps = None
         self.reset()
 
@@ -182,40 +169,17 @@ class DykstraProjector:
         mu = self.mu
         return any(mu[e] != 0.0 for e in self._active)
 
-    def pass_through(self, start: np.ndarray, rows: np.ndarray,
-                     edges: np.ndarray) -> tuple[int, np.ndarray | None]:
-        """(k, moved): project() would return each of the k leading rows as
-        it is; moved holds every row's |gaps| on `edges`, or is None where
-        no row can pass.
-
-        Requires that no multiplier is held (holds_multipliers() is False):
-        project() then returns a row as it is exactly when every |gap| is
-        within bound + tol, which also refuses a row that is not finite.
-        Each row may differ from start only at ends of `edges`, so every
-        other |gap| is start's, checked once.  A gap that overflows is inf
-        and refuses its row without a warning; project() warns when it
-        reaches that row.  The k rows are taken as results: abs_gaps holds
-        the last one's |gaps|, and the next call continues from it.
-        """
-        a = np.abs(edge_gaps(self.graph, start))
-        over = a > self._limit
-        over[edges] = False
-        if over.any():
-            return 0, None
-        i, j = self.graph.edge_index[edges].T
-        with np.errstate(over="ignore", invalid="ignore"):  # refused rows
-            moved = np.abs(rows[:, j] - rows[:, i])
-        fits = (moved <= self._limit[edges]).all(axis=1)
-        k = len(fits) if fits.all() else int(fits.argmin())
-        if k:
-            a[edges] = moved[k - 1]
-            self.abs_gaps = a
-            self._active = []
-        return k, moved
-
-    def _sweep_plan(self, active: list) -> _SweepPlan:
+    def _sweep_plan(self, active: list, held: bool = False) -> _SweepPlan:
         """The plan of an active list, kept until the list changes; the
-        list is rebuilt on every call, so it is compared by value."""
+        list is rebuilt on every call, so it is compared by value.
+
+        With held, the plan also carries hold's tables, made once per plan:
+        nb holds `ends` and then the other ends of the incident edges; fold
+        is (edge, local i, local j, d_i, d_j) per active edge; free and
+        bound are the incident edges off and on the list, as (local i,
+        local j, limit[, edge]), a local id indexing nb, whose head is
+        `ends`.  project() never reads them, so it does not pay for them.
+        """
         if active != self._plan_key:
             il, jl = self._il, self._jl
             invsum, coef, cl = self._invsuml, self._coefl, self._cl
@@ -224,14 +188,31 @@ class DykstraProjector:
             local = {x: k for k, x in enumerate(ends)}
             at_end = np.zeros(self.graph.n_vertices, dtype=bool)
             at_end[ends] = True
-            incident = at_end[self.graph.edge_index].any(axis=1).nonzero()[0]
+            at_ends = at_end[self.graph.edge_index].any(axis=1)
+            incident = at_ends.nonzero()[0]
             self._plan = _SweepPlan(
                 np.array(ends, dtype=np.intp),
                 [(e, local[il[e]], local[jl[e]], invsum[e], coef[e], cl[e],
                   invdi[e], invdj[e]) for e in active],
-                incident, self.graph.edge_index[incident])
+                incident, self.graph.edge_index[incident], at_ends, [])
             self._plan_key = active
-        return self._plan
+        plan = self._plan
+        if held and not plan.held:
+            deg, ends = self._degl, plan.ends.tolist()
+            nb = ends + sorted(set(plan.incident_ends.ravel().tolist()) - set(ends))
+            local = {x: k for k, x in enumerate(nb)}
+            on, free, bound = set(active), [], []
+            for (i, j), e, lim in zip(plan.incident_ends.tolist(),
+                                      plan.incident.tolist(),
+                                      self._limit[plan.incident].tolist()):
+                if e in on:
+                    bound.append((local[i], local[j], lim, e))
+                else:
+                    free.append((local[i], local[j], lim))
+            fold = [(t[0], t[1], t[2], deg[self._il[t[0]]], deg[self._jl[t[0]]])
+                    for t in plan.sweep]
+            plan.held.extend([np.array(nb, dtype=np.intp), fold, free, bound])
+        return plan
 
     def _rounding_floor(self, vl: list, plan: _SweepPlan):
         """(floor, s, stop) of a sweep loop at the magnitude M of its field.
@@ -307,117 +288,104 @@ class DykstraProjector:
                 mu[t[0]] /= s
         return floor, sweeps, change
 
-    def _held_plan(self, plan: _SweepPlan) -> tuple:
-        """(nb, fold, free, bound, incident) of held steps over plan's
-        active list, kept with the plan: nb holds plan.ends and then the
-        other ends of the edges at them; fold is (edge, local i, local j,
-        d_i, d_j) per active edge; free and bound are the edges at the ends
-        off and on the list, as (local i, local j, limit[, edge]); and
-        incident marks those edges among all edges."""
-        if self._held_cache is None or self._held_cache[0] is not plan:
-            deg, active, ends = self._degl, set(self._plan_key), plan.ends.tolist()
-            nb = ends + sorted(set(plan.incident_ends.ravel().tolist()) - set(ends))
-            local = {x: k for k, x in enumerate(nb)}
-            free, bound = [], []
-            for (i, j), e, lim in zip(plan.incident_ends.tolist(),
-                                      plan.incident.tolist(),
-                                      self._limit[plan.incident].tolist()):
-                if e in active:
-                    bound.append((local[i], local[j], lim, e))
-                else:
-                    free.append((local[i], local[j], lim))
-            incident = np.zeros(self.graph.n_edges, dtype=bool)
-            incident[plan.incident] = True
-            fold = [(t[0], t[1], t[2], deg[self._il[t[0]]], deg[self._jl[t[0]]])
-                    for t in plan.sweep]
-            self._held_cache = (plan, np.array(nb), fold, free, bound, incident)
-        return self._held_cache[1:]
-
-    def hold(self, start: np.ndarray, times: list, drive, guard,
+    def hold(self, start: np.ndarray, times: np.ndarray, f, guard,
              guard_limit: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """(k, rows, moved, live): project() on k steps whose input is
-        x + h * drive(t, x), x the last result, while the active list holds.
+        x + h * d, x the last result, while the active list holds.  The
+        drive d is the source field f, allowed only while no multiplier is
+        held, or, where f is None, the collapse drive x / t.
 
-        times are the step times t_0 < t_1 < ... as Python floats, and
-        start is the last result, at t_0.  rows[r] is the result after r
-        steps (rows[0] is start) and moved[r - 1] its |gaps| on the edges
-        live, those with an end that is nonzero in some row; each other
-        edge joins two zeros that no step moves.
-
-        Each step drives the neighbourhood (the ends of the active edges
-        and the other ends of the edges at them) and the other nonzero
-        vertices of start as one numpy row op; a zero vertex outside the
-        neighbourhood stays as it is, sign included.  On the neighbourhood
-        it then does project()'s own arithmetic in Python floats: the fold,
-        the checks of the edges at the ends after the fold and after the
-        sweep, and _sweep.  A step is held when project() would keep the
-        active list on it and every gap there is finite.  The held rows are
-        then certified in bulk: every other live edge within its limit
+        times are the step times from t_0, and start the last result, at
+        t_0.  rows[r] is the result after r steps (rows[0] is start) and
+        moved[r - 1] its |gaps| on the edges live, those at a vertex a step
+        may move: the neighbourhood (the ends of the edges on the active
+        list, the support as project() starts from it, and the other ends
+        of the edges at them), and under f a vertex where f is nonzero or
+        start has its sign bit (-0.0 + h * 0.0 is +0.0), under x / t a
+        nonzero one.  Under f the rows are one np.cumsum, adding in the
+        order x + h * f would.  Under x / t each step is one numpy row op,
+        then project()'s own arithmetic on the neighbourhood in Python
+        floats: the fold, the checks of the edges at the ends after the
+        fold and after the sweep, and _sweep; a step is held when project()
+        would keep the list on it and every gap there is finite.  The rows
+        are then certified in bulk: every other edge within its limit
         (which refuses a value that is not finite) and the columns guard
-        within guard_limit.  The k leading rows that are held and certified
-        are the results: the multipliers and abs_gaps are left as k
-        project() calls leave them (rows, moved and live are None where no
-        step is held).  Requires that a multiplier is held.
+        within guard_limit.  The k leading rows held and certified are the
+        results: the multipliers, the active list and abs_gaps are left as
+        k project() calls leave them.
         """
-        mu, active = self.mu, self._active
-        plan = self._sweep_plan(active)
-        nb, fold, free, bound, incident = self._held_plan(plan)
-        # z[r] holds row r at the neighbourhood (first) and the other nonzero
-        # vertices of start; every other vertex keeps its value
-        cols = np.concatenate(
-            [nb, np.setdiff1d(np.flatnonzero(start), nb, assume_unique=True)])
+        g, mu = self.graph, self.mu
+        support = [e for e in self._active if mu[e] != 0.0]
+        plan = self._sweep_plan(support, held=True)
+        nb, fold, free, bound = plan.held
+        # z[r] holds row r at the neighbourhood (first) and the other
+        # vertices the drive moves; every other vertex keeps its value
+        moving = start != 0 if f is None else (f != 0) | np.signbit(start)
+        moving[nb] = False
+        cols = np.concatenate([nb, np.flatnonzero(moving)])
+        moving[nb] = True
         z = np.empty((len(times), len(cols)))
         z[0] = start[cols]
         snaps = []
         sweep, tol, size = self._sweep, self.tol, len(nb)
         with np.errstate(over="ignore", invalid="ignore"):  # refused rows
-            for r in range(len(times) - 1):
-                t, h = times[r], times[r + 1] - times[r]
-                np.add(z[r], h * drive(t, z[r]), out=z[r + 1])
-                xl = z[r + 1, :size].tolist()
-                snap = [mu[e] for e in active]
-                for e, i, _, di, _ in fold:
-                    if mu[e] != 0.0:
-                        xl[i] += mu[e] / di
-                for e, _, j, _, dj in fold:
-                    if mu[e] != 0.0:
-                        xl[j] += -mu[e] / dj
-                held = _holds(xl, free, bound, 0.0, mu)
-                if held:
-                    try:
-                        floor = sweep(xl, plan, 0, math.inf)[0]
-                    except ProjectionError:  # the single step raises it
-                        held = False
-                    else:
-                        held = _holds(xl, free, bound,
-                                      floor - tol if floor > tol else 0.0)
-                if not held:
-                    for e, m in zip(active, snap):
-                        mu[e] = m
-                    break
-                z[r + 1, :size] = xl
-                snaps.append(snap)
+            if f is not None:
+                np.multiply(np.diff(times)[:, None], f[cols], out=z[1:])
+                z = np.cumsum(z, axis=0)
+                snaps = [()] * (len(times) - 1)  # no multiplier to restore
+            else:
+                times = times.tolist()  # no numpy scalar arithmetic per step
+                for r in range(len(times) - 1):
+                    t, h = times[r], times[r + 1] - times[r]
+                    np.add(z[r], h * (z[r] / t), out=z[r + 1])
+                    xl = z[r + 1, :size].tolist()
+                    snap = [mu[e] for e in support]
+                    for e, i, _, di, _ in fold:
+                        if mu[e] != 0.0:
+                            xl[i] += mu[e] / di
+                    for e, _, j, _, dj in fold:
+                        if mu[e] != 0.0:
+                            xl[j] += -mu[e] / dj
+                    held = _holds(xl, free, bound, 0.0, mu)
+                    if held:
+                        try:
+                            floor = sweep(xl, plan, 0, math.inf)[0]
+                        except ProjectionError:  # the single step raises it
+                            held = False
+                        else:
+                            held = _holds(xl, free, bound,
+                                          floor - tol if floor > tol else 0.0)
+                    if not held:
+                        for e, m in zip(support, snap):
+                            mu[e] = m
+                        break
+                    z[r + 1, :size] = xl
+                    snaps.append(snap)
         k = len(snaps)
-        if not k:
-            return 0, None, None, None
-        g = self.graph
-        rows = np.tile(start, (k + 1, 1))
+        rows = np.repeat(start[None], k + 1, axis=0)
         rows[1:, cols] = z[1:k + 1]
-        live = np.flatnonzero((rows != 0).any(axis=0)[g.edge_index].any(axis=1))
+        at_live = moving[g.edge_index].any(axis=1)
+        live = np.flatnonzero(at_live)
         i, j = g.edge_index[live].T
-        rest = ~incident[live]
+        rest = ~plan.at_ends[live]
         with np.errstate(over="ignore", invalid="ignore"):
             moved = np.abs(rows[1:, j] - rows[1:, i])
             fits = (moved[:, rest] <= self._limit[live[rest]]).all(axis=1)
         if guard:
             fits &= (np.abs(rows[1:, guard]) <= guard_limit).all(axis=1)
+        # every other edge keeps its gap at start, which an initial datum
+        # (stable to 1e-8) may hold past the limit
+        a = np.abs(edge_gaps(g, start)) if self.abs_gaps is None \
+            else self.abs_gaps.copy()
+        if (a[~at_live] > self._limit[~at_live]).any():
+            fits[:] = False
         if not fits.all():
             k = int(fits.argmin())
-            for e, m in zip(active, snaps[k]):
+            for e, m in zip(support, snaps[k]):
                 mu[e] = m
         if k:
-            self.abs_gaps = self.abs_gaps.copy()
-            self.abs_gaps[live] = moved[k - 1]
+            a[live] = moved[k - 1]
+            self.abs_gaps, self._active = a, support
         return k, rows[:k + 1], moved[:k], live
 
     def project(self, z) -> np.ndarray:

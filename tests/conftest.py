@@ -14,7 +14,7 @@ def p4():
 
 @pytest.fixture
 def p4_uniform(p4):
-    return ConstraintSet.uniform(p4)
+    return ConstraintSet.from_kind(p4, "uniform")
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def constraint_sets(g):
     """Every named constraint set on g plus one custom table of bounds: each
     is a slope polytope with its own p-energy."""
     return [ConstraintSet.from_kind(g, kind) for kind in CONSTRAINT_KINDS] \
-        + [ConstraintSet.custom(g, np.linspace(0.5, 1.5, g.n_edges))]
+        + [ConstraintSet(g, np.linspace(0.5, 1.5, g.n_edges))]
 
 
 def random_connected_graph(rng, n_max=5, w_lo=0.5, w_hi=2.0):

@@ -32,7 +32,7 @@ def report(num: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def z_run():
     g = build_truncated_z(20)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule.constant(g, {"0": 1.0})
     start = time.perf_counter()
     traj = solve_growth(g, K, np.zeros(g.n_vertices), f, 16.0, 1e-3)
@@ -44,7 +44,7 @@ def z_run():
 def star_run():
     g = build_star([1.0, 1.0, 1.0])
     f = SourceSchedule.constant(g, {"x0": 1.0})
-    traj = solve_growth(g, ConstraintSet.uniform(g), np.zeros(4), f, 12.0, 1e-3)
+    traj = solve_growth(g, ConstraintSet.from_kind(g, "uniform"), np.zeros(4), f, 12.0, 1e-3)
     return g, f, traj
 
 
@@ -52,7 +52,7 @@ def star_run():
 def p4_a3b1_run():
     g = build_path(4)
     f = SourceSchedule.constant(g, {"x2": 3.0, "x3": 1.0})
-    traj = solve_growth(g, ConstraintSet.uniform(g), np.zeros(4), f, 1.5, 1e-3)
+    traj = solve_growth(g, ConstraintSet.from_kind(g, "uniform"), np.zeros(4), f, 1.5, 1e-3)
     return g, f, traj
 
 
@@ -60,7 +60,7 @@ def p4_a3b1_run():
 def p4_a2b1_run():
     g = build_path(4)
     f = SourceSchedule.constant(g, {"x2": 2.0, "x3": 1.0})
-    traj = solve_growth(g, ConstraintSet.uniform(g), np.zeros(4), f, 2.5, 1e-3)
+    traj = solve_growth(g, ConstraintSet.from_kind(g, "uniform"), np.zeros(4), f, 2.5, 1e-3)
     return g, f, traj
 
 
@@ -68,7 +68,7 @@ def p4_a2b1_run():
 def chain_run():
     g = build_path(3, weights=[1.0, 4.0])
     f = SourceSchedule.constant(g, {"x2": 1.0})
-    traj = solve_growth(g, ConstraintSet.inverse_sqrt_weight(g), np.zeros(3),
+    traj = solve_growth(g, ConstraintSet.from_kind(g, "inv-sqrt-w"), np.zeros(3),
                         f, 2.6, 1e-3)
     return g, f, traj
 
@@ -77,7 +77,7 @@ def chain_run():
 def collapse_runs():
     out = {}
     p4 = build_path(4)
-    K4 = ConstraintSet.uniform(p4)
+    K4 = ConstraintSet.from_kind(p4, "uniform")
     for label, spec in [("b1", {"x2": 3.0, "x4": 1.0}),
                         ("b2", {"x2": 3.0, "x4": 2.0})]:
         start = time.perf_counter()
@@ -86,7 +86,7 @@ def collapse_runs():
     p6 = build_path(6)
     u0 = {"x2": 3.0, "x4": 9 / 5, "x5": 2.0}
     start = time.perf_counter()
-    u_inf, traj = solve_collapse(p6, ConstraintSet.uniform(p6), u0, 1e-4)
+    u_inf, traj = solve_collapse(p6, ConstraintSet.from_kind(p6, "uniform"), u0, 1e-4)
     out["p6"] = (u_inf, traj, time.perf_counter() - start)
     return out
 
@@ -174,7 +174,7 @@ def test_criterion_5_model2_chain(chain_run):
 def test_criterion_6_p_convergence():
     g = build_truncated_z(20)
     f = SourceSchedule.constant(g, {"0": 1.0})
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     table = converge_p_experiment(g, K, np.zeros(g.n_vertices), f,
                                   [8, 16, 32, 64], 3.0, 1e-3)
     errs = [err for _, err in table]
@@ -187,7 +187,7 @@ def test_criterion_6_p_convergence():
 
 def test_criterion_7_collapse_via_p():
     g = build_path(4)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     u0 = np.array([0.0, 3.0, 0.0, 1.0])
     d8 = dict(collapse_via_p_experiment(g, K, u0, 8.0, [1.0, 2.0], 1e-3))
     d64 = dict(collapse_via_p_experiment(g, K, u0, 64.0, [1.0, 2.0], 1e-3))
@@ -221,12 +221,11 @@ def test_criterion_9_projection_oracle_equivalence():
     worst = 0.0
     for _ in range(500):
         g = random_connected_graph(rng, n_max=5)
-        kind = rng.choice(["uniform", "inverse_sqrt_weight", "inverse_weight",
-                           "custom"])
+        kind = rng.choice(["uniform", "inv-sqrt-w", "inv-w", "custom"])
         if kind == "custom":
-            K = ConstraintSet.custom(g, rng.uniform(0.3, 2.0, size=g.n_edges))
+            K = ConstraintSet(g, rng.uniform(0.3, 2.0, size=g.n_edges))
         else:
-            K = getattr(ConstraintSet, kind)(g)
+            K = ConstraintSet.from_kind(g, kind)
         z = random_field(rng, g, scale=2.0)
         gap = nu_norm(g, project(g, K, z) - project_oracle(g, K, z))
         worst = max(worst, gap)
@@ -280,7 +279,7 @@ def test_criterion_11_property_suite(z_run, star_run, p4_a3b1_run,
     # order preservation + q-norm contraction of both resolvents
     for trial in range(40):
         g = random_connected_graph(rng)
-        K = ConstraintSet.uniform(g)
+        K = ConstraintSet.from_kind(g, "uniform")
         z1 = random_field(rng, g)
         z2 = z1 + np.abs(random_field(rng, g, scale=0.6))
         u1, u2 = project(g, K, z1), project(g, K, z2)
@@ -301,7 +300,7 @@ def test_criterion_11_property_suite(z_run, star_run, p4_a3b1_run,
 
     # comparison principle under f <= f~ with the same datum
     p4 = build_path(4)
-    K4 = ConstraintSet.uniform(p4)
+    K4 = ConstraintSet.from_kind(p4, "uniform")
     f_small = SourceSchedule.constant(p4, {"x2": 1.0})
     f_big = SourceSchedule.constant(p4, {"x2": 1.0, "x3": 0.7})
     low = solve_growth(p4, K4, np.zeros(4), f_small, 2.0, 1e-2)
@@ -314,7 +313,7 @@ def test_criterion_11_property_suite(z_run, star_run, p4_a3b1_run,
                 (p4_a3b1_run[0], p4_a3b1_run[2]), (p4_a2b1_run[0], p4_a2b1_run[2])]
     uniform_cache = {}
     for g, traj in fixtures:
-        K = uniform_cache.setdefault(id(g), ConstraintSet.uniform(g))
+        K = uniform_cache.setdefault(id(g), ConstraintSet.from_kind(g, "uniform"))
         step = max(1, traj.n_samples // 400)
         for state in traj.states[::step]:
             if not is_stable(state, K, 1e-8):
@@ -323,11 +322,11 @@ def test_criterion_11_property_suite(z_run, star_run, p4_a3b1_run,
         if np.min(np.diff(traj.states[::step], axis=0)) < -1e-8:
             failures.append("growth monotonicity")
     gch, _, trch = chain_run
-    Kch = ConstraintSet.inverse_sqrt_weight(gch)
+    Kch = ConstraintSet.from_kind(gch, "inv-sqrt-w")
     if not all(is_stable(s, Kch, 1e-8) for s in trch.states[::10]):
         failures.append("chain sample stability")
     for label, (u_inf, traj, _) in collapse_runs.items():
-        Kc = ConstraintSet.uniform(traj.graph)
+        Kc = ConstraintSet.from_kind(traj.graph, "uniform")
         step = max(1, traj.n_samples // 400)
         if not all(is_stable(s, Kc, 1e-8) for s in traj.states[::step]):
             failures.append(f"collapse {label} sample stability")

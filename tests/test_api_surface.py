@@ -111,24 +111,17 @@ def test_solvers_step_through_the_span_targets(monkeypatch):
     # a solver that bound them another way, or skipped them on steps that
     # need them, would leave its steps out of the proximal spans
     g = build_path(5)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule(g, ((0.0, 0.25, {"x3": 1.0}),))
     calls = _count_calls(monkeypatch, evolution, "resolvent_p")
     traj = solve_p_flow(g, 4.0, K, np.zeros(5), f, 0.5, 0.05)
     assert len(calls) == len(traj.step_times) == 10
-    # growth projects exactly the steps on which a slope binds or a
-    # multiplier is held; the others are free flight, with no projection.
-    # At x3 = 1 the pile never binds; at x3 = 10 it binds on steps 3-5 and
-    # step 6, the first after the source, still holds the multipliers
+    # growth and collapse project exactly the steps that are not taken as
+    # blocks by DykstraProjector.hold: growth's while no multiplier is held
+    # (free flight), collapse's while the active list holds.  At x3 = 1 the
+    # pile never binds; at x3 = 10 it binds on steps 3-5 and step 6, the
+    # first after the source, still holds the multipliers
     calls = _count_calls(monkeypatch, proximal.DykstraProjector, "project")
-    traj = solve_growth(g, K, np.zeros(5), f, 0.5, 0.05)
-    assert len(calls) == 0 and len(traj.step_times) == 10
-    steep = SourceSchedule(g, ((0.0, 0.25, {"x3": 10.0}),))
-    traj = solve_growth(g, K, np.zeros(5), steep, 0.5, 0.05)
-    assert len(calls) == 4 and len(traj.step_times) == 10
-    # collapse projects exactly the steps that are not held: the others
-    # are taken by DykstraProjector.hold while the active list holds
-    calls.clear()
     held = []
     hold = proximal.DykstraProjector.hold
 
@@ -138,6 +131,17 @@ def test_solvers_step_through_the_span_targets(monkeypatch):
         return out
 
     monkeypatch.setattr(proximal.DykstraProjector, "hold", counted_hold)
+    traj = solve_growth(g, K, np.zeros(5), f, 0.5, 0.05)
+    assert len(calls) + sum(held) == len(traj.step_times) == 10
+    assert len(calls) == 0
+    calls.clear()
+    held.clear()
+    steep = SourceSchedule(g, ((0.0, 0.25, {"x3": 10.0}),))
+    traj = solve_growth(g, K, np.zeros(5), steep, 0.5, 0.05)
+    assert len(calls) + sum(held) == len(traj.step_times) == 10
+    assert len(calls) == 4
+    calls.clear()
+    held.clear()
     _, traj = solve_collapse(g, K, np.array([0.0, 3.0, 0.0, 1.0, 0.0]), 0.05)
     assert len(calls) + sum(held) == len(traj.step_times) == 14
     assert len(calls) == 1 and sum(held) == 13

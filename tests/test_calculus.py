@@ -67,7 +67,7 @@ def test_div_grad_is_laplacian():
         g = random_connected_graph(rng)
         u = random_field(rng, g)
         lhs = scatter(g, g.weights * edge_gaps(g, u)) / g.degrees
-        rhs = p_laplacian(g, u, 2.0, ConstraintSet.uniform(g))
+        rhs = p_laplacian(g, u, 2.0, ConstraintSet.from_kind(g, "uniform"))
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -90,18 +90,18 @@ def test_p_laplacian_matches_laplacian_at_p2():
         W = np.zeros((g.n_vertices, g.n_vertices))
         W[g.edge_index[:, 0], g.edge_index[:, 1]] = g.weights
         W += W.T
-        K = ConstraintSet.uniform(g)
+        K = ConstraintSet.from_kind(g, "uniform")
         assert np.allclose(p_laplacian(g, u, 2.0, K), W @ u / g.degrees - u)
 
 
 def test_p_laplacian_single_edge(edge):
-    out = p_laplacian(edge, np.array([0.0, 1.0]), 3.0, ConstraintSet.uniform(edge))
+    out = p_laplacian(edge, np.array([0.0, 1.0]), 3.0, ConstraintSet.from_kind(edge, "uniform"))
     assert np.allclose(out, [1.0, -1.0])
 
 
 def test_p_laplacian_w_single_edge():
     g = build_graph([("a", "b", 4.0)])
-    K = ConstraintSet.inverse_sqrt_weight(g)
+    K = ConstraintSet.from_kind(g, "inv-sqrt-w")
     out = p_laplacian(g, np.array([0.0, 1.0]), 3.0, K)
     assert out[0] == pytest.approx(2.0)
     assert out[1] == pytest.approx(-2.0)
@@ -109,7 +109,7 @@ def test_p_laplacian_w_single_edge():
 
 def test_p_laplacian_w_reduces_to_G_for_unit_weights(p4, p4_uniform):
     rng = np.random.default_rng(13)
-    K = ConstraintSet.inverse_sqrt_weight(p4)
+    K = ConstraintSet.from_kind(p4, "inv-sqrt-w")
     for p in (2.0, 3.0, 4.5, 8.0):
         u = random_field(rng, p4)
         assert np.allclose(p_laplacian(p4, u, p, K), p_laplacian(p4, u, p, p4_uniform))
@@ -137,11 +137,11 @@ def test_mass_identity():
 
 
 def test_energy_values(edge):
-    uniform = ConstraintSet.uniform(edge)
+    uniform = ConstraintSet.from_kind(edge, "uniform")
     assert energy(edge, np.array([0.0, 1.0]), 4.0, uniform) == pytest.approx(0.25)
     assert energy(edge, np.full(2, 5.0), 4.0, uniform) == 0.0
     assert energy(edge, np.full(2, 5.0), 4.0,
-                  ConstraintSet.inverse_sqrt_weight(edge)) == 0.0
+                  ConstraintSet.from_kind(edge, "inv-sqrt-w")) == 0.0
 
 
 def test_energy_homogeneity():

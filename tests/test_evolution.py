@@ -165,7 +165,7 @@ def test_growth_rejects_unstable_datum(p4, p4_uniform):
 
 def test_growth_z_lattice_profiles():
     g = build_truncated_z(8)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule.constant(g, {"0": 1.0})
     traj = solve_growth(g, K, np.zeros(g.n_vertices), f, 9.0, 1e-3)
     for t in (1.0, 2.5, 4.0, 6.0, 9.0):
@@ -178,7 +178,7 @@ def test_growth_z_lattice_profiles():
 
 def test_growth_star_rates():
     g = build_star([1.0, 1.0, 1.0])
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule.constant(g, {"x0": 1.0})
     traj = solve_growth(g, K, np.zeros(4), f, 6.0, 1e-3)
     u_a, u_b = traj.state_at(1.5), traj.state_at(4.5)
@@ -230,7 +230,7 @@ def test_growth_comparison_principle(p4, p4_uniform):
 
 def test_growth_guard_band_violation():
     g = build_truncated_z(2)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule.constant(g, {"0": 1.0})
     with pytest.raises(TruncationError, match="truncation too small"):
         solve_growth(g, K, np.zeros(g.n_vertices), f, 2.0, 1e-2)
@@ -241,7 +241,7 @@ def test_growth_guard_band_touched_mid_run():
     # and source values the final state is exactly zero, so only a check at
     # every step sees the band being reached (first at t = 1/8)
     g = build_truncated_z(3)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     up = field_values(g, {"2": 1.0})
     f = SourceSchedule(g, ((0.0, 0.5, up), (0.5, 1.0, -up)))
     with pytest.raises(TruncationError, match=r"guard band at t=0\.125 "):
@@ -284,7 +284,7 @@ def test_collapse_p4_goldens(p4, p4_uniform):
 
 def test_collapse_p6_golden():
     g = build_path(6)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     u0 = {"x2": 3.0, "x4": 9 / 5, "x5": 2.0}
     u_inf, traj = solve_collapse(g, K, u0, 1e-4)
     assert np.allclose(u_inf, [4 / 5, 9 / 5, 4 / 5, 9 / 5, 5 / 3, 2 / 3], atol=1e-2)
@@ -348,7 +348,7 @@ def test_uniform_p_flow_bit_identical(p, digest):
     g = build_path(31)
     f = SourceSchedule(g, ((0.0, 0.6, {"x16": 1.0}),))
     u0 = np.array([0.5 * (k % 2) for k in range(31)])
-    traj = solve_p_flow(g, p, ConstraintSet.uniform(g), u0, f, 1.0, 0.05)
+    traj = solve_p_flow(g, p, ConstraintSet.from_kind(g, "uniform"), u0, f, 1.0, 0.05)
     assert traj.states.shape == (21, 31)
     got = hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
     assert got == digest
@@ -364,7 +364,7 @@ def weighted_zigzag():
     for k, w in enumerate(weights):
         u0[f"x{k + 2}"] = u0[f"x{k + 1}"] + (0.9 if k % 2 else -0.9) / math.sqrt(w)
     f = SourceSchedule(g, ((0.0, 0.6, {"x16": 2.0, "x7": 1.0}),))
-    return g, ConstraintSet.inverse_sqrt_weight(g), u0, f
+    return g, ConstraintSet.from_kind(g, "inv-sqrt-w"), u0, f
 
 
 @pytest.mark.parametrize("p, digest", [
@@ -397,7 +397,7 @@ def test_p_flow_matches_cold_start_reference(p):
     # the cold-started one up to the Newton tolerance, also across the end
     # of the source segment, where the correction jumps
     g = build_path(31)
-    K = ConstraintSet.inverse_sqrt_weight(g)
+    K = ConstraintSet.from_kind(g, "inv-sqrt-w")
     f = SourceSchedule(g, ((0.0, 0.37, {"x16": 2.0, "x5": -1.0}),))
     u0 = np.array([0.5 * (k % 2) for k in range(31)])
     traj = solve_p_flow(g, p, K, u0, f, 1.0, 0.02)
@@ -419,7 +419,7 @@ def test_growth_first_order_in_dt_on_lattice():
     # halving dt is verified against a solver-noise floor here and the genuine
     # O(dt) behaviour is covered by the p-flow test above
     g = build_truncated_z(4)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule.constant(g, {"0": 1.0})
     errs = []
     for dt in (2e-3, 1e-3):
@@ -445,7 +445,7 @@ def test_collapse_via_p_decays_self_similarly():
     # t = 2 by at most ln2/(p-2) |u_inf - ubar|_nu, and its distance to the
     # rescaled limit ubar + t^(-1/(p-2)) (u_inf - ubar) does not move
     g = build_path(4)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     u0 = np.array([0.0, 3.0, 0.0, 1.0])
     dt = 1e-3
     u_inf, _ = solve_collapse(g, K, u0, dt)
@@ -465,7 +465,7 @@ def test_collapse_via_p_decays_self_similarly():
 
 def test_converge_p_decreases_model_w(chain_w4):
     f = SourceSchedule.constant(chain_w4, {"x2": 1.0})
-    K = ConstraintSet.inverse_sqrt_weight(chain_w4)
+    K = ConstraintSet.from_kind(chain_w4, "inv-sqrt-w")
     table = converge_p_experiment(chain_w4, K, np.zeros(3), f, [8, 64], 2.0, 2e-3)
     errs = dict(table)
     assert errs[64.0] < errs[8.0]
@@ -475,7 +475,7 @@ def test_converge_p_inverse_weight_order_one_over_p():
     # the inv-w polytope's own p-energy: the sup error falls like 1/p
     g = build_path(5, weights=[2.0, 1.0, 1.0, 2.0])
     f = SourceSchedule.constant(g, {"x3": 1.0})
-    table = converge_p_experiment(g, ConstraintSet.inverse_weight(g), np.zeros(5),
+    table = converge_p_experiment(g, ConstraintSet.from_kind(g, "inv-w"), np.zeros(5),
                                   f, [4, 8, 16, 32, 64], 2.0, 1e-2)
     errs = [err for _, err in table]
     assert all(b < a for a, b in zip(errs, errs[1:]))

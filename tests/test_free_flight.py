@@ -11,11 +11,11 @@ step.
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, \
-    TruncationError, build_path, build_truncated_z, evolution, solve_growth
-from graphsand.calculus import edge_gaps
+    TruncationError, build_graph, build_path, build_truncated_z, evolution, \
+    solve_growth
 from graphsand.proximal import CONSTRAINT_KINDS
 from conftest import solver_graphs
 from reference import growth_per_step
@@ -90,12 +90,20 @@ def growth_cases(draw):
     g = draw(solver_graphs())
     kinds = [ConstraintSet.from_kind(g, kind) for kind in CONSTRAINT_KINDS]
     K = draw(st.sampled_from(
-        kinds + [ConstraintSet.custom(g, np.linspace(0.5, 1.5, g.n_edges))]))
+        kinds + [ConstraintSet(g, np.linspace(0.5, 1.5, g.n_edges))]))
     tol = draw(st.sampled_from([1e-10, 1e-9]))
     dt = draw(st.sampled_from([0.05, 1 / 16, 0.03, 0.1]))
     T = dt * draw(st.integers(1, 80)) + draw(st.sampled_from([0.0, dt / 3]))
     f = SourceSchedule(g, tuple(_segments(draw, g, T)))
     return g, K, _datum(draw, g, K, tol), f, T, dt, tol, draw(st.integers(1, 7))
+
+
+# a step adds h * 0.0 to every vertex, which turns -0.0 into +0.0
+CYCLE = build_graph([("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v3", 1.0),
+                     ("v3", "v0", 1.0)])
+SIGNED_ZERO = (CYCLE, ConstraintSet.from_kind(CYCLE, "uniform"),
+               np.array([0.0, 0.0, 0.0, -0.0]), SourceSchedule.zero(CYCLE),
+               0.05, 0.05, 1e-10, 1)
 
 
 def _run(solver, case):
@@ -142,6 +150,7 @@ def _bits(a):
 
 @PROPERTY
 @given(growth_cases(), st.sampled_from([1, 64, evolution._FREE_CELLS]))
+@example(SIGNED_ZERO, evolution._FREE_CELLS)
 def test_growth_matches_one_projection_per_step(case, cells):
     # a small cell budget splits each free run into blocks of one step, or
     # into blocks that double from one step
@@ -166,27 +175,35 @@ def test_growth_matches_one_projection_per_step(case, cells):
 
 @PROPERTY
 @given(growth_cases(), st.integers(1, 12), st.sampled_from([0.05, 0.25, 1.0]))
-def test_pass_through_certifies_what_project_returns_unchanged(case, m, h):
-    # m rows of a running sum from the drawn datum under the first
-    # segment's field: pass_through takes exactly the leading rows that
-    # single projections return bit for bit, and leaves abs_gaps as they would
+def test_hold_under_a_source_takes_what_project_returns_unchanged(case, m, h):
+    # m steps of length h from the drawn datum under the first segment's
+    # field: hold takes exactly the leading rows that single projections
+    # return bit for bit inside the guard band, and leaves abs_gaps and the
+    # (empty) active list as they would
     g, K, u0, f, _, _, tol, _ = case
     fv = f.segments[0][2] if f.segments else np.zeros(g.n_vertices)
-    with np.errstate(over="ignore"):
-        rows = np.cumsum(np.vstack([u0, np.tile(h * fv, (m, 1))]), axis=0)[1:]
-    moving = np.flatnonzero((fv != 0)[g.edge_index].any(axis=1))
+    times = np.arange(m + 1) * h
+    guard = list(g.guard_index)
     proj, ref = DykstraProjector(g, K, tol), DykstraProjector(g, K, tol)
-    k, moved = proj.pass_through(u0, rows, moving)
-    want, gaps = 0, None
-    for row in rows:
-        if not np.isfinite(row).all() or _bits(ref.project(row)) != _bits(row):
-            break
-        want, gaps = want + 1, ref.abs_gaps
-    assert k == want
+    k, rows, moved, live = proj.hold(u0, times, fv, guard, 0.0)
+    want, gaps, active = [u0], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0, t1 in zip(times, times[1:]):
+            z = want[-1] + (t1 - t0) * fv
+            if not np.isfinite(z).all() or (z[guard] != 0).any() \
+                    or _bits(ref.project(z)) != _bits(z):
+                break
+            want.append(z)
+            gaps.append(ref.abs_gaps)
+            active = ref._active
+    assert k == len(want) - 1
+    assert _bits(rows) == _bits(np.array(want))
     if k:
-        assert _bits(moved[:k]) == _bits(np.abs(edge_gaps(g, rows[:k].T).T[:, moving]))
-        assert _bits(proj.abs_gaps) == _bits(gaps)
-        assert not proj.holds_multipliers()
+        assert _bits(moved) == _bits(np.array(gaps)[:, live])
+        assert _bits(proj.abs_gaps) == _bits(gaps[-1])
+        assert proj._active == active == []
+    else:
+        assert proj.abs_gaps is None
 
 
 def test_free_flight_hands_over_at_the_guard_and_at_overflow():
@@ -198,11 +215,11 @@ def test_free_flight_hands_over_at_the_guard_and_at_overflow():
     z = build_truncated_z(4)
     light, path = build_path(5, [0.1] * 4), build_path(5)
     cases = [
-        (z, ConstraintSet.uniform(z), np.zeros(9),
+        (z, ConstraintSet.from_kind(z, "uniform"), np.zeros(9),
          SourceSchedule(z, ((0.5, 1.0, {"4": 0.25}),)), 1.0, 0.1, 1e-10, 1),
-        (light, ConstraintSet.uniform(light), np.zeros(5),
+        (light, ConstraintSet.from_kind(light, "uniform"), np.zeros(5),
          SourceSchedule.constant(light, np.full(5, 1e308)), 2.0, 0.125, 1e-10, 3),
-        (path, ConstraintSet.uniform(path), np.zeros(5),
+        (path, ConstraintSet.from_kind(path, "uniform"), np.zeros(5),
          SourceSchedule.constant(path, np.full(5, 1e308)), 2.0, 0.5, 1e-10, 1),
     ]
     raised = ("truncation too small", "overflow encountered in add",

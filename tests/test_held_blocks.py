@@ -58,7 +58,7 @@ def collapse_cases(draw):
     kinds = [ConstraintSet.from_kind(g, kind).bounds for kind in CONSTRAINT_KINDS]
     bounds = draw(st.sampled_from(kinds + [np.linspace(0.5, 1.5, g.n_edges)]))
     scale = draw(st.sampled_from(SCALES))
-    K = ConstraintSet.custom(g, bounds * scale)
+    K = ConstraintSet(g, bounds * scale)
     tol = draw(st.sampled_from([1e-10, 1e-9]))
     dt = draw(st.sampled_from([0.1, 0.05, 1 / 64, 0.01]))
     return g, K, _datum(draw, g, scale), dt, tol, draw(st.integers(1, 7))
@@ -136,19 +136,18 @@ def test_hold_takes_no_row_outside_the_guard_band():
     # a collapse on a Z window whose active edges reach the guard vertex 2:
     # the same two steps are held with no guard band, and none with it
     g = build_truncated_z(3)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     projectors = [DykstraProjector(g, K), DykstraProjector(g, K)]
     for proj in projectors:
         v, t = field_values(g, {"1": 1.5}), 0.5
         for _ in range(3):
             v, t = proj.project(v + 0.01 * (v / t)), t + 0.01
     assert v[g.vertex_id("2")] != 0.0 and g.vertex_id("2") in g.guard_index
-    times = [t, t + 0.01, t + 0.02]
+    times = np.array([t, t + 0.01, t + 0.02])
     free, guarded = projectors
-    assert free.hold(v, times, evolution._collapse_drive, [], 0.0)[0] == 2
+    assert free.hold(v, times, None, [], 0.0)[0] == 2
     mu = list(guarded.mu)
-    k, rows, moved, live = guarded.hold(v, times, evolution._collapse_drive,
-                                        list(g.guard_index), 0.0)
+    k, rows, moved, live = guarded.hold(v, times, None, list(g.guard_index), 0.0)
     assert k == 0 and guarded.mu == mu
 
 
@@ -157,8 +156,9 @@ def test_hold_takes_no_row_outside_the_guard_band():
 def test_hold_takes_the_rows_project_would_give(case, m):
     # from every step of a collapse that holds a multiplier, a copy of the
     # projector holds up to m steps: each row it takes is project()'s result
-    # on a step that keeps the active list, and it leaves the multipliers
-    # and abs_gaps as those project() calls leave them
+    # on a step that keeps the active list (the support it starts from), and
+    # it leaves the multipliers, the active list and abs_gaps as those
+    # project() calls leave them
     g, K, u0, dt, tol, _ = case
     guard = list(g.guard_index)
     with warnings.catch_warnings():
@@ -172,18 +172,20 @@ def test_hold_takes_the_rows_project_would_give(case, m):
             if proj.holds_multipliers():
                 held, check = copy.copy(proj), copy.copy(proj)
                 held.mu, check.mu = list(proj.mu), list(proj.mu)
-                k, rows, moved, live = held.hold(u, grid[n:n + m + 1],
-                                                 evolution._collapse_drive, guard, 0.0)
+                k, rows, moved, live = held.hold(u, np.array(grid[n:n + m + 1]),
+                                                 None, guard, 0.0)
+                support = [e for e in proj._active if proj.mu[e] != 0.0]
                 v = u
                 for r in range(k):
                     t0, t1 = grid[n + r], grid[n + r + 1]
                     v = check.project(v + (t1 - t0) * (v / t0))
-                    assert check._active == proj._active
+                    assert check._active == support
                     assert _bits(rows[r + 1]) == _bits(v)
                     assert _bits(moved[r]) == _bits(check.abs_gaps[live])
                 assert held.mu == check.mu
                 if k:
                     assert _bits(held.abs_gaps) == _bits(check.abs_gaps)
+                    assert held._active == check._active
             t0, t1 = grid[n], grid[n + 1]
             try:
                 u = proj.project(u + (t1 - t0) * (u / t0))

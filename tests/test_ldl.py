@@ -103,7 +103,7 @@ def test_graphsand_never_imports_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, numpy as np, graphsand\n"
             "g = graphsand.build_path(8)\n"
-            "K = graphsand.ConstraintSet.uniform(g)\n"
+            "K = graphsand.ConstraintSet.from_kind(g, 'uniform')\n"
             "graphsand.resolvent_p(g, 16.0, K, 0.1, np.arange(8.0))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

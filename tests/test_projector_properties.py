@@ -32,13 +32,12 @@ def constrained_graphs(draw, cycles=True):
     """A small weighted graph (at most 12 edges, so the oracle applies) with
     a random constraint set."""
     g = draw(weighted_graphs(cycles=cycles))
-    kind = draw(st.sampled_from(["uniform", "inverse_sqrt_weight",
-                                 "inverse_weight", "custom"]))
+    kind = draw(st.sampled_from(["uniform", "inv-sqrt-w", "inv-w", "custom"]))
     if kind == "custom":
         eighths = draw(st.lists(st.integers(2, 16), min_size=g.n_edges,
                                 max_size=g.n_edges))
-        return g, ConstraintSet.custom(g, np.array(eighths) / 8.0)
-    return g, getattr(ConstraintSet, kind)(g)
+        return g, ConstraintSet(g, np.array(eighths) / 8.0)
+    return g, ConstraintSet.from_kind(g, kind)
 
 
 def fields(g, lo, hi):
@@ -204,13 +203,12 @@ def large_graphs(draw):
     else:
         g = build_star(draw(st.lists(st.integers(1, 16).map(lambda w: w / 4.0),
                                      min_size=14, max_size=21)))
-    kind = draw(st.sampled_from(["uniform", "inverse_sqrt_weight",
-                                 "inverse_weight", "custom"]))
+    kind = draw(st.sampled_from(["uniform", "inv-sqrt-w", "inv-w", "custom"]))
     if kind == "custom":
         eighths = draw(st.lists(st.integers(2, 16), min_size=g.n_edges,
                                 max_size=g.n_edges))
-        return g, ConstraintSet.custom(g, np.array(eighths) / 8.0)
-    return g, getattr(ConstraintSet, kind)(g)
+        return g, ConstraintSet(g, np.array(eighths) / 8.0)
+    return g, ConstraintSet.from_kind(g, kind)
 
 
 def sparse_fields(g, lo, hi):

@@ -24,18 +24,18 @@ def edge():
 
 
 def random_constraint(rng, g):
-    kind = rng.choice(["uniform", "inverse_sqrt_weight", "inverse_weight", "custom"])
+    kind = rng.choice(["uniform", "inv-sqrt-w", "inv-w", "custom"])
     if kind == "custom":
-        return ConstraintSet.custom(g, rng.uniform(0.3, 2.0, size=g.n_edges))
-    return getattr(ConstraintSet, kind)(g)
+        return ConstraintSet(g, rng.uniform(0.3, 2.0, size=g.n_edges))
+    return ConstraintSet.from_kind(g, kind)
 
 
 def test_constraint_kinds(chain_w4):
-    uni = ConstraintSet.uniform(chain_w4)
+    uni = ConstraintSet.from_kind(chain_w4, "uniform")
     assert np.allclose(uni.bounds, 1.0)
-    isw = ConstraintSet.inverse_sqrt_weight(chain_w4)
+    isw = ConstraintSet.from_kind(chain_w4, "inv-sqrt-w")
     assert np.allclose(isw.bounds, [1.0, 0.5])
-    iw = ConstraintSet.inverse_weight(chain_w4)
+    iw = ConstraintSet.from_kind(chain_w4, "inv-w")
     assert np.allclose(iw.bounds, [1.0, 0.25])
     with pytest.raises(ValueError):
         ConstraintSet(chain_w4, np.array([1.0, -1.0]))
@@ -48,10 +48,8 @@ def test_constraint_kinds(chain_w4):
 def test_constraint_kinds_are_named_by_token(chain_w4):
     # one spelling per stable set: the token of scenario files and the CLI
     assert tuple(proximal.CONSTRAINT_KINDS) == ("uniform", "inv-sqrt-w", "inv-w")
-    for token, method in (("uniform", "uniform"), ("inv-sqrt-w", "inverse_sqrt_weight"),
-                          ("inv-w", "inverse_weight")):
-        K = ConstraintSet.from_kind(chain_w4, token)
-        assert np.array_equal(K.bounds, getattr(ConstraintSet, method)(chain_w4).bounds)
+    for name in ("uniform", "inverse_sqrt_weight", "inverse_weight", "custom"):
+        assert not hasattr(ConstraintSet, name)
     for name in ("inverse_sqrt_weight", "inverse_weight", ["uniform"], None):
         message = re.escape(f"unknown constraint kind {name!r}")
         with pytest.raises(ValueError, match=message):
@@ -65,7 +63,7 @@ def test_is_stable(p4, p4_uniform):
 
 
 def test_is_stable_chain_model2(chain_w4):
-    K = ConstraintSet.inverse_sqrt_weight(chain_w4)
+    K = ConstraintSet.from_kind(chain_w4, "inv-sqrt-w")
     assert is_stable(np.array([0.0, 1.0, 1.4]), K)
     assert not is_stable(np.array([0.0, 1.0, 1.6]), K)
 
@@ -78,7 +76,7 @@ def test_max_relative_slope(p4, p4_uniform):
 
 
 def test_max_relative_slope_chain(chain_w4):
-    K = ConstraintSet.inverse_sqrt_weight(chain_w4)
+    K = ConstraintSet.from_kind(chain_w4, "inv-sqrt-w")
     assert max_relative_slope(np.array([0.0, 0.0, 1.0]), K) == pytest.approx(2.0)
 
 
@@ -91,7 +89,7 @@ def test_project_identity_inside(p4, p4_uniform):
 
 
 def test_project_single_edge(edge):
-    K = ConstraintSet.uniform(edge)
+    K = ConstraintSet.from_kind(edge, "uniform")
     u = project(edge, K, np.array([0.0, 3.0]))
     assert np.allclose(u, [1.0, 2.0], atol=1e-10)
 
@@ -112,7 +110,7 @@ def test_project_oracle_rejects_large_graphs():
     rng = np.random.default_rng(0)
     g = build_path(15)
     with pytest.raises(ValueError, match="12 edges"):
-        project_oracle(g, ConstraintSet.uniform(g), random_field(rng, g))
+        project_oracle(g, ConstraintSet.from_kind(g, "uniform"), random_field(rng, g))
 
 
 def test_project_matches_oracle_randomized():
@@ -181,7 +179,7 @@ def test_project_conserves_mass():
 
 def test_project_max_iter(edge, monkeypatch):
     monkeypatch.setattr(proximal, "MAX_SWEEPS", 0)
-    K = ConstraintSet.uniform(edge)
+    K = ConstraintSet.from_kind(edge, "uniform")
     with pytest.raises(ProjectionError):
         DykstraProjector(edge, K).project(np.array([0.0, 5.0]))
 
@@ -236,7 +234,7 @@ def test_resolvent_constant_fixed(p4, p4_uniform):
 def test_resolvent_single_edge_vs_bisection():
     g = build_graph([("a", "b", 1.0)])
     p, lam = 3.0, 1.0
-    v = resolvent_p(g, p, ConstraintSet.uniform(g), lam, np.array([0.0, 2.0]))
+    v = resolvent_p(g, p, ConstraintSet.from_kind(g, "uniform"), lam, np.array([0.0, 2.0]))
     # scalar golden: s + 2*lam*s^(p-1) = 2 with s >= 0, solved by bisection
     lo, hi = 0.0, 2.0
     for _ in range(200):
@@ -267,7 +265,7 @@ def test_resolvent_order_preserving():
         g = random_connected_graph(rng)
         z1 = random_field(rng, g)
         z2 = z1 + np.abs(random_field(rng, g, scale=0.5))
-        K = ConstraintSet.uniform(g)
+        K = ConstraintSet.from_kind(g, "uniform")
         for p in (2.0, 3.0, 7.5):
             u1 = resolvent_p(g, p, K, 0.3, z1)
             u2 = resolvent_p(g, p, K, 0.3, z2)
@@ -279,7 +277,7 @@ def test_resolvent_contraction_extra_norms():
     for _ in range(25):
         g = random_connected_graph(rng)
         z1, z2 = random_field(rng, g), random_field(rng, g)
-        K = ConstraintSet.uniform(g)
+        K = ConstraintSet.from_kind(g, "uniform")
         for p in (2.0, 4.0):
             u1 = resolvent_p(g, p, K, 0.7, z1)
             u2 = resolvent_p(g, p, K, 0.7, z2)
@@ -369,7 +367,7 @@ def test_p_energy_no_overflow_on_large_weights():
     # the factor w^(p/2) never forms on its own (it is inf for w = 1e10 at
     # p = 64), so the tiny flux stays finite; a RuntimeWarning fails the test
     g = build_path(3, weights=[1e10, 1.0])
-    K = ConstraintSet.inverse_sqrt_weight(g)
+    K = ConstraintSet.from_kind(g, "inv-sqrt-w")
     u = np.array([0.0, 1e-6, 0.0])
     lap = p_laplacian(g, u, 64.0, K)
     assert np.all(np.isfinite(lap))
@@ -389,7 +387,7 @@ def test_overflowing_edge_power_is_ignored_inside_an_evaluation(monkeypatch):
     # |g / c|^62 overflows beyond |g / c| of about 9e4: the flux and energy
     # read inf, and no RuntimeWarning (an error in this suite) is raised
     g = build_path(4)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     z = np.array([0.0, 1e6, 0.0, 0.0])
     gaps = edge_gaps(g, z)
     assert p_flux(gaps, 64.0, g.weights, K.bounds).tolist() == [math.inf, -math.inf, 0.0]
@@ -425,7 +423,7 @@ def test_overflowing_gradient_norm_is_ignored():
     # far from the minimiser gr * gr overflows in the gradient's nu-norm:
     # the norm reads inf, Newton goes on, and no RuntimeWarning is raised
     g = build_path(4)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     v = resolvent_p(g, 64.0, K, 0.1, np.array([0.0, 1e3, 0.0, 0.0]))
     assert [x.hex() for x in v.tolist()] == [
         "0x1.4d275c112dc91p+8", "0x1.4e4a89047d7fbp+8",
@@ -453,7 +451,7 @@ Z = (0.0, 3.0, 0.0, 1.0)
         "p_flow", "growth", "collapse", "converge_p", "collapse_via_p"])
 def test_constraint_set_of_another_graph_is_refused(call):
     g = build_path(4)
-    foreign = ConstraintSet.inverse_sqrt_weight(build_path(4, [1.0, 4.0, 9.0]))
+    foreign = ConstraintSet.from_kind(build_path(4, [1.0, 4.0, 9.0]), "inv-sqrt-w")
     with pytest.raises(ValueError, match="constraint set belongs to a different graph"):
         call(g, foreign)
 

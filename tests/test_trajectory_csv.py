@@ -61,7 +61,7 @@ def thinned_trajectories(draw):
     n_steps = draw(st.integers(1, 30))
     f = SourceSchedule.constant(g, {draw(st.sampled_from(g.vertices)):
                                     draw(st.integers(1, 24)) / 8.0})
-    return solve_growth(g, ConstraintSet.uniform(g), np.zeros(4), f,
+    return solve_growth(g, ConstraintSet.from_kind(g, "uniform"), np.zeros(4), f,
                         n_steps / 16.0, 1 / 16.0, sample_every=every)
 
 

@@ -58,7 +58,7 @@ def test_lipschitz_equals_uniform_stability():
     checked = 0
     while checked < 200:
         g = random_connected_graph(rng, n_max=6)
-        K = ConstraintSet.uniform(g)
+        K = ConstraintSet.from_kind(g, "uniform")
         u = rng.normal(scale=1.2, size=g.n_vertices)
         assert is_lipschitz_wrt(g, "graph", u) == is_stable(u, K, 1e-9)
         checked += 1
@@ -66,7 +66,7 @@ def test_lipschitz_equals_uniform_stability():
 
 def test_lipschitz_exhaustive_small_fields():
     g = build_path(3)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     levels = np.linspace(-1.5, 1.5, 7)
     for u in itertools.product(levels, repeat=3):
         u = np.array(u)
@@ -117,7 +117,7 @@ def test_oracle_z_lattice_instance():
 
 
 def test_oracle_symmetry_and_weighted_metric(chain_w4):
-    bounds = ConstraintSet.inverse_sqrt_weight(chain_w4).bounds
+    bounds = ConstraintSet.from_kind(chain_w4, "inv-sqrt-w").bounds
     f0 = np.array([1.0, 0.0, 0.0])
     f1 = np.array([0.0, 0.0, 0.25])
     a = ot_cost_oracle(TransportInstance(chain_w4, f0, f1, bounds))
@@ -278,7 +278,7 @@ def test_dual_criteria_z_map():
 def test_solver_states_are_potentials():
     """Growth states certify optimal transport of the source to the rate."""
     g = build_truncated_z(6)
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule.constant(g, {"0": 1.0})
     dt = 1e-3
     traj = solve_growth(g, K, np.zeros(g.n_vertices), f, 3.0, dt)
@@ -293,7 +293,7 @@ def test_solver_states_are_potentials():
 def test_star_growth_potential():
     from graphsand import build_star
     g = build_star([1.0, 1.0, 1.0])
-    K = ConstraintSet.uniform(g)
+    K = ConstraintSet.from_kind(g, "uniform")
     f = SourceSchedule.constant(g, {"x0": 1.0})
     dt = 1e-3
     traj = solve_growth(g, K, np.zeros(4), f, 3.0, dt)
@@ -396,7 +396,7 @@ def z_window_pile():
     the tent keeps its integer slopes, so every difference is exact."""
     g = build_truncated_z(200)
     f = SourceSchedule.constant(g, {"0": 8.0, "30": 4.0})
-    traj = solve_growth(g, ConstraintSet.uniform(g), np.zeros(g.n_vertices), f,
+    traj = solve_growth(g, ConstraintSet.from_kind(g, "uniform"), np.zeros(g.n_vertices), f,
                         4.0, 1e-2)
     return g, "graph", np.round(traj.states[-1] * 2.0 ** 20) / 2.0 ** 20
 
