@@ -45,9 +45,16 @@ _EVENT_BAND = 10.0
 # until they are certified
 _FREE_CELLS = 1 << 15
 
-# the most steps one collapse block takes: its rows are certified in bulk
-# after the last one, so a row refused there wastes the steps after it
+# the most steps one block takes while a multiplier is held: its columns
+# are stepped and certified before its ends, so a row refused there wastes
+# the column work of the rows after it
 _HELD_ROWS = 64
+
+# the steps growth's active list must have held before a block takes steps
+# that hold a multiplier, and the fewest steps such a block must be able to
+# take before its source field changes: a block's fixed setup costs as much
+# as 4-20 single steps, and on small grids the list changes every few steps
+_HELD_AFTER = 32
 
 
 class TruncationError(RuntimeError):
@@ -222,14 +229,18 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
 
     With a projector, runs of steps on which the active list holds are
     taken as blocks by DykstraProjector.hold, and the first step a block
-    refuses goes through the single-step path.  Collapse takes blocks
-    while a multiplier is held, up to _HELD_ROWS steps; growth takes them
-    while none is, over the steps of one source field, which are then a
-    running sum (free flight), starting at an eighth of _FREE_CELLS state
-    cells and doubling up to all of it.  A block's residuals, events and
-    samples are taken row by row with the single step's expressions, so
-    every output, error and numpy warning is the one single steps would
-    give, bit for bit.
+    refuses goes through the single-step path.  While a multiplier is held
+    a block takes up to _HELD_ROWS steps: collapse takes one whenever it
+    can, growth once its active list has held for _HELD_AFTER steps and
+    where its source field holds for as many more, since a block's fixed
+    setup outweighs what its rows save when the list changes every few
+    steps or the block is short.  Growth takes blocks also while no multiplier
+    is held; the steps of one source field are then a running sum (free
+    flight), starting at an eighth of _FREE_CELLS state cells and doubling
+    up to all of it.  Growth's blocks never cross a source breakpoint.  A
+    block's residuals, events and samples are taken row by row with the
+    single step's expressions, so every output, error and numpy warning is
+    the one single steps would give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
@@ -249,20 +260,28 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     times = grid.tolist()  # Python floats: no numpy scalar arithmetic per step
     cap = max(1, _FREE_CELLS // g.n_vertices)
     run = first = max(1, cap // 8)
+    streak = 0  # steps since the active list changed or a block stopped short
     n = 0
     while n < steps:
         k = m = 0
         # blocks: collapse while a multiplier is held, growth while none is
-        if proj is not None and (source is None) == proj.holds_multipliers():
-            if source is None:
-                fv, m = None, min(_HELD_ROWS, cap, steps - n)
-            else:
-                fv, end = source.piece(times[n])
-                m = min(bisect_left(times, end, n, steps) - n, run)
+        # or once its active list has held for _HELD_AFTER steps
+        held = proj is not None and proj.holds_multipliers()
+        if held and source is None:
+            fv, m = None, min(_HELD_ROWS, cap, steps - n)
+        elif proj is not None and source is not None \
+                and (not held or streak >= _HELD_AFTER):
+            fv, end = source.piece(times[n])
+            m = min(bisect_left(times, end, n, steps) - n, cap,
+                    _HELD_ROWS if held else run)
+            if held and m < _HELD_AFTER:
+                m = 0  # too few steps left in the field to pay for a block
+        if m:
             k, rows, moved, edges = proj.hold(u, grid[n:n + m + 1], fv,
                                               guard, guard_limit)
-            if fv is not None:
+            if not held:
                 run = min(2 * run, cap) if k == m else first
+            streak = streak + k if k == m else 0
         if k:
             # the operations of a single step, which warn alike; a held
             # step's drive is that of the row before it
@@ -288,6 +307,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         t0, t1 = times[n], times[n + 1]
         h = t1 - t0
         fv = _collapse_drive(t0, u) if source is None else source(t0)
+        active = None if proj is None else proj._active
         new = advance(u + h * fv, h)
         for i in guard:
             if abs(new[i]) > guard_limit:
@@ -298,6 +318,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         residuals[n] = float(deg.dot(new - u) - h * deg.dot(fv))
         u = new
         if proj is not None:
+            streak = streak + 1 if proj._active == active else 0
             now = proj.abs_gaps >= threshold
             if now.tobytes() != binding.tobytes():
                 for e in np.flatnonzero(now != binding):

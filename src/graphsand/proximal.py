@@ -292,8 +292,8 @@ class DykstraProjector:
              guard_limit: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """(k, rows, moved, live): project() on k steps whose input is
         x + h * d, x the last result, while the active list holds.  The
-        drive d is the source field f, allowed only while no multiplier is
-        held, or, where f is None, the collapse drive x / t.
+        drive d is the source field f or, where f is None, the collapse
+        drive x / t.
 
         times are the step times from t_0, and start the last result, at
         t_0.  rows[r] is the result after r steps (rows[0] is start) and
@@ -302,74 +302,49 @@ class DykstraProjector:
         list, the support as project() starts from it, and the other ends
         of the edges at them), and under f a vertex where f is nonzero or
         start has its sign bit (-0.0 + h * 0.0 is +0.0), under x / t a
-        nonzero one.  Under f the rows are one np.cumsum, adding in the
-        order x + h * f would.  Under x / t each step is one numpy row op,
-        then project()'s own arithmetic on the neighbourhood in Python
-        floats: the fold, the checks of the edges at the ends after the
-        fold and after the sweep, and _sweep; a step is held when project()
-        would keep the list on it and every gap there is finite.  The rows
-        are then certified in bulk: every other edge within its limit
-        (which refuses a value that is not finite) and the columns guard
-        within guard_limit.  The k leading rows held and certified are the
-        results: the multipliers, the active list and abs_gaps are left as
-        k project() calls leave them.
+        nonzero one.  project() writes only the ends, so every other column
+        moves by the drive alone and is stepped first: under f as one
+        np.cumsum, adding in the order x + h * f would, under x / t as one
+        numpy row op per row.  Those columns are certified in bulk: every
+        edge not at an end within its limit (which refuses a value that is
+        not finite), the guard within guard_limit and the start gaps of the
+        edges no step moves.  Then, up to the first refused row and no
+        further, each step does project()'s own arithmetic at the ends in
+        Python floats: the drive, the fold, the checks of the edges at the
+        ends after the fold and after the sweep, _sweep, and the guard.
+        The k leading rows held are the results: the multipliers, the
+        active list and abs_gaps are left as k project() calls leave them.
         """
         g, mu = self.graph, self.mu
         support = [e for e in self._active if mu[e] != 0.0]
         plan = self._sweep_plan(support, held=True)
         nb, fold, free, bound = plan.held
-        # z[r] holds row r at the neighbourhood (first) and the other
-        # vertices the drive moves; every other vertex keeps its value
+        ends = plan.ends.tolist()
+        # z[r] holds row r at the neighbourhood less the ends (first) and
+        # the other vertices the drive moves; every other vertex keeps its
+        # value
         moving = start != 0 if f is None else (f != 0) | np.signbit(start)
         moving[nb] = False
-        cols = np.concatenate([nb, np.flatnonzero(moving)])
+        cols = np.concatenate([nb[len(ends):], np.flatnonzero(moving)])
         moving[nb] = True
         z = np.empty((len(times), len(cols)))
         z[0] = start[cols]
-        snaps = []
-        sweep, tol, size = self._sweep, self.tol, len(nb)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused rows
-            if f is not None:
-                np.multiply(np.diff(times)[:, None], f[cols], out=z[1:])
-                z = np.cumsum(z, axis=0)
-                snaps = [()] * (len(times) - 1)  # no multiplier to restore
-            else:
-                times = times.tolist()  # no numpy scalar arithmetic per step
-                for r in range(len(times) - 1):
-                    t, h = times[r], times[r + 1] - times[r]
-                    np.add(z[r], h * (z[r] / t), out=z[r + 1])
-                    xl = z[r + 1, :size].tolist()
-                    snap = [mu[e] for e in support]
-                    for e, i, _, di, _ in fold:
-                        if mu[e] != 0.0:
-                            xl[i] += mu[e] / di
-                    for e, _, j, _, dj in fold:
-                        if mu[e] != 0.0:
-                            xl[j] += -mu[e] / dj
-                    held = _holds(xl, free, bound, 0.0, mu)
-                    if held:
-                        try:
-                            floor = sweep(xl, plan, 0, math.inf)[0]
-                        except ProjectionError:  # the single step raises it
-                            held = False
-                        else:
-                            held = _holds(xl, free, bound,
-                                          floor - tol if floor > tol else 0.0)
-                    if not held:
-                        for e, m in zip(support, snap):
-                            mu[e] = m
-                        break
-                    z[r + 1, :size] = xl
-                    snaps.append(snap)
-        k = len(snaps)
-        rows = np.repeat(start[None], k + 1, axis=0)
-        rows[1:, cols] = z[1:k + 1]
+        rows = np.repeat(start[None], len(times), axis=0)
         at_live = moving[g.edge_index].any(axis=1)
         live = np.flatnonzero(at_live)
-        i, j = g.edge_index[live].T
+        vi, vj = g.edge_index[live].T
         rest = ~plan.at_ends[live]
-        with np.errstate(over="ignore", invalid="ignore"):
-            moved = np.abs(rows[1:, j] - rows[1:, i])
+        steps = np.diff(times)
+        times = times.tolist()  # no numpy scalar arithmetic per step
+        with np.errstate(over="ignore", invalid="ignore"):  # refused rows
+            if f is not None:
+                np.multiply(steps[:, None], f[cols], out=z[1:])
+                z = np.cumsum(z, axis=0)
+            else:
+                for r, (t, h) in enumerate(zip(times, steps.tolist())):
+                    np.add(z[r], h * (z[r] / t), out=z[r + 1])
+            rows[1:, cols] = z[1:]
+            moved = np.abs(rows[1:, vj] - rows[1:, vi])
             fits = (moved[:, rest] <= self._limit[live[rest]]).all(axis=1)
         if guard:
             fits &= (np.abs(rows[1:, guard]) <= guard_limit).all(axis=1)
@@ -379,10 +354,49 @@ class DykstraProjector:
             else self.abs_gaps.copy()
         if (a[~at_live] > self._limit[~at_live]).any():
             fits[:] = False
-        if not fits.all():
-            k = int(fits.argmin())
-            for e, m in zip(support, snaps[k]):
-                mu[e] = m
+        k = len(fits) if fits.all() else int(fits.argmin())
+        if support and k:
+            sweep, tol = self._sweep, self.tol
+            at_guard = [q for q, x in enumerate(ends) if x in guard]
+            drive = None if f is None else f[ends].tolist()
+            x, held, size = start[ends].tolist(), [], len(ends)
+            for t, t1, xo in zip(times, times[1:],
+                                 z[1:k + 1, :len(nb) - size].tolist()):
+                h = t1 - t
+                xl = [v + h * (v / t) for v in x] if drive is None \
+                    else [v + h * d for v, d in zip(x, drive)]
+                xl += xo  # the rest of the neighbourhood
+                snap = [mu[e] for e in support]
+                for e, i, _, di, _ in fold:
+                    if mu[e] != 0.0:
+                        xl[i] += mu[e] / di
+                for e, _, j, _, dj in fold:
+                    if mu[e] != 0.0:
+                        xl[j] += -mu[e] / dj
+                ok = _holds(xl, free, bound, 0.0, mu)
+                if ok:
+                    try:
+                        floor = sweep(xl, plan, 0, math.inf)[0]
+                    except ProjectionError:  # the single step raises it
+                        ok = False
+                    else:
+                        ok = _holds(xl, free, bound,
+                                    floor - tol if floor > tol else 0.0)
+                if ok and at_guard:
+                    ok = all(abs(xl[q]) <= guard_limit for q in at_guard)
+                if not ok:
+                    for e, m in zip(support, snap):
+                        mu[e] = m
+                    break
+                x = xl[:size]
+                held.append(x)
+            k = len(held)
+            if k:
+                rows[1:k + 1, ends] = held
+                # the gaps at the ends, now that their values are in: all
+                # finite on a held row, so none can warn
+                at = ~rest
+                moved[:k, at] = np.abs(rows[1:k + 1, vj[at]] - rows[1:k + 1, vi[at]])
         if k:
             a[live] = moved[k - 1]
             self.abs_gaps, self._active = a, support

@@ -118,30 +118,45 @@ def test_solvers_step_through_the_span_targets(monkeypatch):
     assert len(calls) == len(traj.step_times) == 10
     # growth and collapse project exactly the steps that are not taken as
     # blocks by DykstraProjector.hold: growth's while no multiplier is held
-    # (free flight), collapse's while the active list holds.  At x3 = 1 the
-    # pile never binds; at x3 = 10 it binds on steps 3-5 and step 6, the
-    # first after the source, still holds the multipliers
+    # (free flight) or once its active list has held for _HELD_AFTER steps,
+    # collapse's while the active list holds.  At x3 = 1 the pile never
+    # binds; at x3 = 10 it binds on steps 3-5 and step 6, the first after
+    # the source, still holds the multipliers
     calls = _count_calls(monkeypatch, proximal.DykstraProjector, "project")
     held = []
     hold = proximal.DykstraProjector.hold
 
     def counted_hold(self, *args):
+        bound = self.holds_multipliers()
         out = hold(self, *args)
-        held.append(out[0])
+        held.append((bound, out[0]))
         return out
 
     monkeypatch.setattr(proximal.DykstraProjector, "hold", counted_hold)
     traj = solve_growth(g, K, np.zeros(5), f, 0.5, 0.05)
-    assert len(calls) + sum(held) == len(traj.step_times) == 10
+    assert len(calls) + sum(k for _, k in held) == len(traj.step_times) == 10
     assert len(calls) == 0
     calls.clear()
     held.clear()
     steep = SourceSchedule(g, ((0.0, 0.25, {"x3": 10.0}),))
     traj = solve_growth(g, K, np.zeros(5), steep, 0.5, 0.05)
-    assert len(calls) + sum(held) == len(traj.step_times) == 10
+    assert len(calls) + sum(k for _, k in held) == len(traj.step_times) == 10
     assert len(calls) == 4
     calls.clear()
     held.clear()
+    # under x3 = 10 the pile spreads over the path and then keeps its
+    # active list: once the list has held for _HELD_AFTER steps, one block
+    # takes the last 39 of 80 steps with the multipliers held; of 60 steps
+    # 19 are left then, too few for a block
+    assert evolution._HELD_AFTER == 32
+    for T, blocks in ((4.0, [39]), (3.0, [])):
+        steep = SourceSchedule(g, ((0.0, T, {"x3": 10.0}),))
+        traj = solve_growth(g, K, np.zeros(5), steep, T, 0.05)
+        assert len(calls) + sum(k for _, k in held) == len(traj.step_times)
+        assert len(calls) == 39 + 19 * (not blocks)
+        assert [k for bound, k in held if bound] == blocks
+        calls.clear()
+        held.clear()
     _, traj = solve_collapse(g, K, np.array([0.0, 3.0, 0.0, 1.0, 0.0]), 0.05)
-    assert len(calls) + sum(held) == len(traj.step_times) == 14
-    assert len(calls) == 1 and sum(held) == 13
+    assert len(calls) + sum(k for _, k in held) == len(traj.step_times) == 14
+    assert len(calls) == 1 and held == [(True, 13)]

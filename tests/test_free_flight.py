@@ -1,8 +1,9 @@
-"""Free flight against one projection per step.
+"""Growth's blocks against one projection per step.
 
 solve_growth takes the steps on which no slope binds as one block (a
-running sum the projector certifies); `reference.growth_per_step` projects
-every step.  The two must agree bit for bit in sample times, states, step
+running sum the projector certifies, free flight), and, once its active
+list has held for a while, the steps that keep it as held blocks;
+`reference.growth_per_step` projects every step.  The two must agree bit for bit in sample times, states, step
 times, mass residuals and events, give the same numpy warnings in the
 same order, and raise the same TruncationError or ValueError at the same
 step.
@@ -104,6 +105,26 @@ CYCLE = build_graph([("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v3", 1.0),
 SIGNED_ZERO = (CYCLE, ConstraintSet.from_kind(CYCLE, "uniform"),
                np.array([0.0, 0.0, 0.0, -0.0]), SourceSchedule.zero(CYCLE),
                0.05, 0.05, 1e-10, 1)
+# held blocks from the step after the first binds (with _HELD_AFTER = 0): a
+# second source at x10, outside the neighbourhood of the pile at x3, whose
+# edges bind mid-block, so the bulk check of the columns refuses the row
+PATH = build_path(12)
+SECOND_SOURCE = (PATH, ConstraintSet.from_kind(PATH, "uniform"), np.zeros(12),
+                 SourceSchedule(PATH, ((0.0, 1.0, {"x3": 10.0, "x10": 4.0}),)),
+                 0.5, 0.05, 1e-10, 1)
+# a held pile about the origin of a Z window that grows into the guard band
+WINDOW = build_truncated_z(5)
+INTO_GUARD = (WINDOW, ConstraintSet.from_kind(WINDOW, "uniform"), np.zeros(11),
+              SourceSchedule(WINDOW, ((0.0, 5.0, {"0": 10.0}),)),
+              2.0, 0.05, 1e-10, 1)
+# -0.0 in the source at an end of the held pile (x4) and at a vertex whose
+# start is -0.0 (x6), which stays -0.0
+SHORT = build_path(6)
+NEGATIVE_ZERO = (SHORT, ConstraintSet.from_kind(SHORT, "uniform"),
+                 np.array([-0.0, 0.0, 0.0, 0.0, 0.0, -0.0]),
+                 SourceSchedule(SHORT, ((0.0, 1.0, {"x3": 10.0, "x4": -0.0,
+                                                    "x6": -0.0}),)),
+                 0.5, 0.05, 1e-10, 1)
 
 
 def _run(solver, case):
@@ -149,17 +170,23 @@ def _bits(a):
 
 
 @PROPERTY
-@given(growth_cases(), st.sampled_from([1, 64, evolution._FREE_CELLS]))
-@example(SIGNED_ZERO, evolution._FREE_CELLS)
-def test_growth_matches_one_projection_per_step(case, cells):
+@given(growth_cases(), st.sampled_from([1, 64, evolution._FREE_CELLS]),
+       st.sampled_from([0, 1, 32]), st.sampled_from([1, 3, 64]))
+@example(SIGNED_ZERO, evolution._FREE_CELLS, 32, 64)
+@example(SECOND_SOURCE, evolution._FREE_CELLS, 0, 64)
+@example(INTO_GUARD, evolution._FREE_CELLS, 0, 64)
+@example(NEGATIVE_ZERO, evolution._FREE_CELLS, 0, 64)
+def test_growth_matches_one_projection_per_step(case, cells, after, rows):
     # a small cell budget splits each free run into blocks of one step, or
-    # into blocks that double from one step
-    budget = evolution._FREE_CELLS
-    evolution._FREE_CELLS = cells
+    # into blocks that double from one step; held blocks start once the
+    # active list has held for 0, 1 or 32 steps and take 1, 3 or 64 rows
+    saved = evolution._FREE_CELLS, evolution._HELD_AFTER, evolution._HELD_ROWS
+    evolution._FREE_CELLS, evolution._HELD_AFTER, evolution._HELD_ROWS = \
+        cells, after, rows
     try:
         got, got_last, got_warned = _run(solve_growth, case)
     finally:
-        evolution._FREE_CELLS = budget
+        evolution._FREE_CELLS, evolution._HELD_AFTER, evolution._HELD_ROWS = saved
     want, want_last, want_warned = _run(growth_per_step, case)
     assert got_warned == want_warned
     if isinstance(want, Exception):

@@ -92,6 +92,13 @@ def _bits(a):
     return a.shape, a.dtype, a.tobytes()
 
 
+def _copy(proj):
+    """A projector that goes on from proj's state without touching it."""
+    out = copy.copy(proj)
+    out.mu = list(proj.mu)
+    return out
+
+
 @PROPERTY
 @given(collapse_cases(), st.sampled_from([1, 3, 64]), st.sampled_from([3, 40, 5000]))
 def test_collapse_matches_one_projection_per_step(case, rows, sweeps):
@@ -149,20 +156,37 @@ def test_hold_takes_no_row_outside_the_guard_band():
     mu = list(guarded.mu)
     k, rows, moved, live = guarded.hold(v, times, None, list(g.guard_index), 0.0)
     assert k == 0 and guarded.mu == mu
+    # a band that vertex 2 clears at the start (0.197) but not after one
+    # step (0.207) or two (0.217): 2 is an end of the active list, so the
+    # guard is checked there after the sweep, and the multipliers of a
+    # refused row are restored
+    one = _copy(guarded)
+    one.project(v + 0.01 * (v / t))
+    for limit, want in ((0.2, 0), (0.21, 1)):
+        held = _copy(guarded)
+        assert held.hold(v, times, None, list(g.guard_index), limit)[0] == want
+        assert held.mu == (mu if want == 0 else one.mu)
 
 
 @PROPERTY
-@given(collapse_cases(), st.integers(1, 8))
-def test_hold_takes_the_rows_project_would_give(case, m):
+@given(collapse_cases(), st.integers(1, 8), st.data())
+def test_hold_takes_the_rows_project_would_give(case, m, data):
     # from every step of a collapse that holds a multiplier, a copy of the
-    # projector holds up to m steps: each row it takes is project()'s result
-    # on a step that keeps the active list (the support it starts from), and
-    # it leaves the multipliers, the active list and abs_gaps as those
-    # project() calls leave them
+    # projector holds up to m steps under the collapse drive or under a
+    # drawn source field: each row it takes is project()'s result on a step
+    # that keeps the active list (the support it starts from) and clears
+    # the guard band, and it leaves the multipliers, the active list and
+    # abs_gaps as those project() calls leave them
     g, K, u0, dt, tol, _ = case
     guard = list(g.guard_index)
+    fv = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        if data.draw(st.booleans()):  # at the bounds' scale, which may overflow
+            fv = np.zeros(g.n_vertices)
+            for x in data.draw(st.lists(st.integers(0, g.n_vertices - 1),
+                                        max_size=3)):
+                fv[x] = data.draw(st.sampled_from(VALUES)) * K.bounds.max()
         L = max_relative_slope(u0, K)
         if not 1.0 < L < np.inf:
             return
@@ -170,16 +194,16 @@ def test_hold_takes_the_rows_project_would_give(case, m):
         u, proj = u0 / L, DykstraProjector(g, K, tol)
         for n in range(len(grid) - 1):
             if proj.holds_multipliers():
-                held, check = copy.copy(proj), copy.copy(proj)
-                held.mu, check.mu = list(proj.mu), list(proj.mu)
+                held, check = _copy(proj), _copy(proj)
                 k, rows, moved, live = held.hold(u, np.array(grid[n:n + m + 1]),
-                                                 None, guard, 0.0)
+                                                 fv, guard, 0.0)
                 support = [e for e in proj._active if proj.mu[e] != 0.0]
                 v = u
                 for r in range(k):
                     t0, t1 = grid[n + r], grid[n + r + 1]
-                    v = check.project(v + (t1 - t0) * (v / t0))
+                    v = check.project(v + (t1 - t0) * (v / t0 if fv is None else fv))
                     assert check._active == support
+                    assert not any(v[i] != 0.0 for i in guard)
                     assert _bits(rows[r + 1]) == _bits(v)
                     assert _bits(moved[r]) == _bits(check.abs_gaps[live])
                 assert held.mu == check.mu
