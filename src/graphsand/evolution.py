@@ -234,13 +234,13 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     can, growth once its active list has held for _HELD_AFTER steps and
     where its source field holds for as many more, since a block's fixed
     setup outweighs what its rows save when the list changes every few
-    steps or the block is short.  Growth takes blocks also while no multiplier
-    is held; the steps of one source field are then a running sum (free
-    flight), starting at an eighth of _FREE_CELLS state cells and doubling
-    up to all of it.  Growth's blocks never cross a source breakpoint.  A
-    block's residuals, events and samples are taken row by row with the
-    single step's expressions, so every output, error and numpy warning is
-    the one single steps would give, bit for bit.
+    steps or the block is short.  Growth takes blocks also while no
+    multiplier is held; the steps of one source field are then a running
+    sum (free flight), starting at an eighth of _FREE_CELLS state cells
+    and doubling up to all of it.  Growth's blocks never cross a source
+    breakpoint.  A block's residuals, events and samples are taken row by
+    row with the single step's expressions, so every output, error and
+    numpy warning is the one single steps would give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")

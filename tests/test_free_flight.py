@@ -3,10 +3,10 @@
 solve_growth takes the steps on which no slope binds as one block (a
 running sum the projector certifies, free flight), and, once its active
 list has held for a while, the steps that keep it as held blocks;
-`reference.growth_per_step` projects every step.  The two must agree bit for bit in sample times, states, step
-times, mass residuals and events, give the same numpy warnings in the
-same order, and raise the same TruncationError or ValueError at the same
-step.
+`reference.growth_per_step` projects every step.  The two must agree bit
+for bit in sample times, states, step times, mass residuals and events,
+give the same numpy warnings in the same order, and raise the same
+TruncationError or ValueError at the same step.
 """
 
 import warnings
@@ -179,7 +179,8 @@ def _bits(a):
 def test_growth_matches_one_projection_per_step(case, cells, after, rows):
     # a small cell budget splits each free run into blocks of one step, or
     # into blocks that double from one step; held blocks start once the
-    # active list has held for 0, 1 or 32 steps and take 1, 3 or 64 rows
+    # active list has held for 0, 1 or 32 steps (and the field holds for
+    # as many more) and take 1, 3 or 64 rows
     saved = evolution._FREE_CELLS, evolution._HELD_AFTER, evolution._HELD_ROWS
     evolution._FREE_CELLS, evolution._HELD_AFTER, evolution._HELD_ROWS = \
         cells, after, rows
