@@ -5,8 +5,8 @@ Simulates p-Laplacian gradient flows and their slope-constrained limits
 states against exact transport-duality certificates.
 """
 
-from .graph import (WeightedGraph, build_graph, load_graph, parse_edge_lines,
-                    field_values, nu_norm, distance_rows, build_path, build_star,
+from .graph import (WeightedGraph, build_graph, load_graph, field_values,
+                    nu_norm, distance_rows, build_path, build_star,
                     build_truncated_z)
 from .calculus import p_laplacian
 from .proximal import (ConstraintSet, DykstraProjector, ProjectionError,

@@ -208,12 +208,6 @@ def time_grid(t_start: float, t_end: float, dt: float,
     return np.asarray(times)
 
 
-def _collapse_drive(t, v):
-    """The drive of collapse at time t: the rescaled state v / t, of a
-    state array or of one vertex's value alike."""
-    return v / t
-
-
 def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                step, guard_limit: float, sample_every: int) -> Trajectory:
     """The backward-Euler driver shared by every solver.
@@ -244,6 +238,8 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+    if source is not None and source.graph is not g:
+        raise ValueError("source schedule belongs to a different graph")
     proj = step if isinstance(step, DykstraProjector) else None
     advance = step if proj is None else lambda z, h: proj.project(z)
     steps = len(grid) - 1
@@ -286,7 +282,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
             # the operations of a single step, which warn alike; a held
             # step's drive is that of the row before it
             drives = [fv] * k if source is not None \
-                else _collapse_drive(grid[n:n + k, None], rows[:k])
+                else rows[:k] / grid[n:n + k, None]
             residuals[n:n + k] = [
                 float(deg.dot(d) - h * deg.dot(fv)) for d, h, fv in
                 zip(np.diff(rows[:k + 1], axis=0),
@@ -306,7 +302,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
             continue
         t0, t1 = times[n], times[n + 1]
         h = t1 - t0
-        fv = _collapse_drive(t0, u) if source is None else source(t0)
+        fv = u / t0 if source is None else source(t0)
         active = None if proj is None else proj._active
         new = advance(u + h * fv, h)
         for i in guard:

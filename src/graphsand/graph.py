@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "WeightedGraph",
     "build_graph",
-    "parse_edge_lines",
     "load_graph",
     "field_values",
     "nu_norm",
@@ -34,16 +33,17 @@ class WeightedGraph:
     """Connected undirected graph with positive symmetric edge weights.
 
     Edges are stored once per unordered pair, sorted by vertex-id pair, and
-    the weighted degrees d_x = sum of incident weights are cached.  Instances
-    are immutable after construction and safe to share between solver runs;
-    the only lazily filled slot is the sparse elimination plan of the
-    Newton solve (see :mod:`graphsand.ldl`), which lives and dies with the
-    graph.
+    the weighted degrees d_x = sum of incident weights are cached.
+    `incidence[x]` lists x's (neighbour, edge) id pairs, neighbours
+    ascending: the one adjacency that every search and the elimination plan
+    walk.  Instances are immutable after construction and safe to share
+    between solver runs; the only lazily filled slot is the sparse
+    elimination plan of the Newton solve (see :mod:`graphsand.ldl`), which
+    lives and dies with the graph.
     """
 
     __slots__ = ("vertices", "index", "edges", "edge_index", "weights",
-                 "degrees", "neighbors", "guard_vertices", "guard_index",
-                 "_elimination_plan")
+                 "degrees", "incidence", "guard_index", "_elimination_plan")
 
     def __init__(self, edge_list, guard_vertices: Iterable[str] = ()):
         seen: set = set()
@@ -64,11 +64,12 @@ class WeightedGraph:
         # bincount adds in edge order, as a loop over the edges would
         self.degrees = np.bincount(self.edge_index.ravel(),
                                    weights=self.weights.repeat(2))
-        nbrs: list[list[int]] = [[] for _ in vertices]
-        for i, j in self.edge_index.tolist():
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        self.neighbors = tuple(tuple(sorted(n)) for n in nbrs)
+        # the edges are sorted, so each vertex's pairs come neighbours ascending
+        incidence: list[list[tuple[int, int]]] = [[] for _ in vertices]
+        for e, (i, j) in enumerate(self.edge_index.tolist()):
+            incidence[i].append((j, e))
+            incidence[j].append((i, e))
+        self.incidence = tuple(map(tuple, incidence))
         self._elimination_plan = None
 
         self._check_connected()
@@ -77,7 +78,6 @@ class WeightedGraph:
         unknown = guard - set(vertices)
         if unknown:
             raise ValueError(f"guard vertices {sorted(unknown)} not in graph")
-        self.guard_vertices = guard
         self.guard_index = tuple(sorted(index[v] for v in guard))
 
     def _check_connected(self):
@@ -181,8 +181,12 @@ def _read_records(text: str, where: str, form: str, record) -> list:
     return out
 
 
-def _edge_graph(text: str, where: str) -> WeightedGraph:
-    form = "<vertex> <vertex> <weight>"
+def load_graph(path) -> WeightedGraph:
+    """The graph of an edge-list file: one `<vertex> <vertex> <weight>` per
+    line, blank and '#' lines skipped; a fault of line N reads `path:N: ...`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    where, form = f"{path}:", "<vertex> <vertex> <weight>"
     entries = _read_records(text, where, form, lambda a, b, w: (a, b, w))
     try:
         return build_graph(entries)
@@ -192,18 +196,6 @@ def _edge_graph(text: str, where: str) -> WeightedGraph:
         seen: set = set()
         _read_records(text, where, form, lambda a, b, w: _edge_entry((a, b, w), seen))
         raise
-
-
-def parse_edge_lines(text: str) -> WeightedGraph:
-    """Parse the edge-list format: one `<vertex> <vertex> <weight>` per line,
-    blank and '#' lines skipped; a fault of line N reads `line N: ...`."""
-    return _edge_graph(text, "line ")
-
-
-def load_graph(path) -> WeightedGraph:
-    """The graph of an edge-list file; a fault of line N reads `path:N: ...`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _edge_graph(fh.read(), f"{path}:")
 
 
 def nu_norm(g: WeightedGraph, u, ord: float = 2) -> float:
@@ -257,22 +249,16 @@ def distance_balls(g: WeightedGraph, lengths, sources, reaches=None):
     one buffer per call and is valid only until the next row is drawn:
     entries touched by a search are reset after it, so a search costs
     O(ball) rather than O(n).  Hops (`lengths="graph"`) use breadth-first
-    search, per-edge lengths Dijkstra.
+    search, per-edge lengths Dijkstra, both over `g.incidence`.
     """
-    n = g.n_vertices
     inf, pop, push = math.inf, heapq.heappop, heapq.heappush
     lengths = _metric(g, lengths)
     hops = isinstance(lengths, str)
-    if hops:
-        adj = g.neighbors
-    else:
-        adj = [[] for _ in range(n)]
-        for (i, j), c in zip(g.edge_index.tolist(), lengths.tolist()):
-            adj[i].append((j, c))
-            adj[j].append((i, c))
+    lengths = lengths if hops else lengths.tolist()
+    adj = g.incidence
     if reaches is None:
         reaches = itertools.repeat(inf)
-    dist = [inf] * n
+    dist = [inf] * g.n_vertices
     for src, reach in zip(sources, reaches):
         dist[src] = 0.0
         if hops:
@@ -282,7 +268,7 @@ def distance_balls(g: WeightedGraph, lengths, sources, reaches=None):
                 if d >= reach:  # level order: the rest lie at d or beyond
                     break
                 d += 1.0
-                for j in adj[i]:
+                for j, _ in adj[i]:
                     if dist[j] == inf:
                         dist[j] = d
                         ball.append(j)
@@ -296,8 +282,8 @@ def distance_balls(g: WeightedGraph, lengths, sources, reaches=None):
                 if d > dist[i]:  # a stale entry: i was settled before
                     continue
                 ball.append(i)
-                for j, c in adj[i]:
-                    nd = d + c
+                for j, e in adj[i]:
+                    nd = d + lengths[e]
                     if nd < dist[j]:
                         if dist[j] == inf:
                             touched.append(j)

@@ -60,10 +60,7 @@ class EliminationPlan:
 
     def __init__(self, g: WeightedGraph):
         n = g.n_vertices
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
-        for e, (i, j) in enumerate(g.edge_index.tolist()):
-            adj[i][j] = e
-            adj[j][i] = e
+        adj = [dict(p) for p in g.incidence]  # neighbour -> factor slot
         n_slots = g.n_edges
         alive = set(range(n))
         rounds = []

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphsand import (ConstraintSet, SourceSchedule, build_path, build_star,
-                       build_truncated_z, collapse_via_p_experiment,
+from graphsand import (ConstraintSet, SourceSchedule, build_graph, build_path,
+                       build_star, build_truncated_z, collapse_via_p_experiment,
                        converge_p_experiment, field_values, is_stable,
                        nu_norm, solve_collapse, solve_growth, solve_p_flow)
 from graphsand.evolution import MAX_STEPS, Trajectory, TruncationError, time_grid
@@ -81,6 +81,22 @@ def test_schedule_overlap_rejected(p4):
         SourceSchedule(p4, ((1.0, 3.0, np.zeros(4)), (0.0, 2.0, np.zeros(4))))
     with pytest.raises(ValueError, match="empty"):
         SourceSchedule(p4, ((1.0, 1.0, np.zeros(4)),))
+
+
+# a schedule's fields are read by vertex position: one built on another
+# graph, of the same size or not, must be refused, not read on g's vertices
+@pytest.mark.parametrize("call", [
+    lambda g, K, f: solve_growth(g, K, np.zeros(3), f, 0.5, 0.05),
+    lambda g, K, f: solve_p_flow(g, 4.0, K, np.zeros(3), f, 0.5, 0.05),
+    lambda g, K, f: converge_p_experiment(g, K, np.zeros(3), f, [4.0], 0.5, 0.05),
+], ids=["growth", "p_flow", "converge_p"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_schedule_of_another_graph_is_refused(call, n):
+    g = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
+    K = ConstraintSet.from_kind(g, "uniform")
+    foreign = SourceSchedule.constant(build_path(n), {"x1": 1.0})
+    with pytest.raises(ValueError, match="^source schedule belongs to a different graph$"):
+        call(g, K, foreign)
 
 
 def test_time_grid_hits_breakpoints():

@@ -7,7 +7,7 @@ import pytest
 
 from graphsand import (WeightedGraph, build_graph, build_path, build_star,
                        build_truncated_z, distance_rows, field_values,
-                       kantorovich_pairing, load_graph, nu_norm, parse_edge_lines)
+                       kantorovich_pairing, load_graph, nu_norm)
 from graphsand import graph as graph_module
 from graphsand.graph import distance_balls
 from conftest import random_connected_graph
@@ -102,7 +102,8 @@ def test_weight_symmetry():
 
 def test_degrees_and_neighbors_match_edge_loop():
     # the degrees add the weights in edge order, so a per-edge loop gives
-    # the same bits; neighbors hold vertex ids, ascending
+    # the same bits; the incidence list holds each vertex's (neighbour,
+    # edge) id pairs, neighbours ascending, every edge at both of its ends
     rng = np.random.default_rng(1)
     for _ in range(20):
         g = random_connected_graph(rng, n_max=8)
@@ -114,7 +115,11 @@ def test_degrees_and_neighbors_match_edge_loop():
             nbrs[i].append(j)
             nbrs[j].append(i)
         assert np.array_equal(g.degrees, degrees)
-        assert g.neighbors == tuple(tuple(sorted(n)) for n in nbrs)
+        assert len(g.incidence) == g.n_vertices
+        for x, pairs in enumerate(g.incidence):
+            assert [j for j, _ in pairs] == sorted(nbrs[x])
+            for j, e in pairs:
+                assert sorted(g.edge_index[e].tolist()) == sorted([x, j])
 
 
 def test_nu_mass(p4):
@@ -172,8 +177,8 @@ def test_constraint_distance_unit_equals_hops():
         ones = np.ones(g.n_edges)
         for a in g.vertices:
             for b in g.vertices:
-                assert distance(g, ones, a, b) == \
-                    pytest.approx(distance(g, "graph", a, b))
+                # both searches walk one incidence list: the same floats
+                assert distance(g, ones, a, b) == distance(g, "graph", a, b)
 
 
 def test_constraint_distance_symmetry():
@@ -192,7 +197,7 @@ def test_truncated_z():
     assert set(g.vertices) == {str(k) for k in range(-3, 4)}
     assert degree(g, "0") == 2.0
     assert degree(g, "3") == 1.0
-    assert g.guard_vertices == {"-3", "-2", "2", "3"}
+    assert [g.vertices[i] for i in g.guard_index] == ["-2", "-3", "2", "3"]
 
 
 def test_build_path_validation():
@@ -204,14 +209,16 @@ def test_build_path_validation():
         build_truncated_z(0)
 
 
-def test_edge_list_roundtrip(p4):
-    text = "# comment\nx1 x2 1.0\nx2 x3 1.0\n\nx3 x4 1.0\n"
-    g = parse_edge_lines(text)
+def test_edge_list_roundtrip(p4, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# comment\nx1 x2 1.0\nx2 x3 1.0\n\nx3 x4 1.0\n")
+    g = load_graph(path)
     assert g.edges == p4.edges
     assert np.allclose(g.weights, p4.weights)
-    with pytest.raises(ValueError, match="^line 1: expected '<vertex> <vertex> "
-                                         "<weight>', got 'x1 x2'$"):
-        parse_edge_lines("x1 x2\n")
+    path.write_text("x1 x2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected "
+                                         "'<vertex> <vertex> <weight>', got 'x1 x2'$"):
+        load_graph(path)
 
 
 # each line of an edge file is checked as it is read, so its faults name the
@@ -230,8 +237,6 @@ def test_edge_file_faults_name_file_and_line(tmp_path, line, message):
     path.write_text(f"# a path\na b 1\n\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: {message}$"):
         load_graph(path)
-    with pytest.raises(ValueError, match=f"^line 4: {message}$"):
-        parse_edge_lines(path.read_text())
 
 
 # a line ends at "\n" only: a form feed, a NEL or a Unicode line separator in
@@ -247,8 +252,6 @@ def test_edge_file_lines_end_at_newline_only(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
         load_graph(path)
-    with pytest.raises(ValueError, match=f"^{re.escape(f'line {message}')}$"):
-        parse_edge_lines(text)
 
 
 def test_edge_file_entries_are_checked_once(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,19 @@ def test_constraint_set_of_another_graph_is_refused(call):
     foreign = ConstraintSet.from_kind(build_path(4, [1.0, 4.0, 9.0]), "inv-sqrt-w")
     with pytest.raises(ValueError, match="constraint set belongs to a different graph"):
         call(g, foreign)
+
+
+def test_newton_step_cap_raises(monkeypatch):
+    # one Newton step does not reach the minimiser at p = 4: the cap is
+    # reported by name, with no RuntimeWarning on the way
+    monkeypatch.setattr(proximal, "NEWTON_STEPS", 1)
+    g = build_path(4)
+    K = ConstraintSet.from_kind(g, "uniform")
+    message = re.escape("Newton did not converge in 1 iterations (p=4.0, lam=1.0)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResolventError, match=f"^{message}$"):
+            resolvent_p(g, 4.0, K, 1.0, np.array([0.0, 1.0, 0.0, 0.0]))
 
 
 P_REFUSAL = r"^p must be finite and >= 2, got {}$"
