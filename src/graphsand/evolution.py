@@ -45,9 +45,9 @@ _EVENT_BAND = 10.0
 # until they are certified
 _FREE_CELLS = 1 << 15
 
-# the most steps one block takes while a multiplier is held: its columns
-# are stepped and certified before its ends, so a row refused there wastes
-# the column work of the rows after it
+# the most steps one collapse block takes: under the drive u / t each row's
+# columns are one numpy op, stepped and certified before the ends, so a row
+# refused there wastes the column work of the rows after it
 _HELD_ROWS = 64
 
 # the steps growth's active list must have held before a block takes steps
@@ -223,18 +223,17 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
 
     With a projector, runs of steps on which the active list holds are
     taken as blocks by DykstraProjector.hold, and the first step a block
-    refuses goes through the single-step path.  While a multiplier is held
-    a block takes up to _HELD_ROWS steps: collapse takes one whenever it
-    can, growth once its active list has held for _HELD_AFTER steps and
-    where its source field holds for as many more, since a block's fixed
-    setup outweighs what its rows save when the list changes every few
-    steps or the block is short.  Growth takes blocks also while no
-    multiplier is held; the steps of one source field are then a running
-    sum (free flight), starting at an eighth of _FREE_CELLS state cells
-    and doubling up to all of it.  Growth's blocks never cross a source
-    breakpoint.  A block's residuals, events and samples are taken row by
-    row with the single step's expressions, so every output, error and
-    numpy warning is the one single steps would give, bit for bit.
+    refuses goes through the single-step path.  A block holds at most
+    _FREE_CELLS state cells.  Growth's blocks run to the end of the source
+    field: while no multiplier is held (free flight) at once, and while
+    one is held once the active list has held for _HELD_AFTER steps and
+    the field holds for as many more, since a block's fixed setup
+    outweighs what its rows save when the list changes every few steps or
+    the block is short.  Collapse takes a block of up to _HELD_ROWS steps
+    whenever a multiplier is held.  A block's residuals, events and
+    samples are taken row by row with the single step's expressions, so
+    every output, error and numpy warning is the one single steps would
+    give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
@@ -255,7 +254,6 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     binding = None if proj is None else np.abs(edge_gaps(g, u)) >= threshold
     times = grid.tolist()  # Python floats: no numpy scalar arithmetic per step
     cap = max(1, _FREE_CELLS // g.n_vertices)
-    run = first = max(1, cap // 8)
     streak = 0  # steps since the active list changed or a block stopped short
     n = 0
     while n < steps:
@@ -268,15 +266,12 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         elif proj is not None and source is not None \
                 and (not held or streak >= _HELD_AFTER):
             fv, end = source.piece(times[n])
-            m = min(bisect_left(times, end, n, steps) - n, cap,
-                    _HELD_ROWS if held else run)
+            m = min(bisect_left(times, end, n, steps) - n, cap)
             if held and m < _HELD_AFTER:
                 m = 0  # too few steps left in the field to pay for a block
         if m:
             k, rows, moved, edges = proj.hold(u, grid[n:n + m + 1], fv,
                                               guard, guard_limit)
-            if not held:
-                run = min(2 * run, cap) if k == m else first
             streak = streak + k if k == m else 0
         if k:
             # the operations of a single step, which warn alike; a held

@@ -146,14 +146,16 @@ def test_solvers_step_through_the_span_targets(monkeypatch):
     held.clear()
     # under x3 = 10 the pile spreads over the path and then keeps its
     # active list: once the list has held for _HELD_AFTER steps, one block
-    # takes the last 39 of 80 steps with the multipliers held; of 60 steps
-    # 19 are left then, too few for a block
+    # takes the rest of the source field with the multipliers held (the
+    # last 39 of 80 steps, 119 of 160, 199 of 240); of 60 steps 19 are
+    # left then, too few for a block
     assert evolution._HELD_AFTER == 32
-    for T, blocks in ((4.0, [39]), (3.0, [])):
+    for T, blocks, projected in ((4.0, [39], 39), (3.0, [], 58),
+                                 (8.0, [119], 39), (12.0, [199], 39)):
         steep = SourceSchedule(g, ((0.0, T, {"x3": 10.0}),))
         traj = solve_growth(g, K, np.zeros(5), steep, T, 0.05)
         assert len(calls) + sum(k for _, k in held) == len(traj.step_times)
-        assert len(calls) == 39 + 19 * (not blocks)
+        assert len(calls) == projected
         assert [k for bound, k in held if bound] == blocks
         calls.clear()
         held.clear()

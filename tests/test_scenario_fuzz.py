@@ -170,6 +170,7 @@ STEPS = f"steps, at most {MAX_STEPS}"
 COLLAPSE_TINY_DT = {"mode": "collapse", "u0": {"x2": 3.0}, "source": [], "T": 1,
                     "dt": 1e-8}
 P_ENTRY = "--p-list: must be a finite number >= 2"
+SAMPLE_EVERY = "sample_every: expected a positive integer"
 
 
 @pytest.mark.parametrize("change, message, argv", [
@@ -264,6 +265,14 @@ P_ENTRY = "--p-list: must be a finite number >= 2"
     duplicate('"x1": 0.5', '"x1": 0.0', "x1", "u0-vertex", {"u0": {"x1": 0.5}}),
     duplicate('"x2": 1.0', '"x2": 0.0', "x2", "source-values-vertex"),
     duplicate('"n": 3', '"n": 4', "n", "graph-key"),
+    # growth has no default end time; BASE without "T", passed as text
+    row("T-missing", json.dumps({k: v for k, v in BASE.items() if k != "T"}),
+        "T: required"),
+    row("sample-every-zero", {"sample_every": 0}, SAMPLE_EVERY),
+    row("sample-every-bool", {"sample_every": True}, SAMPLE_EVERY),
+    row("sample-every-float", {"sample_every": 1.5}, SAMPLE_EVERY),
+    row("sample-every-string", {"sample_every": "2"}, SAMPLE_EVERY),
+    row("output-number", {"output": 3}, "output: expected a path string"),
 ])
 def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
                                         message, argv):
