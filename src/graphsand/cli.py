@@ -218,6 +218,9 @@ def run_command(argv) -> int:
     except (ProjectionError, ResolventError, TruncationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the last resort: a run too large to hold
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return 2
 
 
 def main() -> None:

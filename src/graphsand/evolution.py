@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 # the most steps a time grid may hold: the grid is built in full before the
-# first step, about 30 MB per million steps, so T/dt is refused beyond this
+# first step, so T/dt is refused beyond this.  time_grid peaks at 16 MB per
+# million steps and _integrate's Python floats of it take 32 MB more
 MAX_STEPS = 10_000_000
 
 # an edge counts as binding when its gap is within this many projection
@@ -44,11 +45,6 @@ _EVENT_BAND = 10.0
 # the most state cells (steps x vertices) one block holds: its rows are kept
 # until they are certified
 _FREE_CELLS = 1 << 15
-
-# the most steps one collapse block takes: under the drive u / t each row's
-# columns are one numpy op, stepped and certified before the ends, so a row
-# refused there wastes the column work of the rows after it
-_HELD_ROWS = 64
 
 # the steps growth's active list must have held before a block takes steps
 # that hold a multiplier, and the fewest steps such a block must be able to
@@ -195,17 +191,15 @@ def time_grid(t_start: float, t_end: float, dt: float,
         if t_start + 1e-12 < b < t_end - 1e-12:
             marks.append(b)
     marks.append(t_end)
-    times = [t_start]
+    times = [[t_start]]
     for a, b in zip(marks, marks[1:]):
         span = b - a
         m = span / dt
         exact_fit = abs(m - round(m)) < 1e-9 * max(1.0, m)
         steps = max(1, int(round(m))) if exact_fit else int(math.ceil(m - 1e-12))
         h = span / steps if exact_fit else dt
-        for k in range(1, steps):
-            times.append(a + k * h)
-        times.append(b)
-    return np.asarray(times)
+        times += [a + np.arange(1, steps) * h, [b]]
+    return np.concatenate(times)
 
 
 def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
@@ -224,16 +218,16 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     With a projector, runs of steps on which the active list holds are
     taken as blocks by DykstraProjector.hold, and the first step a block
     refuses goes through the single-step path.  A block holds at most
-    _FREE_CELLS state cells.  Growth's blocks run to the end of the source
-    field: while no multiplier is held (free flight) at once, and while
-    one is held once the active list has held for _HELD_AFTER steps and
-    the field holds for as many more, since a block's fixed setup
-    outweighs what its rows save when the list changes every few steps or
-    the block is short.  Collapse takes a block of up to _HELD_ROWS steps
-    whenever a multiplier is held.  A block's residuals, events and
-    samples are taken row by row with the single step's expressions, so
-    every output, error and numpy warning is the one single steps would
-    give, bit for bit.
+    _FREE_CELLS state cells and runs to the end of the grid (collapse,
+    whenever a multiplier is held) or of the source field (growth).
+    Growth takes a block at once while no multiplier is held (free
+    flight), and while one is held once the active list has held for
+    _HELD_AFTER steps and the field holds for as many more, since a
+    block's fixed setup outweighs what its rows save when the list
+    changes every few steps or the block is short.  A block's residuals,
+    events and samples are taken row by row with the single step's
+    expressions, so every output, error and numpy warning is the one
+    single steps would give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
@@ -262,7 +256,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         # or once its active list has held for _HELD_AFTER steps
         held = proj is not None and proj.holds_multipliers()
         if held and source is None:
-            fv, m = None, min(_HELD_ROWS, cap, steps - n)
+            fv, m = None, min(cap, steps - n)
         elif proj is not None and source is not None \
                 and (not held or streak >= _HELD_AFTER):
             fv, end = source.piece(times[n])

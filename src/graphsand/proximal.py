@@ -105,8 +105,8 @@ class _SweepPlan(NamedTuple):
     incident: np.ndarray  # edges with an end among `ends`, sorted
     incident_ends: np.ndarray  # their (i, j) vertex ids
     at_ends: np.ndarray   # incident, as a mask over all edges
-    held: list            # hold's tables of the list, made on its first
-                          # use: nb, fold, free and bound (see _sweep_plan)
+    fold: list            # hold's fold table, made on its first use:
+                          # (edge, local i, local j, d_i, d_j) per edge
 
 
 def _holds(xl: list, free: list, bound: list, lift: float, mu=None) -> bool:
@@ -171,14 +171,9 @@ class DykstraProjector:
 
     def _sweep_plan(self, active: list, held: bool = False) -> _SweepPlan:
         """The plan of an active list, kept until the list changes; the
-        list is rebuilt on every call, so it is compared by value.
-
-        With held, the plan also carries hold's tables, made once per plan:
-        nb holds `ends` and then the other ends of the incident edges; fold
-        is (edge, local i, local j, d_i, d_j) per active edge; free and
-        bound are the incident edges off and on the list, as (local i,
-        local j, limit[, edge]), a local id indexing nb, whose head is
-        `ends`.  project() never reads them, so it does not pay for them.
+        list is rebuilt on every call, so it is compared by value.  With
+        held, its fold table is made, once per plan: project() never reads
+        it, so it does not pay for it.
         """
         if active != self._plan_key:
             il, jl = self._il, self._jl
@@ -197,21 +192,10 @@ class DykstraProjector:
                 incident, self.graph.edge_index[incident], at_ends, [])
             self._plan_key = active
         plan = self._plan
-        if held and not plan.held:
-            deg, ends = self._degl, plan.ends.tolist()
-            nb = ends + sorted(set(plan.incident_ends.ravel().tolist()) - set(ends))
-            local = {x: k for k, x in enumerate(nb)}
-            on, free, bound = set(active), [], []
-            for (i, j), e, lim in zip(plan.incident_ends.tolist(),
-                                      plan.incident.tolist(),
-                                      self._limit[plan.incident].tolist()):
-                if e in on:
-                    bound.append((local[i], local[j], lim, e))
-                else:
-                    free.append((local[i], local[j], lim))
-            fold = [(t[0], t[1], t[2], deg[self._il[t[0]]], deg[self._jl[t[0]]])
-                    for t in plan.sweep]
-            plan.held.extend([np.array(nb, dtype=np.intp), fold, free, bound])
+        if held and not plan.fold:
+            deg, il, jl = self._degl, self._il, self._jl
+            plan.fold.extend((t[0], t[1], t[2], deg[il[t[0]]], deg[jl[t[0]]])
+                             for t in plan.sweep)
         return plan
 
     def _rounding_floor(self, vl: list, plan: _SweepPlan):
@@ -300,103 +284,134 @@ class DykstraProjector:
         moved[r - 1] its |gaps| on the edges live, those at a vertex a step
         may move: the neighbourhood (the ends of the edges on the active
         list, the support as project() starts from it, and the other ends
-        of the edges at them), and under f a vertex where f is nonzero or
-        start has its sign bit (-0.0 + h * 0.0 is +0.0), under x / t a
-        nonzero one.  project() writes only the ends, so every other column
-        moves by the drive alone and is stepped first: under f as one
-        np.cumsum, adding in the order x + h * f would, under x / t as one
-        numpy row op per row.  Those columns are certified in bulk: every
-        edge not at an end within its limit (which refuses a value that is
-        not finite), the guard within guard_limit and the start gaps of the
-        edges no step moves.  Then, up to the first refused row and no
-        further, each step does project()'s own arithmetic at the ends in
-        Python floats: the drive, the fold, the checks of the edges at the
-        ends after the fold and after the sweep, _sweep, and the guard.
-        The k leading rows held are the results: the multipliers, the
-        active list and abs_gaps are left as k project() calls leave them.
+        of the edges at them), and a vertex the drive moves: under f one
+        where f is nonzero or start has its sign bit (-0.0 + h * 0.0 is
+        +0.0), under x / t a nonzero one.  Every other vertex keeps its
+        value, and every other edge its gap at start, which must be within
+        its limit.
+
+        With no multiplier held (free flight) there are no ends: the
+        moving columns are one np.cumsum, adding in the order x + h * f
+        would, certified in bulk (every live edge within its limit, which
+        refuses a value that is not finite, and the guard within
+        guard_limit).  Otherwise each step, up to the first refused row
+        and no further, does project()'s own arithmetic in Python floats
+        on the ends and the other vertices the drive moves: the drive, the
+        checks of the live edges with no end on the list and of the guard
+        off the ends, the fold, the checks of the edges at the ends after
+        the fold and after the sweep, _sweep, and the guard at the ends.
+        A check that no step can change is made once.  The k rows held are
+        the results: the multipliers, the active list and abs_gaps are
+        left as k project() calls leave them.
         """
         g, mu = self.graph, self.mu
         support = [e for e in self._active if mu[e] != 0.0]
         plan = self._sweep_plan(support, held=True)
-        nb, fold, free, bound = plan.held
-        ends = plan.ends.tolist()
-        # z[r] holds row r at the neighbourhood less the ends (first) and
-        # the other vertices the drive moves; every other vertex keeps its
-        # value
-        moving = start != 0 if f is None else (f != 0) | np.signbit(start)
-        moving[nb] = False
-        cols = np.concatenate([nb[len(ends):], np.flatnonzero(moving)])
-        moving[nb] = True
-        z = np.empty((len(times), len(cols)))
-        z[0] = start[cols]
-        rows = np.repeat(start[None], len(times), axis=0)
+        drives = start != 0 if f is None else (f != 0) | np.signbit(start)
+        moving = drives.copy()
+        moving[plan.incident_ends] = True
         at_live = moving[g.edge_index].any(axis=1)
         live = np.flatnonzero(at_live)
         vi, vj = g.edge_index[live].T
-        rest = ~plan.at_ends[live]
-        steps = np.diff(times)
-        times = times.tolist()  # no numpy scalar arithmetic per step
-        with np.errstate(over="ignore", invalid="ignore"):  # refused rows
-            if f is not None:
-                np.multiply(steps[:, None], f[cols], out=z[1:])
-                z = np.cumsum(z, axis=0)
-            else:
-                for r, (t, h) in enumerate(zip(times, steps.tolist())):
-                    np.add(z[r], h * (z[r] / t), out=z[r + 1])
-            rows[1:, cols] = z[1:]
-            moved = np.abs(rows[1:, vj] - rows[1:, vi])
-            fits = (moved[:, rest] <= self._limit[live[rest]]).all(axis=1)
-        if guard:
-            fits &= (np.abs(rows[1:, guard]) <= guard_limit).all(axis=1)
+        limit = self._limit[live]
         # every other edge keeps its gap at start, which an initial datum
         # (stable to 1e-8) may hold past the limit
         a = np.abs(edge_gaps(g, start)) if self.abs_gaps is None \
             else self.abs_gaps.copy()
-        if (a[~at_live] > self._limit[~at_live]).any():
-            fits[:] = False
-        k = len(fits) if fits.all() else int(fits.argmin())
-        if support and k:
-            sweep, tol = self._sweep, self.tol
-            at_guard = [q for q, x in enumerate(ends) if x in guard]
-            drive = None if f is None else f[ends].tolist()
-            x, held, size = start[ends].tolist(), [], len(ends)
-            for t, t1, xo in zip(times, times[1:],
-                                 z[1:k + 1, :len(nb) - size].tolist()):
-                h = t1 - t
-                xl = [v + h * (v / t) for v in x] if drive is None \
-                    else [v + h * d for v, d in zip(x, drive)]
-                xl += xo  # the rest of the neighbourhood
-                snap = [mu[e] for e in support]
-                for e, i, _, di, _ in fold:
-                    if mu[e] != 0.0:
-                        xl[i] += mu[e] / di
-                for e, _, j, _, dj in fold:
-                    if mu[e] != 0.0:
-                        xl[j] += -mu[e] / dj
-                ok = _holds(xl, free, bound, 0.0, mu)
-                if ok:
-                    try:
-                        floor = sweep(xl, plan, 0, math.inf)[0]
-                    except ProjectionError:  # the single step raises it
-                        ok = False
-                    else:
-                        ok = _holds(xl, free, bound,
-                                    floor - tol if floor > tol else 0.0)
-                if ok and at_guard:
-                    ok = all(abs(xl[q]) <= guard_limit for q in at_guard)
-                if not ok:
-                    for e, m in zip(support, snap):
-                        mu[e] = m
-                    break
-                x = xl[:size]
-                held.append(x)
-            k = len(held)
-            if k:
-                rows[1:k + 1, ends] = held
-                # the gaps at the ends, now that their values are in: all
-                # finite on a held row, so none can warn
-                at = ~rest
-                moved[:k, at] = np.abs(rows[1:k + 1, vj[at]] - rows[1:k + 1, vi[at]])
+        stop = (a[~at_live] > self._limit[~at_live]).any()
+        if not support and f is not None:
+            cols = np.flatnonzero(moving)
+            rows = np.repeat(start[None], len(times), axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused rows
+                rows[:, cols] = np.cumsum(np.vstack(
+                    [start[cols], np.diff(times)[:, None] * f[cols]]), axis=0)
+                moved = np.abs(rows[1:, vj] - rows[1:, vi])
+                fits = (moved <= limit).all(axis=1) \
+                    & (np.abs(rows[1:, guard]) <= guard_limit).all(axis=1)
+            k = 0 if stop else len(fits) if fits.all() else int(fits.argmin())
+        else:
+            # a row lists the ends, then the other vertices the drive
+            # moves (cols), then the other ends of the live edges (fixed)
+            size = len(plan.ends)
+            drives[plan.ends] = False
+            cols = np.concatenate([plan.ends, np.flatnonzero(drives)])
+            width = len(cols)
+            fixed = np.zeros(g.n_vertices, dtype=bool)
+            fixed[vi] = fixed[vj] = True
+            fixed[cols] = False
+            fixed = np.flatnonzero(fixed)
+            local = np.full(g.n_vertices, g.n_vertices)
+            local[np.concatenate([cols, fixed])] = np.arange(width + len(fixed))
+            li, lj = local[vi], local[vj]
+            at = plan.at_ends[live]
+            on = np.zeros(g.n_edges, dtype=bool)
+            on[support] = True
+            on = on[live]
+            still = ~at & (li >= width) & (lj >= width)
+            spot = local[guard]
+            stop |= not (np.abs(start[vj[still]] - start[vi[still]])
+                         <= limit[still]).all()
+            stop |= not (np.abs(start[guard])[spot >= width] <= guard_limit).all()
+
+            def table(mask, *more):
+                return list(zip(li[mask].tolist(), lj[mask].tolist(),
+                                limit[mask].tolist(), *more))
+
+            rest, free = table(~at & ~still), table(at & ~on)
+            bound = table(at & on, live[at & on].tolist())
+            at_guard = spot[spot < size].tolist()
+            off_guard = spot[(spot >= size) & (spot < width)].tolist()
+            sweep, tol, fold = self._sweep, self.tol, plan.fold
+            x, fixed = start[cols].tolist(), start[fixed].tolist()
+            drive = None if f is None else f[cols].tolist()
+            times = times.tolist()  # no numpy scalar arithmetic per step
+            rows = np.empty((len(times), g.n_vertices))
+            rows[0] = start
+            k = 0
+            # rows are kept 64 at a time: a list of Python floats costs
+            # about four times the array cells it fills
+            while not stop and k < len(times) - 1:
+                batch = []
+                for t, t1 in zip(times[k:k + 64], times[k + 1:k + 65]):
+                    h = t1 - t
+                    xl = [v + h * (v / t) for v in x] if drive is None \
+                        else [v + h * d for v, d in zip(x, drive)]
+                    xl += fixed
+                    if not (_holds(xl, rest, (), 0.0) and
+                            all(abs(xl[q]) <= guard_limit for q in off_guard)):
+                        stop = True
+                        break
+                    snap = [mu[e] for e in support]
+                    for e, i, _, di, _ in fold:
+                        if mu[e] != 0.0:
+                            xl[i] += mu[e] / di
+                    for e, _, j, _, dj in fold:
+                        if mu[e] != 0.0:
+                            xl[j] += -mu[e] / dj
+                    ok = _holds(xl, free, bound, 0.0, mu)
+                    if ok:
+                        try:
+                            floor = sweep(xl, plan, 0, math.inf)[0]
+                        except ProjectionError:  # the single step raises it
+                            ok = False
+                        else:
+                            ok = _holds(xl, free, bound,
+                                        floor - tol if floor > tol else 0.0)
+                    if ok and at_guard:
+                        ok = all(abs(xl[q]) <= guard_limit for q in at_guard)
+                    if not ok:
+                        for e, m in zip(support, snap):
+                            mu[e] = m
+                        stop = True
+                        break
+                    x = xl[:width]
+                    batch.append(x)
+                if batch:
+                    rows[k + 1:k + 1 + len(batch)] = start
+                    rows[k + 1:k + 1 + len(batch), cols] = batch
+                    k += len(batch)
+            # held rows are finite at every live edge, so none can warn
+            moved = np.abs(rows[1:k + 1, vj] - rows[1:k + 1, vi])
         if k:
             a[live] = moved[k - 1]
             self.abs_gaps, self._active = a, support

@@ -1,6 +1,7 @@
 """Test-only references: results recomputed along a path independent of
 the solvers', for the tests to compare against.
 
+time_grid_loop builds time_grid's step times one Python float at a time;
 project_oracle solves the projection exactly by enumerating active sets;
 mass_balance recomputes the per-step mass residuals of a trajectory from
 its states; p_flow_cold steps the p-flow with every resolvent started cold;
@@ -10,6 +11,7 @@ collapse flow with one projection per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,6 +22,28 @@ from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, Trajector
     resolvent_p
 from graphsand.calculus import edge_gaps
 from graphsand.evolution import _EVENT_BAND, time_grid
+
+
+def time_grid_loop(t_start: float, t_end: float, dt: float,
+                   breakpoints=()) -> np.ndarray:
+    """time_grid's steps (without its refusals), each span's times
+    appended one by one as a + k * h in Python floats."""
+    marks = [t_start]
+    for b in sorted(set(float(b) for b in breakpoints)):
+        if t_start + 1e-12 < b < t_end - 1e-12:
+            marks.append(b)
+    marks.append(t_end)
+    times = [t_start]
+    for a, b in zip(marks, marks[1:]):
+        span = b - a
+        m = span / dt
+        exact_fit = abs(m - round(m)) < 1e-9 * max(1.0, m)
+        steps = max(1, int(round(m))) if exact_fit else int(math.ceil(m - 1e-12))
+        h = span / steps if exact_fit else dt
+        for k in range(1, steps):
+            times.append(a + k * h)
+        times.append(b)
+    return np.asarray(times)
 
 
 def project_oracle(g: WeightedGraph, K: ConstraintSet, z) -> np.ndarray:

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphsand import (ConstraintSet, SourceSchedule, build_graph, build_path,
                        build_star, build_truncated_z, collapse_via_p_experiment,
                        converge_p_experiment, field_values, is_stable,
                        nu_norm, solve_collapse, solve_growth, solve_p_flow)
 from graphsand.evolution import MAX_STEPS, Trajectory, TruncationError, time_grid
-from reference import mass_balance, p_flow_cold
+from reference import mass_balance, p_flow_cold, time_grid_loop
 
 
 def z_exact(g, t, alpha=1.0):
@@ -135,6 +136,22 @@ def test_collapse_via_p_needs_positive_probe_times(p4, p4_uniform):
     for probes in ([0.0, 1.0], [-1.0], []):
         with pytest.raises(ValueError, match="^probe times must be positive$"):
             collapse_via_p_experiment(p4, p4_uniform, u0, 8.0, probes, 0.1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.data())
+def test_time_grid_spans_match_the_python_loop(t_start, span, data):
+    # numpy's a + arange(1, steps) * h against a + k * h one float at a
+    # time, on spans dt divides (nearly) and spans it does not
+    t_end = t_start + span
+    steps = data.draw(st.integers(1, 20_000))
+    dt = data.draw(st.sampled_from([span / steps, span / steps * (1 + 1e-12),
+                                    span / (steps + 0.5)]))
+    breakpoints = [t_start + x * span for x in
+                   data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))]
+    grid = time_grid(t_start, t_end, dt, breakpoints)
+    want = time_grid_loop(t_start, t_end, dt, breakpoints)
+    assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
 
 
 def test_time_grid_exact_division():

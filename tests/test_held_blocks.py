@@ -100,17 +100,19 @@ def _copy(proj):
 
 
 @PROPERTY
-@given(collapse_cases(), st.sampled_from([1, 3, 64]), st.sampled_from([3, 40, 5000]))
-def test_collapse_matches_one_projection_per_step(case, rows, sweeps):
-    # blocks of one step, of a few, and of the default cap; a sweep budget
-    # that fails most projections holding a multiplier, some, or none
-    held, budget = evolution._HELD_ROWS, proximal.MAX_SWEEPS
-    evolution._HELD_ROWS, proximal.MAX_SWEEPS = rows, sweeps
+@given(collapse_cases(), st.sampled_from([1, 64, evolution._FREE_CELLS]),
+       st.sampled_from([3, 40, 5000]))
+def test_collapse_matches_one_projection_per_step(case, cells, sweeps):
+    # a cell budget that makes blocks of one step, short ones, and the
+    # default; a sweep budget that fails most projections holding a
+    # multiplier, some, or none
+    saved, budget = evolution._FREE_CELLS, proximal.MAX_SWEEPS
+    evolution._FREE_CELLS, proximal.MAX_SWEEPS = cells, sweeps
     try:
         got, got_last, got_warned = _run(solve_collapse, case)
         want, want_last, want_warned = _run(collapse_per_step, case)
     finally:
-        evolution._HELD_ROWS, proximal.MAX_SWEEPS = held, budget
+        evolution._FREE_CELLS, proximal.MAX_SWEEPS = saved, budget
     assert got_warned == want_warned
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
@@ -124,19 +126,23 @@ def test_collapse_matches_one_projection_per_step(case, rows, sweeps):
 
 
 def test_held_blocks_take_almost_every_collapse_step(monkeypatch):
-    # the active list of the shipped b = 2 collapse holds from its first
-    # projection on, so project() runs on under 1 % of its 6667 steps
-    calls = []
-    original = DykstraProjector.project
-
-    def project(self, z):
-        calls.append(None)
-        return original(self, z)
-
-    monkeypatch.setattr(DykstraProjector, "project", project)
-    traj = run_scenario(load_scenario(SCENARIOS / "p4_collapse_b2.json"))
-    assert len(traj.step_times) == 6667
-    assert 0 < len(calls) < 0.01 * len(traj.step_times)
+    # the active list of each shipped collapse holds from its first
+    # projection on, or changes once, so its 6667 steps take one or two
+    # blocks, each run to the end or to the step that changes the list,
+    # and project() runs only where a block starts or stops
+    calls = {}
+    for method in ("hold", "project"):
+        def counted(self, *args, original=getattr(DykstraProjector, method),
+                    key=method):
+            calls[key] += 1
+            return original(self, *args)
+        monkeypatch.setattr(DykstraProjector, method, counted)
+    for name, holds in (("p4_collapse_b1", 1), ("p4_collapse_b15", 1),
+                        ("p4_collapse_b2", 2), ("p6_collapse", 2)):
+        calls.update(hold=0, project=0)
+        traj = run_scenario(load_scenario(SCENARIOS / f"{name}.json"))
+        assert len(traj.step_times) == 6667
+        assert calls == {"hold": holds, "project": holds}, name
 
 
 def test_hold_takes_no_row_outside_the_guard_band():
@@ -168,11 +174,38 @@ def test_hold_takes_no_row_outside_the_guard_band():
         assert held.mu == (mu if want == 0 else one.mu)
 
 
+def test_hold_checks_what_no_step_moves_once():
+    # under a source field, from the state of the test above with the
+    # guard band on the side away from the pile: a guard vertex the field
+    # moves off the ends, a guard vertex that starts outside the band, and
+    # a gap past its limit on an edge whose ends no step moves each refuse
+    # the first row; without them both rows hold
+    g = build_truncated_z(3)
+    K = ConstraintSet.from_kind(g, "uniform")
+    proj = DykstraProjector(g, K)
+    v, t = field_values(g, {"1": 1.5}), 0.5
+    for _ in range(3):
+        v, t = proj.project(v + 0.01 * (v / t)), t + 0.01
+    times = np.array([t, t + 0.01, t + 0.02])
+    guard = [g.vertex_id("-2"), g.vertex_id("-3")]
+    assert set(guard) <= set(g.guard_index)
+    top, wide = field_values(g, {"1": 1.0}), field_values(g, {"1": 1.0, "-3": 1e-3})
+    past, over = v.copy(), v.copy()
+    past[g.vertex_id("-3")] = 0.5  # a guard vertex, not at a live edge
+    over[g.vertex_id("-2")] = 1.5  # past the limit on the edge to -1
+    for start, f, band, want in (
+            (v, top, guard, 2), (v, wide, [], 2), (v, wide, guard, 0),
+            (past, top, [], 2), (past, top, guard, 0), (over, top, [], 0)):
+        assert _copy(proj).hold(start, times, f, band, 0.0)[0] == want
+
+
 @PROPERTY
-@given(collapse_cases(), st.integers(1, 8), st.data())
+@given(collapse_cases(), st.integers(1, 8) | st.sampled_from([64, 400]),
+       st.data())
 def test_hold_takes_the_rows_project_would_give(case, m, data):
     # from every step of a collapse that holds a multiplier, a copy of the
-    # projector holds up to m steps under the collapse drive or under a
+    # projector holds up to m steps (long blocks check the edges off the
+    # ends row by row deep into a block) under the collapse drive or under a
     # drawn source field: each row it takes is project()'s result on a step
     # that keeps the active list (the support it starts from) and clears
     # the guard band, and it leaves the multipliers, the active list and

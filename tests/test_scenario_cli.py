@@ -10,6 +10,7 @@ import pytest
 from graphsand import (SourceSchedule, parse_scenario, read_trajectory,
                        solve_growth, write_trajectory)
 from graphsand.cli import run_command
+from graphsand import scenario as scenario_module
 from graphsand.scenario import ScenarioError, load_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -161,6 +162,28 @@ def test_cli_simulate_writes_csv(tmp_path, monkeypatch):
     assert rc == 0
     assert (tmp_path / "chain.csv").exists()
     assert (tmp_path / "chain.mass.csv").exists()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape "
+                 "(1000001, 100000) and data type float64"),
+     "error: out of memory: Unable to allocate 745. GiB for an array with "
+     "shape (1000001, 100000) and data type float64"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy-message", "bare"])
+def test_cli_maps_memory_error_to_exit_2(tmp_path, monkeypatch, capsys, exc, line):
+    # a run too large to hold ends in one line and exit 2, not a traceback
+    monkeypatch.chdir(tmp_path)
+
+    def solve(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(scenario_module, "solve_growth", solve)
+    rc = run_command(["simulate", str(SCENARIOS / "chain_w4_model2.json"),
+                      "--output", "chain.csv"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == line + "\n" and captured.out == ""
 
 
 def test_cli_z_lattice_golden_row(tmp_path, monkeypatch, capsys):
