@@ -28,7 +28,8 @@ from .evolution import TruncationError, converge_p_experiment
 from .graph import _read_records, field_values, load_graph
 from .proximal import CONSTRAINT_KINDS, ConstraintSet, ProjectionError, \
     ResolventError, project
-from .scenario import ScenarioError, load_scenario, run_scenario, write_trajectory
+from .scenario import ScenarioError, _check_state_cells, load_scenario, \
+    run_scenario, write_trajectory
 from .transport import TransportInstance, kantorovich_pairing, ot_cost_oracle, \
     verify_potential
 
@@ -138,6 +139,7 @@ def _cmd_transport_check(args) -> int:
     if not 0 < args.t <= cfg.T:
         raise ScenarioError(f"--t: must lie in (0, {cfg.T}]")
     # the rate below needs the step just before t, so keep every step
+    _check_state_cells(cfg.graph.n_vertices, cfg.T, cfg.dt, 1, "transport-check")
     traj = run_scenario(replace(cfg, sample_every=1))
     k = int(np.searchsorted(traj.times, args.t - 1e-12))
     k = max(1, min(k, traj.n_samples - 1))

@@ -224,10 +224,13 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     flight), and while one is held once the active list has held for
     _HELD_AFTER steps and the field holds for as many more, since a
     block's fixed setup outweighs what its rows save when the list
-    changes every few steps or the block is short.  A block's residuals,
-    events and samples are taken row by row with the single step's
-    expressions, so every output, error and numpy warning is the one
-    single steps would give, bit for bit.
+    changes every few steps or the block is short.  A block's residuals
+    are formed at once, silently, with np.vecdot, whose rows are deg.dot's
+    dot products bit for bit; where one is not finite, the block's
+    residuals are formed again row by row with the single step's calls,
+    which warn as single steps do.  Its events and samples are taken row
+    by row, so every output, error and numpy warning is the one single
+    steps would give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
@@ -268,14 +271,24 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                                               guard, guard_limit)
             streak = streak + k if k == m else 0
         if k:
-            # the operations of a single step, which warn alike; a held
-            # step's drive is that of the row before it
-            drives = [fv] * k if source is not None \
-                else rows[:k] / grid[n:n + k, None]
-            residuals[n:n + k] = [
-                float(deg.dot(d) - h * deg.dot(fv)) for d, h, fv in
-                zip(np.diff(rows[:k + 1], axis=0),
-                    np.diff(grid[n:n + k + 1]).tolist(), drives)]
+            # the single step's residuals, all k at once: a vecdot row is the
+            # dot product deg.dot takes, bit for bit; a held step's drive is
+            # that of the row before it
+            with np.errstate(all="ignore"):
+                drive_mass = deg.dot(fv) if source is not None \
+                    else np.vecdot(rows[:k] / grid[n:n + k, None], deg)
+                block = np.vecdot(np.diff(rows[:k + 1], axis=0), deg) \
+                    - np.diff(grid[n:n + k + 1]) * drive_mass
+            if not np.isfinite(block).all():
+                # formed again with the single step's own calls, which warn
+                # alike: every warning comes with a residual that is not
+                # finite
+                drives = [fv] * k if source is not None \
+                    else rows[:k] / grid[n:n + k, None]
+                block = [float(deg.dot(d) - h * deg.dot(fv)) for d, h, fv in
+                         zip(np.diff(rows[:k + 1], axis=0),
+                             np.diff(grid[n:n + k + 1]).tolist(), drives)]
+            residuals[n:n + k] = block
             now = moved[:k] >= threshold[edges]
             flips = now != np.vstack([binding[edges], now[:-1]])
             for r, c in zip(*np.nonzero(flips)):

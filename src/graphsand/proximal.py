@@ -109,19 +109,8 @@ class _SweepPlan(NamedTuple):
                           # (edge, local i, local j, d_i, d_j) per edge
 
 
-def _holds(xl: list, free: list, bound: list, lift: float, mu=None) -> bool:
-    """True when a held step keeps its active list at these values: every
-    edge in free is within its limit + lift, every gap in bound is finite
-    and, given the multipliers mu (after the fold), every edge in bound
-    whose multiplier is 0 is past its limit."""
-    for i, j, lim in free:
-        if not abs(xl[j] - xl[i]) <= lim + lift:
-            return False
-    for i, j, lim, e in bound:
-        gap = abs(xl[j] - xl[i])
-        if not gap < math.inf or mu is not None and mu[e] == 0.0 and not gap > lim:
-            return False
-    return True
+class _Refused(Exception):
+    """A held row that project() would not give: the block stops before it."""
 
 
 class DykstraProjector:
@@ -361,7 +350,7 @@ class DykstraProjector:
             bound = table(at & on, live[at & on].tolist())
             at_guard = spot[spot < size].tolist()
             off_guard = spot[(spot >= size) & (spot < width)].tolist()
-            sweep, tol, fold = self._sweep, self.tol, plan.fold
+            sweep, tol, fold, inf = self._sweep, self.tol, plan.fold, math.inf
             x, fixed = start[cols].tolist(), start[fixed].tolist()
             drive = None if f is None else f[cols].tolist()
             times = times.tolist()  # no numpy scalar arithmetic per step
@@ -372,40 +361,55 @@ class DykstraProjector:
             # about four times the array cells it fills
             while not stop and k < len(times) - 1:
                 batch = []
-                for t, t1 in zip(times[k:k + 64], times[k + 1:k + 65]):
-                    h = t1 - t
-                    xl = [v + h * (v / t) for v in x] if drive is None \
-                        else [v + h * d for v, d in zip(x, drive)]
-                    xl += fixed
-                    if not (_holds(xl, rest, (), 0.0) and
-                            all(abs(xl[q]) <= guard_limit for q in off_guard)):
-                        stop = True
-                        break
-                    snap = [mu[e] for e in support]
-                    for e, i, _, di, _ in fold:
-                        if mu[e] != 0.0:
-                            xl[i] += mu[e] / di
-                    for e, _, j, _, dj in fold:
-                        if mu[e] != 0.0:
-                            xl[j] += -mu[e] / dj
-                    ok = _holds(xl, free, bound, 0.0, mu)
-                    if ok:
-                        try:
-                            floor = sweep(xl, plan, 0, math.inf)[0]
-                        except ProjectionError:  # the single step raises it
-                            ok = False
-                        else:
-                            ok = _holds(xl, free, bound,
-                                        floor - tol if floor > tol else 0.0)
-                    if ok and at_guard:
-                        ok = all(abs(xl[q]) <= guard_limit for q in at_guard)
-                    if not ok:
-                        for e, m in zip(support, snap):
-                            mu[e] = m
-                        stop = True
-                        break
-                    x = xl[:width]
-                    batch.append(x)
+                try:
+                    for t, t1 in zip(times[k:k + 64], times[k + 1:k + 65]):
+                        h = t1 - t
+                        xl = [v + h * (v / t) for v in x] if drive is None \
+                            else [v + h * d for v, d in zip(x, drive)]
+                        xl += fixed
+                        snap = [mu[e] for e in support]
+                        for i, j, lim in rest:
+                            if not abs(xl[j] - xl[i]) <= lim:
+                                raise _Refused
+                        for q in off_guard:
+                            if not abs(xl[q]) <= guard_limit:
+                                raise _Refused
+                        for e, i, _, di, _ in fold:
+                            if mu[e] != 0.0:
+                                xl[i] += mu[e] / di
+                        for e, _, j, _, dj in fold:
+                            if mu[e] != 0.0:
+                                xl[j] += -mu[e] / dj
+                        # project() keeps the list: after the fold every
+                        # free edge is within its limit, every bound gap is
+                        # finite and past its limit where its multiplier is
+                        # 0; after the sweep the free edges are within their
+                        # limits at its rounding floor, the bound gaps finite
+                        for i, j, lim in free:
+                            if not abs(xl[j] - xl[i]) <= lim:
+                                raise _Refused
+                        for i, j, lim, e in bound:
+                            gap = abs(xl[j] - xl[i])
+                            if not gap < inf or mu[e] == 0.0 and not gap > lim:
+                                raise _Refused
+                        floor = sweep(xl, plan, 0, inf)[0]
+                        lift = floor - tol if floor > tol else 0.0
+                        for i, j, lim in free:
+                            if not abs(xl[j] - xl[i]) <= lim + lift:
+                                raise _Refused
+                        for i, j, _, _ in bound:
+                            if not abs(xl[j] - xl[i]) < inf:
+                                raise _Refused
+                        for q in at_guard:
+                            if not abs(xl[q]) <= guard_limit:
+                                raise _Refused
+                        x = xl[:width]
+                        batch.append(x)
+                except (_Refused, ProjectionError):  # the single step takes
+                    # the refused row, and raises ProjectionError alike
+                    for e, m in zip(support, snap):
+                        mu[e] = m
+                    stop = True
                 if batch:
                     rows[k + 1:k + 1 + len(batch)] = start
                     rows[k + 1:k + 1 + len(batch), cols] = batch

@@ -52,6 +52,10 @@ MAX_GRAPH_COUNT = 100_000
 # T/dt (1/dt in collapse mode) is bounded by evolution.MAX_STEPS, the cap of
 # its time grid, which is built in full before the first step
 
+# the most state cells (kept samples x vertices) a run may hold: the kept
+# states are held in memory, 8 bytes a cell, until the CSV is written
+MAX_STATE_CELLS = 1 << 25
+
 # write_trajectory compares about this many cells per numpy call, so it
 # holds the changed cells of a block of rows, never of the whole trajectory
 _WRITE_BLOCK = 1 << 14
@@ -142,7 +146,9 @@ class ScenarioConfig:
         return ConstraintSet.from_kind(self.graph, self.constraint)
 
 
-def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
+def _build_scenario_graph(node, base_dir: Path, fits) -> WeightedGraph:
+    """The graph of a scenario's graph node; fits(n) refuses a path or a Z
+    window of n vertices before it is built."""
     path = "graph"
     if not isinstance(node, dict):
         _fail(path, "expected an object")
@@ -185,13 +191,16 @@ def _build_scenario_graph(node, base_dir: Path) -> WeightedGraph:
             _fail(f"{path}.path", str(exc))
     if kind == "path":
         n = _count(node, "n", 2)
+        fits(n)
         weights = node.get("weights")
         if weights is not None:
             weights = _weights(weights, f"{path}.weights", n - 1)
         return build_path(n, weights)
     if kind == "star":
         return build_star(_weights(node.get("weights"), f"{path}.weights"))
-    return build_truncated_z(_count(node, "radius", 1))
+    radius = _count(node, "radius", 1)
+    fits(2 * radius + 1)
+    return build_truncated_z(radius)
 
 
 def _sparse_field(g: WeightedGraph, doc, path: str) -> np.ndarray:
@@ -207,6 +216,16 @@ def _sparse_field(g: WeightedGraph, doc, path: str) -> np.ndarray:
             _fail(f"{path}.{vertex}", "unknown vertex")
         vals[k] = _required(value, f"{path}.{vertex}")
     return vals
+
+
+def _check_state_cells(n: int, T: float, dt: float, every: int, key: str):
+    """Refuse, naming key, a run on n vertices whose kept states, every
+    every-th of about T / dt steps and the last, exceed MAX_STATE_CELLS."""
+    samples = math.ceil(T / dt / every - 1e-9) + 1
+    if samples * n > MAX_STATE_CELLS:
+        _fail(key, f"keeps {samples} samples of {n} vertices "
+                   f"({samples * n * 8 / 2 ** 30:.3g} GiB), at most "
+                   f"{MAX_STATE_CELLS} state cells")
 
 
 def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
@@ -225,7 +244,29 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         _fail("mode", f"expected one of {MODES}, got {mode!r}")
     _known_keys(doc, _MODE_KEYS[mode], "", f" in {mode} mode")
 
-    g = _build_scenario_graph(doc.get("graph"), base_dir)
+    T = _number(doc.get("T"), "T", default=1.0 if mode == "collapse" else None,
+                positive=True)
+    if T is None:
+        _fail("T", "required")
+    if mode == "collapse" and T != 1.0:
+        _fail("T", f"collapse mode ends at T = 1, got {T}")
+    dt = _number(doc.get("dt"), "dt", default=1e-3, positive=True)
+    if T / dt > MAX_STEPS:
+        _fail("dt", f"T/dt asks for {T / dt:.6g} steps, at most {MAX_STEPS}")
+    tol = _number(doc.get("tol"), "tol", default=1e-10, positive=True)
+
+    sample_every = doc.get("sample_every", 1)
+    if not isinstance(sample_every, int) or isinstance(sample_every, bool) \
+            or sample_every < 1:
+        _fail("sample_every", "expected a positive integer")
+
+    # the states kept must fit in memory; a path or a Z window is checked
+    # before it is built, from its vertex count
+    def fits(n):
+        _check_state_cells(n, T, dt, sample_every, "sample_every")
+
+    g = _build_scenario_graph(doc.get("graph"), base_dir, fits)
+    fits(g.n_vertices)
 
     tokens = tuple(CONSTRAINT_KINDS)
     constraint = doc.get("constraint", "uniform")
@@ -262,22 +303,6 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         schedule = SourceSchedule(g, tuple(segments))
     except ValueError as exc:
         _fail("source", str(exc))
-
-    T = _number(doc.get("T"), "T", default=1.0 if mode == "collapse" else None,
-                positive=True)
-    if T is None:
-        _fail("T", "required")
-    if mode == "collapse" and T != 1.0:
-        _fail("T", f"collapse mode ends at T = 1, got {T}")
-    dt = _number(doc.get("dt"), "dt", default=1e-3, positive=True)
-    if T / dt > MAX_STEPS:
-        _fail("dt", f"T/dt asks for {T / dt:.6g} steps, at most {MAX_STEPS}")
-    tol = _number(doc.get("tol"), "tol", default=1e-10, positive=True)
-
-    sample_every = doc.get("sample_every", 1)
-    if not isinstance(sample_every, int) or isinstance(sample_every, bool) \
-            or sample_every < 1:
-        _fail("sample_every", "expected a positive integer")
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -357,9 +382,14 @@ def write_trajectory(traj: Trajectory, path) -> Path:
     path = Path(path)
     path.write_text("".join(_sample_texts(traj)), encoding="utf-8")
 
-    rows = zip(traj.step_times.tolist(), traj.mass_residuals.tolist())
+    # each residual's text is formatted once per 64-bit pattern (0.0 and
+    # -0.0, or two NaN payloads, apart): a run repeats many of them
+    residuals = np.ascontiguousarray(traj.mass_residuals, dtype=np.float64)
+    bits, at = np.unique(residuals.view(np.int64), return_inverse=True)
+    texts = [f",{r!r}\n" for r in bits.view(np.float64).tolist()]
+    rows = zip(traj.step_times.tolist(), at.tolist())
     _mass_path(path).write_text(
-        "t,residual\n" + "".join([f"{t!r},{r!r}\n" for t, r in rows]),
+        "t,residual\n" + "".join([f"{t!r}{texts[k]}" for t, k in rows]),
         encoding="utf-8")
     return path
 

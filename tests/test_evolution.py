@@ -154,6 +154,32 @@ def test_time_grid_spans_match_the_python_loop(t_start, span, data):
     assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 200), st.integers(2, 300), st.integers(0, 2 ** 32 - 1),
+       st.integers(-300, 300), st.integers(-300, 300),
+       st.sampled_from([0.0, 0.3, 0.9]))
+def test_vecdot_rows_match_dot_bit_for_bit(rows, cols, seed, lo, hi, zeros):
+    # _integrate forms a block's residuals with np.vecdot over its rows,
+    # which must give each row's deg.dot bit for bit: signed zeros, tiny
+    # and huge magnitudes, and the infinities and NaNs of overflow.  A graph
+    # has two vertices or more; on one column dot returns the product
+    # itself (-0.0 included), where vecdot adds it to +0.0
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted((lo, hi))
+
+    def cells(*shape):
+        size = 10.0 ** rng.uniform(lo, hi, shape)
+        size[rng.random(shape) < zeros] = 0.0
+        return rng.choice([-1.0, 1.0], shape) * size
+
+    M, d = cells(rows, cols), cells(cols)
+    assert M.flags.c_contiguous
+    with np.errstate(all="ignore"):
+        got = np.vecdot(M, d)
+        want = np.array([d.dot(r) for r in M])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_time_grid_exact_division():
     grid = time_grid(0.0, 16.0, 1e-3)
     assert len(grid) == 16001

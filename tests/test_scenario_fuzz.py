@@ -12,9 +12,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphsand import scenario
 from graphsand.cli import run_command
-from graphsand.scenario import MAX_GRAPH_COUNT, MAX_STEPS, ScenarioError, \
-    parse_scenario
+from graphsand.scenario import MAX_GRAPH_COUNT, MAX_STATE_CELLS, MAX_STEPS, \
+    ScenarioError, parse_scenario
 
 HUGE = 10 ** 400
 PROPERTY = settings(max_examples=400, deadline=None, database=None)
@@ -273,6 +274,20 @@ SAMPLE_EVERY = "sample_every: expected a positive integer"
     row("sample-every-float", {"sample_every": 1.5}, SAMPLE_EVERY),
     row("sample-every-string", {"sample_every": "2"}, SAMPLE_EVERY),
     row("output-number", {"output": 3}, "output: expected a path string"),
+    # kept states beyond the memory budget: a path refused before it is
+    # built, a star after, and transport-check, which keeps every step
+    row("state-cells-path",
+        {"graph": {"kind": "path", "n": MAX_GRAPH_COUNT}, "T": 1000.0, "dt": 1e-3},
+        "sample_every: keeps 1000001 samples of 100000 vertices (745 GiB), "
+        f"at most {MAX_STATE_CELLS} state cells"),
+    row("state-cells-star",
+        {"graph": {"kind": "star", "weights": [1, 1, 1]}, "T": 1e7, "dt": 1.0},
+        "sample_every: keeps 10000001 samples of 4 vertices (0.298 GiB)"),
+    row("state-cells-transport-check",
+        {"graph": {"kind": "path", "n": 1000}, "T": 1000.0, "dt": 1e-3,
+         "sample_every": 1000},
+        "transport-check: keeps 1000001 samples of 1000 vertices (7.45 GiB)",
+        transport_check()),
 ])
 def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
                                         message, argv):
@@ -282,6 +297,20 @@ def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
     assert run_command(argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("graph, builder", [
+    ({"kind": "path", "n": MAX_GRAPH_COUNT}, "build_path"),
+    ({"kind": "truncated_z", "radius": MAX_GRAPH_COUNT // 2}, "build_truncated_z"),
+], ids=["path", "truncated_z"])
+def test_state_budget_refuses_a_counted_graph_before_building_it(
+        monkeypatch, graph, builder):
+    # building a 100000-vertex path alone takes most of a second
+    monkeypatch.setattr(scenario, builder, lambda *args: pytest.fail("built"))
+    doc = dict(BASE, graph=graph, T=1000.0, dt=1e-3, source=[])
+    with pytest.raises(ScenarioError, match="^sample_every: keeps 1000001 "
+                                            "samples of 10000[01] vertices"):
+        parse_scenario(json.dumps(doc))
 
 
 def test_step_cap_admits_exactly_max_steps():

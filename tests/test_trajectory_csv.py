@@ -230,12 +230,16 @@ QNAN, QNAN_1 = bits_to_floats(0x7FF8000000000000, 0x7FF8000000000001)
 ], ids=["signed-zero", "nan-payloads", "held"])
 def test_writer_formats_a_cell_again_when_its_bits_change(tmp_path, column):
     """Cells are reused while their bits hold: 0.0 == -0.0, yet their texts
-    differ, so a sign flip must be written; a vertex beside it moves."""
+    differ, so a sign flip must be written; a vertex beside it moves.  The
+    same column as residuals, whose texts are formatted once per 64-bit
+    pattern, must keep its patterns apart."""
     g = build_path(2)
     states = np.column_stack([column, np.arange(5.0)])
-    traj = Trajectory(g, np.arange(5) / 4.0, states)
+    traj = Trajectory(g, np.arange(5) / 4.0, states, np.arange(1, 6) / 4.0,
+                      np.array(column))
     out = write_trajectory(traj, tmp_path / "run.csv")
-    assert out.read_text() == reference_csvs(traj)[0]
+    assert (out.read_text(), (tmp_path / "run.mass.csv").read_text()) \
+        == reference_csvs(traj)
 
 
 def test_writer_compares_across_its_blocks(tmp_path):
