@@ -28,8 +28,8 @@ from .evolution import TruncationError, converge_p_experiment
 from .graph import _read_records, field_values, load_graph
 from .proximal import CONSTRAINT_KINDS, ConstraintSet, ProjectionError, \
     ResolventError, project
-from .scenario import ScenarioError, _check_state_cells, load_scenario, \
-    run_scenario, write_trajectory
+from .scenario import ScenarioError, _check_state_cells, _check_steps, \
+    load_scenario, run_scenario, write_trajectory
 from .transport import TransportInstance, kantorovich_pairing, ot_cost_oracle, \
     verify_potential
 
@@ -107,6 +107,9 @@ def _cmd_converge_p(args) -> int:
         raise ScenarioError("--p-list: empty")
     p_list = [_number_option("--p-list", p, least=2.0) for p in p_list]
     horizon = cfg.T if args.T is None else _number_option("--T", args.T)
+    # the growth limit and each p-flow keep every step
+    _check_steps(horizon, cfg.dt)
+    _check_state_cells(cfg.graph.n_vertices, horizon, cfg.dt, 1, "converge-p")
     table = converge_p_experiment(cfg.graph, cfg.constraint_set(), cfg.u0,
                                   cfg.source, p_list, horizon, cfg.dt,
                                   tol=cfg.tol)

@@ -12,8 +12,7 @@ warm-start the multipliers across time steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +39,9 @@ NEWTON_STEPS = 500     # Newton steps per resolvent evaluation
 # sweep loop that has not met tol after FLOOR_AFTER sweeps
 ROUNDING = 16 * np.finfo(float).eps
 FLOOR_AFTER = 16
+# the rows a sweep plan must have held before hold compiles its row kernel:
+# a compile costs about as much as 150-400 rows of the generic loop
+_KERNEL_AFTER = 256
 
 
 # the slope bounds of each named stable set, keyed by its token in scenario
@@ -97,7 +99,8 @@ def max_relative_slope(u, K: ConstraintSet) -> float:
     return float(np.max(np.abs(edge_gaps(K.graph, vals)) / K.bounds))
 
 
-class _SweepPlan(NamedTuple):
+@dataclass(slots=True)
+class _SweepPlan:
     """What a sweep, or a held step, over one active list touches."""
     ends: np.ndarray      # vertex ids of the active edges' ends, sorted
     sweep: list           # per active edge: (edge, local i, local j,
@@ -105,12 +108,98 @@ class _SweepPlan(NamedTuple):
     incident: np.ndarray  # edges with an end among `ends`, sorted
     incident_ends: np.ndarray  # their (i, j) vertex ids
     at_ends: np.ndarray   # incident, as a mask over all edges
-    fold: list            # hold's fold table, made on its first use:
-                          # (edge, local i, local j, d_i, d_j) per edge
+    fold: list = field(default_factory=list)  # hold's fold table, made on
+                          # its first use: (edge, local i, local j, d_i, d_j)
+    held: int = 0         # rows hold has taken on this plan
+    kernels: dict = field(default_factory=dict)  # hold's row kernels, by
+                          # (collapse drive, drive mask, guard list)
 
 
 class _Refused(Exception):
     """A held row that project() would not give: the block stops before it."""
+
+
+def _row_kernel(plan: _SweepPlan, collapse: bool, width: int, n_fixed: int,
+                rest: list, free: list, bound: list, off_guard: list,
+                at_guard: list):
+    """hold's row loop, for one plan and one set of its tables, as one
+    generated function with the columns and multipliers as locals, the
+    indices and limits as literals and the sweep unrolled per active edge:
+    the generic loop's float operations in its order.
+
+        kernel(mu, pairs, x, fixed, drive, guard_limit, sweeps, stop)
+            -> (rows, refused)
+
+    takes the rows of the (t, t1) pairs from the columns x, with the call's
+    fixed columns and drive (None under collapse).  It refuses a row whose
+    sweep has not met stop within sweeps sweeps, leaving the rounding floor
+    and ProjectionError to _sweep, and writes the multipliers of its last
+    held row back to mu.
+    """
+    def col(q):
+        return f"x{q}" if q < width else f"f{q - width}"
+
+    def gap_checks(table):
+        return [f"if not abs({col(j)} - {col(i)}) <= {lim!r}: break"
+                for i, j, lim in table]
+
+    def names(prefix, count):
+        return ", ".join(f"{prefix}{q}" for q in range(count))
+
+    edges = [t[0] for t in plan.sweep]
+    slot = {e: k for k, e in enumerate(edges)}
+    head = [f"m{k} = mu[{e}]" for k, e in enumerate(edges)]
+    for prefix, count, source in (("x", width, "x"), ("f", n_fixed, "fixed"),
+                                  ("d", width * (not collapse), "drive")):
+        if count:
+            head.append(f"{names(prefix, count)}, = {source}")
+    # a row: the drive, the checks before the fold, the fold, the checks
+    # after it, the sweep, the checks after it; any failed check breaks
+    row = ["h = t1 - t"]
+    row += [f"x{q} = x{q} + h * (x{q} / t)" if collapse
+            else f"x{q} = x{q} + h * d{q}" for q in range(width)]
+    if edges:
+        row.append(f"{names('s', len(edges))}, = {names('m', len(edges))},")
+    row += gap_checks(rest)
+    row += [f"if not abs(x{q}) <= guard_limit: break" for q in off_guard]
+    row += [f"if m{k} != 0.0: x{i} += m{k} / {di!r}"
+            for k, (_, i, _, di, _) in enumerate(plan.fold)]
+    row += [f"if m{k} != 0.0: x{j} += -m{k} / {dj!r}"
+            for k, (_, _, j, _, dj) in enumerate(plan.fold)]
+    row += gap_checks(free)
+    for i, j, lim, e in bound:
+        row += [f"gap = abs(x{j} - x{i})",
+                f"if not gap < inf or m{slot[e]} == 0.0 and not gap > {lim!r}:",
+                "    break"]
+    row += ["for _ in range(sweeps):", "    change = 0.0"]
+    for k, (_, i, j, invsum, coef, c, invdi, invdj) in enumerate(plan.sweep):
+        row += [f"    gap = x{j} - x{i} + m{k} * {invsum!r}",
+                f"    if gap > {c!r}: new = (gap - {c!r}) * {coef!r}",
+                f"    elif gap < {-c!r}: new = (gap + {c!r}) * {coef!r}",
+                "    else: new = 0.0",
+                f"    dmu = new - m{k}",
+                "    if dmu != 0.0:",
+                f"        x{i} += dmu * {invdi!r}",
+                f"        x{j} -= dmu * {invdj!r}",
+                f"        change += dmu * dmu * {invsum!r}",
+                f"        m{k} = new"]
+    row += ["    if change <= stop: break", "else:", "    break"]
+    row += gap_checks(free)
+    row += [f"if not abs(x{j} - x{i}) < inf: break" for i, j, _, _ in bound]
+    row += [f"if not abs(x{q}) <= guard_limit: break" for q in at_guard]
+    row.append(f"rows.append([{names('x', width)}])")
+    src = ["def kernel(mu, pairs, x, fixed, drive, guard_limit, sweeps, stop):"]
+    src += ["    " + line for line in head + ["rows = []", "for t, t1 in pairs:"]]
+    src += ["        " + line for line in row]
+    src += ["    else:"] + [f"        mu[{e}] = m{k}" for k, e in enumerate(edges)]
+    src += ["        return rows, False"]
+    src += [f"    mu[{e}] = s{k}" for k, e in enumerate(edges)]
+    src += ["    return rows, True"]
+    # repr() gives each float's shortest round-trip text; the non-finite
+    # ones read as these names
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(compile("\n".join(src), "<hold row kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 class DykstraProjector:
@@ -178,7 +267,7 @@ class DykstraProjector:
                 np.array(ends, dtype=np.intp),
                 [(e, local[il[e]], local[jl[e]], invsum[e], coef[e], cl[e],
                   invdi[e], invdj[e]) for e in active],
-                incident, self.graph.edge_index[incident], at_ends, [])
+                incident, self.graph.edge_index[incident], at_ends)
             self._plan_key = active
         plan = self._plan
         if held and not plan.fold:
@@ -289,9 +378,15 @@ class DykstraProjector:
         checks of the live edges with no end on the list and of the guard
         off the ends, the fold, the checks of the edges at the ends after
         the fold and after the sweep, _sweep, and the guard at the ends.
-        A check that no step can change is made once.  The k rows held are
-        the results: the multipliers, the active list and abs_gaps are
-        left as k project() calls leave them.
+        A check that no step can change is made once.  Once the plan of
+        the active list has held _KERNEL_AFTER rows, over any number of
+        calls, the rest of its rows run in its row kernel (_row_kernel),
+        compiled once per drive kind, drive mask and guard list: the same
+        operations in the same order.  A row whose sweep has not converged
+        within min(FLOOR_AFTER, MAX_SWEEPS) sweeps it refuses, and the
+        generic loop takes it with the rows after it in its batch.  The k
+        rows held are the results: the multipliers, the active list and
+        abs_gaps are left as k project() calls leave them.
         """
         g, mu = self.graph, self.mu
         support = [e for e in self._active if mu[e] != 0.0]
@@ -356,64 +451,81 @@ class DykstraProjector:
             times = times.tolist()  # no numpy scalar arithmetic per step
             rows = np.empty((len(times), g.n_vertices))
             rows[0] = start
-            k = 0
-            # rows are kept 64 at a time: a list of Python floats costs
-            # about four times the array cells it fills
+            k, kernel, retry = 0, None, False
             while not stop and k < len(times) - 1:
-                batch = []
-                try:
-                    for t, t1 in zip(times[k:k + 64], times[k + 1:k + 65]):
-                        h = t1 - t
-                        xl = [v + h * (v / t) for v in x] if drive is None \
-                            else [v + h * d for v, d in zip(x, drive)]
-                        xl += fixed
-                        snap = [mu[e] for e in support]
-                        for i, j, lim in rest:
-                            if not abs(xl[j] - xl[i]) <= lim:
-                                raise _Refused
-                        for q in off_guard:
-                            if not abs(xl[q]) <= guard_limit:
-                                raise _Refused
-                        for e, i, _, di, _ in fold:
-                            if mu[e] != 0.0:
-                                xl[i] += mu[e] / di
-                        for e, _, j, _, dj in fold:
-                            if mu[e] != 0.0:
-                                xl[j] += -mu[e] / dj
-                        # project() keeps the list: after the fold every
-                        # free edge is within its limit, every bound gap is
-                        # finite and past its limit where its multiplier is
-                        # 0; after the sweep the free edges are within their
-                        # limits at its rounding floor, the bound gaps finite
-                        for i, j, lim in free:
-                            if not abs(xl[j] - xl[i]) <= lim:
-                                raise _Refused
-                        for i, j, lim, e in bound:
-                            gap = abs(xl[j] - xl[i])
-                            if not gap < inf or mu[e] == 0.0 and not gap > lim:
-                                raise _Refused
-                        floor = sweep(xl, plan, 0, inf)[0]
-                        lift = floor - tol if floor > tol else 0.0
-                        for i, j, lim in free:
-                            if not abs(xl[j] - xl[i]) <= lim + lift:
-                                raise _Refused
-                        for i, j, _, _ in bound:
-                            if not abs(xl[j] - xl[i]) < inf:
-                                raise _Refused
-                        for q in at_guard:
-                            if not abs(xl[q]) <= guard_limit:
-                                raise _Refused
-                        x = xl[:width]
-                        batch.append(x)
-                except (_Refused, ProjectionError):  # the single step takes
-                    # the refused row, and raises ProjectionError alike
-                    for e, m in zip(support, snap):
-                        mu[e] = m
-                    stop = True
+                if kernel is None and plan.held >= _KERNEL_AFTER:
+                    key = (drive is None, drives.tobytes(), tuple(guard))
+                    kernel = plan.kernels.get(key)
+                    if kernel is None:
+                        kernel = plan.kernels[key] = _row_kernel(
+                            plan, drive is None, width, len(fixed), rest, free,
+                            bound, off_guard, at_guard)
+                # rows are kept 64 at a time: a list of Python floats costs
+                # about four times the array cells it fills.  A batch that
+                # starts at a row the kernel refused runs in the generic
+                # loop, which sweeps on at the rounding floor or refuses it
+                pairs = zip(times[k:k + 64], times[k + 1:k + 65])
+                if kernel is not None and not retry:
+                    batch, retry = kernel(mu, pairs, x, fixed, drive, guard_limit,
+                                          min(FLOOR_AFTER, MAX_SWEEPS), tol * tol)
+                else:
+                    retry = False
+                    batch = []
+                    try:
+                        for t, t1 in pairs:
+                            h = t1 - t
+                            xl = [v + h * (v / t) for v in x] if drive is None \
+                                else [v + h * d for v, d in zip(x, drive)]
+                            xl += fixed
+                            snap = [mu[e] for e in support]
+                            for i, j, lim in rest:
+                                if not abs(xl[j] - xl[i]) <= lim:
+                                    raise _Refused
+                            for q in off_guard:
+                                if not abs(xl[q]) <= guard_limit:
+                                    raise _Refused
+                            for e, i, _, di, _ in fold:
+                                if mu[e] != 0.0:
+                                    xl[i] += mu[e] / di
+                            for e, _, j, _, dj in fold:
+                                if mu[e] != 0.0:
+                                    xl[j] += -mu[e] / dj
+                            # project() keeps the list: after the fold every
+                            # free edge is within its limit, every bound gap is
+                            # finite and past its limit where its multiplier is
+                            # 0; after the sweep the free edges are within their
+                            # limits at its rounding floor, the bound gaps finite
+                            for i, j, lim in free:
+                                if not abs(xl[j] - xl[i]) <= lim:
+                                    raise _Refused
+                            for i, j, lim, e in bound:
+                                gap = abs(xl[j] - xl[i])
+                                if not gap < inf or mu[e] == 0.0 and not gap > lim:
+                                    raise _Refused
+                            floor = sweep(xl, plan, 0, inf)[0]
+                            lift = floor - tol if floor > tol else 0.0
+                            for i, j, lim in free:
+                                if not abs(xl[j] - xl[i]) <= lim + lift:
+                                    raise _Refused
+                            for i, j, _, _ in bound:
+                                if not abs(xl[j] - xl[i]) < inf:
+                                    raise _Refused
+                            for q in at_guard:
+                                if not abs(xl[q]) <= guard_limit:
+                                    raise _Refused
+                            x = xl[:width]
+                            batch.append(x)
+                    except (_Refused, ProjectionError):  # the single step takes
+                        # the refused row, and raises ProjectionError alike
+                        for e, m in zip(support, snap):
+                            mu[e] = m
+                        stop = True
                 if batch:
                     rows[k + 1:k + 1 + len(batch)] = start
                     rows[k + 1:k + 1 + len(batch), cols] = batch
                     k += len(batch)
+                    plan.held += len(batch)
+                    x = batch[-1]
             # held rows are finite at every live edge, so none can warn
             moved = np.abs(rows[1:k + 1, vj] - rows[1:k + 1, vi])
         if k:

@@ -218,10 +218,18 @@ def _sparse_field(g: WeightedGraph, doc, path: str) -> np.ndarray:
     return vals
 
 
+def _check_steps(T: float, dt: float):
+    """Refuse a run of T / dt steps beyond MAX_STEPS, naming dt."""
+    if T / dt > MAX_STEPS:
+        _fail("dt", f"T/dt asks for {T / dt:.6g} steps, at most {MAX_STEPS}")
+
+
 def _check_state_cells(n: int, T: float, dt: float, every: int, key: str):
     """Refuse, naming key, a run on n vertices whose kept states, every
-    every-th of about T / dt steps and the last, exceed MAX_STATE_CELLS."""
-    samples = math.ceil(T / dt / every - 1e-9) + 1
+    every-th of about T / dt steps and the last, exceed MAX_STATE_CELLS.
+    T / dt is at most MAX_STEPS, so every is capped there: the count is
+    the same, and an integer past the float range never meets a float."""
+    samples = math.ceil(T / dt / min(every, MAX_STEPS) - 1e-9) + 1
     if samples * n > MAX_STATE_CELLS:
         _fail(key, f"keeps {samples} samples of {n} vertices "
                    f"({samples * n * 8 / 2 ** 30:.3g} GiB), at most "
@@ -251,8 +259,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     if mode == "collapse" and T != 1.0:
         _fail("T", f"collapse mode ends at T = 1, got {T}")
     dt = _number(doc.get("dt"), "dt", default=1e-3, positive=True)
-    if T / dt > MAX_STEPS:
-        _fail("dt", f"T/dt asks for {T / dt:.6g} steps, at most {MAX_STEPS}")
+    _check_steps(T, dt)
     tol = _number(doc.get("tol"), "tol", default=1e-10, positive=True)
 
     sample_every = doc.get("sample_every", 1)

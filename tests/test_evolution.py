@@ -120,6 +120,18 @@ def test_time_grid_refuses_too_many_steps_before_building():
     assert peak < 100_000
 
 
+def test_time_grid_peak_matches_the_max_steps_comment():
+    # the MAX_STEPS comment: time_grid peaks at 16 MB per million steps
+    tracemalloc.start()
+    try:
+        grid = time_grid(0.0, 1.0, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 1_000_001
+    assert peak <= 17_000_000
+
+
 @pytest.mark.parametrize("t_start, t_end, dt, message", [
     (0.0, 1.0, 0.0, "dt must be positive"),
     (0.0, 1.0, -0.1, "dt must be positive"),

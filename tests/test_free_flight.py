@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, \
     TruncationError, build_graph, build_path, build_truncated_z, evolution, \
-    solve_growth
+    proximal, solve_growth
 from graphsand.proximal import CONSTRAINT_KINDS
 from conftest import solver_graphs
 from reference import growth_per_step
@@ -171,22 +171,29 @@ def _bits(a):
 
 @PROPERTY
 @given(growth_cases(), st.sampled_from([1, 64, evolution._FREE_CELLS]),
-       st.sampled_from([0, 1, 32]))
-@example(SIGNED_ZERO, evolution._FREE_CELLS, 32)
-@example(SECOND_SOURCE, evolution._FREE_CELLS, 0)
-@example(INTO_GUARD, evolution._FREE_CELLS, 0)
-@example(NEGATIVE_ZERO, evolution._FREE_CELLS, 0)
-def test_growth_matches_one_projection_per_step(case, cells, after):
+       st.sampled_from([0, 1, 32]), st.sampled_from([0, proximal._KERNEL_AFTER]))
+@example(SIGNED_ZERO, evolution._FREE_CELLS, 32, proximal._KERNEL_AFTER)
+@example(SECOND_SOURCE, evolution._FREE_CELLS, 0, proximal._KERNEL_AFTER)
+@example(INTO_GUARD, evolution._FREE_CELLS, 0, proximal._KERNEL_AFTER)
+@example(NEGATIVE_ZERO, evolution._FREE_CELLS, 0, proximal._KERNEL_AFTER)
+@example(SECOND_SOURCE, evolution._FREE_CELLS, 0, 0)
+@example(INTO_GUARD, evolution._FREE_CELLS, 0, 0)
+@example(NEGATIVE_ZERO, evolution._FREE_CELLS, 0, 0)
+def test_growth_matches_one_projection_per_step(case, cells, after, kernel):
     # a cell budget of 1 or 64 state cells splits each block into blocks
     # of one step or a few steps, and the full budget lets a block run to
     # the end of its source field; held blocks start once the active list
-    # has held for 0, 1 or 32 steps (and the field holds for as many more)
-    saved = evolution._FREE_CELLS, evolution._HELD_AFTER
-    evolution._FREE_CELLS, evolution._HELD_AFTER = cells, after
+    # has held for 0, 1 or 32 steps (and the field holds for as many more),
+    # and take their rows in the row kernel from the first or after the
+    # default count
+    saved = evolution._FREE_CELLS, evolution._HELD_AFTER, proximal._KERNEL_AFTER
+    evolution._FREE_CELLS, evolution._HELD_AFTER, proximal._KERNEL_AFTER = \
+        cells, after, kernel
     try:
         got, got_last, got_warned = _run(solve_growth, case)
     finally:
-        evolution._FREE_CELLS, evolution._HELD_AFTER = saved
+        evolution._FREE_CELLS, evolution._HELD_AFTER, proximal._KERNEL_AFTER = \
+            saved
     want, want_last, want_warned = _run(growth_per_step, case)
     assert got_warned == want_warned
     if isinstance(want, Exception):

@@ -13,10 +13,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphsand import ConstraintSet, DykstraProjector, ProjectionError, \
-    TruncationError, build_truncated_z, evolution, field_values, \
+    TruncationError, build_path, build_truncated_z, evolution, field_values, \
     max_relative_slope, proximal, solve_collapse
 from graphsand.evolution import time_grid
 from graphsand.proximal import CONSTRAINT_KINDS
@@ -99,20 +100,35 @@ def _copy(proj):
     return out
 
 
+# a random ridge on a 12-vertex path: at dt = 0.01 its held rows take up
+# to 28 sweeps, past FLOOR_AFTER, and with 12 sweeps to a projection the
+# first that fails is a held row's
+PATH = build_path(12)
+RIDGE = (PATH, ConstraintSet.from_kind(PATH, "uniform"), field_values(PATH, {
+    "x1": 0.7085, "x2": 0.4379, "x3": 1.2897, "x4": 1.4545, "x5": 0.1503,
+    "x6": 1.519, "x7": 3.7011, "x8": 4.0541, "x9": 4.6639, "x10": 4.6011,
+    "x11": 2.8246, "x12": 0.3246}), 0.01, 1e-10, 1)
+
+
 @PROPERTY
 @given(collapse_cases(), st.sampled_from([1, 64, evolution._FREE_CELLS]),
-       st.sampled_from([3, 40, 5000]))
-def test_collapse_matches_one_projection_per_step(case, cells, sweeps):
+       st.sampled_from([3, 40, 5000]),
+       st.sampled_from([0, proximal._KERNEL_AFTER]))
+@example(RIDGE, evolution._FREE_CELLS, 5000, 0)
+@example(RIDGE, evolution._FREE_CELLS, 12, 0)
+def test_collapse_matches_one_projection_per_step(case, cells, sweeps, after):
     # a cell budget that makes blocks of one step, short ones, and the
     # default; a sweep budget that fails most projections holding a
-    # multiplier, some, or none
-    saved, budget = evolution._FREE_CELLS, proximal.MAX_SWEEPS
-    evolution._FREE_CELLS, proximal.MAX_SWEEPS = cells, sweeps
+    # multiplier, some, or none; held rows in the row kernel from the first
+    # or after the default count
+    saved = evolution._FREE_CELLS, proximal.MAX_SWEEPS, proximal._KERNEL_AFTER
+    evolution._FREE_CELLS, proximal.MAX_SWEEPS, proximal._KERNEL_AFTER = \
+        cells, sweeps, after
     try:
         got, got_last, got_warned = _run(solve_collapse, case)
         want, want_last, want_warned = _run(collapse_per_step, case)
     finally:
-        evolution._FREE_CELLS, proximal.MAX_SWEEPS = saved, budget
+        evolution._FREE_CELLS, proximal.MAX_SWEEPS, proximal._KERNEL_AFTER = saved
     assert got_warned == want_warned
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
@@ -129,25 +145,54 @@ def test_held_blocks_take_almost_every_collapse_step(monkeypatch):
     # the active list of each shipped collapse holds from its first
     # projection on, or changes once, so its 6667 steps take one or two
     # blocks, each run to the end or to the step that changes the list,
-    # and project() runs only where a block starts or stops
+    # and project() runs only where a block starts or stops; each block
+    # compiles one row kernel, which refuses none of its rows
     calls = {}
+    for owner, method in ((DykstraProjector, "hold"),
+                          (DykstraProjector, "project"), (proximal, "_row_kernel")):
+        def counted(*args, original=getattr(owner, method), key=method):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, method, counted)
+    for name, holds in (("p4_collapse_b1", 1), ("p4_collapse_b15", 1),
+                        ("p4_collapse_b2", 2), ("p6_collapse", 2)):
+        calls.update(hold=0, project=0, _row_kernel=0)
+        traj = run_scenario(load_scenario(SCENARIOS / f"{name}.json"))
+        assert len(traj.step_times) == 6667
+        assert calls == {"hold": holds, "project": holds,
+                         "_row_kernel": holds}, name
+
+
+def test_rows_the_kernel_refuses_stay_in_their_block(monkeypatch):
+    # the row kernel refuses RIDGE's held rows of more than FLOOR_AFTER
+    # sweeps, and the generic loop takes them in the same block: the run
+    # makes the hold and project() calls it makes without the kernel
+    calls = []
     for method in ("hold", "project"):
         def counted(self, *args, original=getattr(DykstraProjector, method),
                     key=method):
-            calls[key] += 1
+            calls.append(key)
             return original(self, *args)
         monkeypatch.setattr(DykstraProjector, method, counted)
-    for name, holds in (("p4_collapse_b1", 1), ("p4_collapse_b15", 1),
-                        ("p4_collapse_b2", 2), ("p6_collapse", 2)):
-        calls.update(hold=0, project=0)
-        traj = run_scenario(load_scenario(SCENARIOS / f"{name}.json"))
-        assert len(traj.step_times) == 6667
-        assert calls == {"hold": holds, "project": holds}, name
+    g, K, u0, dt, tol, _ = RIDGE
+    runs = []
+    for after in (0, 10 ** 9):
+        monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
+        calls.clear()
+        runs.append((solve_collapse(g, K, u0, dt, tol=tol)[0].tobytes(),
+                     list(calls)))
+    assert runs[0] == runs[1]
 
 
-def test_hold_takes_no_row_outside_the_guard_band():
+# hold's generic row loop, and its row kernel from the first row
+ROW_PATHS = pytest.mark.parametrize("after", [proximal._KERNEL_AFTER, 0])
+
+
+@ROW_PATHS
+def test_hold_takes_no_row_outside_the_guard_band(monkeypatch, after):
     # a collapse on a Z window whose active edges reach the guard vertex 2:
     # the same two steps are held with no guard band, and none with it
+    monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
     g = build_truncated_z(3)
     K = ConstraintSet.from_kind(g, "uniform")
     projectors = [DykstraProjector(g, K), DykstraProjector(g, K)]
@@ -174,12 +219,14 @@ def test_hold_takes_no_row_outside_the_guard_band():
         assert held.mu == (mu if want == 0 else one.mu)
 
 
-def test_hold_checks_what_no_step_moves_once():
+@ROW_PATHS
+def test_hold_checks_what_no_step_moves_once(monkeypatch, after):
     # under a source field, from the state of the test above with the
     # guard band on the side away from the pile: a guard vertex the field
     # moves off the ends, a guard vertex that starts outside the band, and
     # a gap past its limit on an edge whose ends no step moves each refuse
     # the first row; without them both rows hold
+    monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
     g = build_truncated_z(3)
     K = ConstraintSet.from_kind(g, "uniform")
     proj = DykstraProjector(g, K)
@@ -201,15 +248,24 @@ def test_hold_checks_what_no_step_moves_once():
 
 @PROPERTY
 @given(collapse_cases(), st.integers(1, 8) | st.sampled_from([64, 400]),
-       st.data())
-def test_hold_takes_the_rows_project_would_give(case, m, data):
+       st.sampled_from([0, proximal._KERNEL_AFTER]), st.data())
+def test_hold_takes_the_rows_project_would_give(case, m, after, data):
     # from every step of a collapse that holds a multiplier, a copy of the
     # projector holds up to m steps (long blocks check the edges off the
     # ends row by row deep into a block) under the collapse drive or under a
-    # drawn source field: each row it takes is project()'s result on a step
+    # drawn source field, in the row kernel from the first row or after the
+    # default count: each row it takes is project()'s result on a step
     # that keeps the active list (the support it starts from) and clears
     # the guard band, and it leaves the multipliers, the active list and
     # abs_gaps as those project() calls leave them
+    saved, proximal._KERNEL_AFTER = proximal._KERNEL_AFTER, after
+    try:
+        _check_held_rows(case, m, data)
+    finally:
+        proximal._KERNEL_AFTER = saved
+
+
+def _check_held_rows(case, m, data):
     g, K, u0, dt, tol, _ = case
     guard = list(g.guard_index)
     fv = None

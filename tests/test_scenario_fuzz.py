@@ -275,7 +275,8 @@ SAMPLE_EVERY = "sample_every: expected a positive integer"
     row("sample-every-string", {"sample_every": "2"}, SAMPLE_EVERY),
     row("output-number", {"output": 3}, "output: expected a path string"),
     # kept states beyond the memory budget: a path refused before it is
-    # built, a star after, and transport-check, which keeps every step
+    # built, a star after, and transport-check and converge-p, which keep
+    # every step
     row("state-cells-path",
         {"graph": {"kind": "path", "n": MAX_GRAPH_COUNT}, "T": 1000.0, "dt": 1e-3},
         "sample_every: keeps 1000001 samples of 100000 vertices (745 GiB), "
@@ -288,6 +289,11 @@ SAMPLE_EVERY = "sample_every: expected a positive integer"
          "sample_every": 1000},
         "transport-check: keeps 1000001 samples of 1000 vertices (7.45 GiB)",
         transport_check()),
+    row("state-cells-converge-p",
+        {"graph": {"kind": "path", "n": MAX_GRAPH_COUNT}, "T": 1000.0, "dt": 1e-3,
+         "sample_every": 100000},
+        "converge-p: keeps 1000001 samples of 100000 vertices (745 GiB), "
+        f"at most {MAX_STATE_CELLS} state cells", converge_p("--p-list", "8")),
 ])
 def test_cli_refuses_malformed_scenario(tmp_path, monkeypatch, capsys, change,
                                         message, argv):
@@ -311,6 +317,13 @@ def test_state_budget_refuses_a_counted_graph_before_building_it(
     with pytest.raises(ScenarioError, match="^sample_every: keeps 1000001 "
                                             "samples of 10000[01] vertices"):
         parse_scenario(json.dumps(doc))
+
+
+def test_sample_every_past_the_float_range_parses():
+    # the state budget once divided T / dt by it as a float and raised
+    # OverflowError; the run keeps the first and the last state
+    cfg = parse_scenario(json.dumps(dict(BASE, sample_every=HUGE)))
+    assert cfg.sample_every == HUGE
 
 
 def test_step_cap_admits_exactly_max_steps():
