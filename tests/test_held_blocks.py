@@ -13,7 +13,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphsand import ConstraintSet, DykstraProjector, ProjectionError, \
@@ -185,65 +184,66 @@ def test_rows_the_kernel_refuses_stay_in_their_block(monkeypatch):
 
 
 # hold's generic row loop, and its row kernel from the first row
-ROW_PATHS = pytest.mark.parametrize("after", [proximal._KERNEL_AFTER, 0])
+ROW_PATHS = (proximal._KERNEL_AFTER, 0)
 
 
-@ROW_PATHS
-def test_hold_takes_no_row_outside_the_guard_band(monkeypatch, after):
+def test_hold_takes_no_row_outside_the_guard_band(monkeypatch):
     # a collapse on a Z window whose active edges reach the guard vertex 2:
     # the same two steps are held with no guard band, and none with it
-    monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
-    g = build_truncated_z(3)
-    K = ConstraintSet.from_kind(g, "uniform")
-    projectors = [DykstraProjector(g, K), DykstraProjector(g, K)]
-    for proj in projectors:
-        v, t = field_values(g, {"1": 1.5}), 0.5
-        for _ in range(3):
-            v, t = proj.project(v + 0.01 * (v / t)), t + 0.01
-    assert v[g.vertex_id("2")] != 0.0 and g.vertex_id("2") in g.guard_index
-    times = np.array([t, t + 0.01, t + 0.02])
-    free, guarded = projectors
-    assert free.hold(v, times, None, [], 0.0)[0] == 2
-    mu = list(guarded.mu)
-    k, rows, moved, live = guarded.hold(v, times, None, list(g.guard_index), 0.0)
-    assert k == 0 and guarded.mu == mu
-    # a band that vertex 2 clears at the start (0.197) but not after one
-    # step (0.207) or two (0.217): 2 is an end of the active list, so the
-    # guard is checked there after the sweep, and the multipliers of a
-    # refused row are restored
-    one = _copy(guarded)
-    one.project(v + 0.01 * (v / t))
-    for limit, want in ((0.2, 0), (0.21, 1)):
-        held = _copy(guarded)
-        assert held.hold(v, times, None, list(g.guard_index), limit)[0] == want
-        assert held.mu == (mu if want == 0 else one.mu)
+    for after in ROW_PATHS:
+        monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
+        g = build_truncated_z(3)
+        K = ConstraintSet.from_kind(g, "uniform")
+        projectors = [DykstraProjector(g, K), DykstraProjector(g, K)]
+        for proj in projectors:
+            v, t = field_values(g, {"1": 1.5}), 0.5
+            for _ in range(3):
+                v, t = proj.project(v + 0.01 * (v / t)), t + 0.01
+        assert v[g.vertex_id("2")] != 0.0 and g.vertex_id("2") in g.guard_index
+        times = np.array([t, t + 0.01, t + 0.02])
+        free, guarded = projectors
+        assert free.hold(v, times, None, [], 0.0)[0] == 2
+        mu = list(guarded.mu)
+        k, rows, moved, live = guarded.hold(v, times, None, list(g.guard_index), 0.0)
+        assert k == 0 and guarded.mu == mu
+        # a band that vertex 2 clears at the start (0.197) but not after one
+        # step (0.207) or two (0.217): 2 is an end of the active list, so the
+        # guard is checked there after the sweep, and the multipliers of a
+        # refused row are restored
+        one = _copy(guarded)
+        one.project(v + 0.01 * (v / t))
+        for limit, want in ((0.2, 0), (0.21, 1)):
+            held = _copy(guarded)
+            assert held.hold(v, times, None, list(g.guard_index), limit)[0] == want
+            assert held.mu == (mu if want == 0 else one.mu)
 
 
-@ROW_PATHS
-def test_hold_checks_what_no_step_moves_once(monkeypatch, after):
+def test_hold_checks_what_no_step_moves_once(monkeypatch):
     # under a source field, from the state of the test above with the
     # guard band on the side away from the pile: a guard vertex the field
     # moves off the ends, a guard vertex that starts outside the band, and
     # a gap past its limit on an edge whose ends no step moves each refuse
     # the first row; without them both rows hold
-    monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
-    g = build_truncated_z(3)
-    K = ConstraintSet.from_kind(g, "uniform")
-    proj = DykstraProjector(g, K)
-    v, t = field_values(g, {"1": 1.5}), 0.5
-    for _ in range(3):
-        v, t = proj.project(v + 0.01 * (v / t)), t + 0.01
-    times = np.array([t, t + 0.01, t + 0.02])
-    guard = [g.vertex_id("-2"), g.vertex_id("-3")]
-    assert set(guard) <= set(g.guard_index)
-    top, wide = field_values(g, {"1": 1.0}), field_values(g, {"1": 1.0, "-3": 1e-3})
-    past, over = v.copy(), v.copy()
-    past[g.vertex_id("-3")] = 0.5  # a guard vertex, not at a live edge
-    over[g.vertex_id("-2")] = 1.5  # past the limit on the edge to -1
-    for start, f, band, want in (
-            (v, top, guard, 2), (v, wide, [], 2), (v, wide, guard, 0),
-            (past, top, [], 2), (past, top, guard, 0), (over, top, [], 0)):
-        assert _copy(proj).hold(start, times, f, band, 0.0)[0] == want
+    for after in ROW_PATHS:
+        monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
+        g = build_truncated_z(3)
+        K = ConstraintSet.from_kind(g, "uniform")
+        proj = DykstraProjector(g, K)
+        v, t = field_values(g, {"1": 1.5}), 0.5
+        for _ in range(3):
+            v, t = proj.project(v + 0.01 * (v / t)), t + 0.01
+        times = np.array([t, t + 0.01, t + 0.02])
+        guard = [g.vertex_id("-2"), g.vertex_id("-3")]
+        assert set(guard) <= set(g.guard_index)
+        top = field_values(g, {"1": 1.0})
+        wide = field_values(g, {"1": 1.0, "-3": 1e-3})
+        past, over = v.copy(), v.copy()
+        past[g.vertex_id("-3")] = 0.5  # a guard vertex, not at a live edge
+        over[g.vertex_id("-2")] = 1.5  # past the limit on the edge to -1
+        for start, f, band, want in (
+                (v, top, guard, 2), (v, wide, [], 2), (v, wide, guard, 0),
+                (past, top, [], 2), (past, top, guard, 0), (over, top, [], 0)):
+            assert _copy(proj).hold(start, times, f, band, 0.0)[0] == want
 
 
 @PROPERTY
