@@ -5,13 +5,21 @@ H = diag(d) + off-diagonal entries on the graph's edges only.  Dense
 elimination would cost O(n^3) time and O(n^2) memory; here the elimination
 order and the fill pattern are worked out once per graph (the symbolic
 phase, pure Python), and each solve (the numeric phase) is a handful of
-vectorised numpy operations per elimination round.
+numpy calls per elimination round.
 
 Ordering: in the spirit of Liu's multiple minimum degree (ACM TOMS 1985),
 each round eliminates a greedy independent set of low-degree vertices of
 the filled graph, so pivots of one round never touch each other and their
 updates can be scattered together with np.bincount.  On a path this is
 cyclic reduction: a path of 401 vertices takes 8 rounds.
+
+A solve keeps one state vector S = [d | x | L] (diagonal, right-hand side,
+factor slots).  A forward round is 8 numpy calls (a gather, a divide, a
+product of two gathers, one np.bincount of all its updates, a subtract, the
+write of its factors), a back round 4; each target sums its updates from
+0.0 in round order.  Up to _DENSE_STATE entries the subtract runs over all
+of S, above over the round's own targets only (np.subtract.at), so a round
+costs O(pivots + fill) rather than O(state).
 
 H must be symmetric positive definite, for which LDL^T without pivoting is
 backward stable.
@@ -25,108 +33,122 @@ from .graph import WeightedGraph
 
 __all__ = ["EliminationPlan", "elimination_plan"]
 
+# state entries up to which a round subtracts over the whole vector: about
+# a path of 1000 vertices or a 16 x 16 grid (tools/ldl_timing.py)
+_DENSE_STATE = 2 ** 12
 
-class _Round:
-    """Index arrays of one elimination round.
 
-    Triple t pairs pivot `piv[t]` with a not-yet-eliminated neighbour
-    `nbr[t]` through factor slot `slot[t]`.  Fill update f adds the product
-    of the triples at positions `fa[f]` and `fb[f]` (same pivot) into slot
-    `ft[f]`.  Fill targets are compressed to their unique values `ft_u`
-    and an inverse index `ft_inv`, so that bincount runs over the round's
-    targets rather than over every factor slot.
-    """
-
-    __slots__ = ("slot", "piv", "nbr", "fa", "fb", "ft_u", "ft_inv")
-
-    def __init__(self, slot, piv, nbr, fa, fb, ft):
-        self.slot = np.asarray(slot, dtype=np.intp)
-        self.piv = np.asarray(piv, dtype=np.intp)
-        self.nbr = np.asarray(nbr, dtype=np.intp)
-        self.fa = np.asarray(fa, dtype=np.intp)
-        self.fb = np.asarray(fb, dtype=np.intp)
-        self.ft_u, self.ft_inv = np.unique(np.asarray(ft, dtype=np.intp),
-                                           return_inverse=True)
+def _eliminate(g: WeightedGraph):
+    """The symbolic phase: (n_slots, rounds), a round being the lists (slot,
+    piv, nbr, fa, fb, ft).  Triple t pairs pivot piv[t] with a live neighbour
+    nbr[t] through slot[t] (edges first, then fill slots); fill update f adds
+    the product of triples fa[f] and fb[f] (same pivot) into slot ft[f]."""
+    n = g.n_vertices
+    adj = [dict(p) for p in g.incidence]  # neighbour -> factor slot
+    n_slots = g.n_edges
+    alive = set(range(n))
+    rounds = []
+    while alive:
+        degree = {v: len(adj[v]) for v in alive}
+        cap = max(2, 2 * min(degree.values()))
+        pivots, blocked = [], set()
+        for _, v in sorted((d, v) for v, d in degree.items() if d <= cap):
+            if v not in blocked:
+                pivots.append(v)
+                blocked.add(v)
+                blocked.update(adj[v])
+        slot, piv, nbr, fa, fb, ft = [], [], [], [], [], []
+        for k in pivots:
+            nb = sorted(adj[k].items())
+            base = len(slot)
+            for m, s in nb:
+                slot.append(s)
+                piv.append(k)
+                nbr.append(m)
+            for a, (ma, _) in enumerate(nb):
+                row = adj[ma]
+                for b in range(a + 1, len(nb)):
+                    mb = nb[b][0]
+                    t = row.get(mb)
+                    if t is None:
+                        t = n_slots
+                        n_slots += 1
+                        row[mb] = t
+                        adj[mb][ma] = t
+                    fa.append(base + a)
+                    fb.append(base + b)
+                    ft.append(t)
+            for m, _ in nb:
+                del adj[m][k]
+            adj[k] = {}
+        alive.difference_update(pivots)
+        if slot:  # isolated pivots only need the diagonal solve
+            rounds.append((slot, piv, nbr, fa, fb, ft))
+    return n_slots, rounds
 
 
 class EliminationPlan:
-    """Elimination order and fill pattern of one graph (symbolic phase).
-
-    Factor slots 0..E-1 are the graph's edges in `edge_index` order; fill
-    slots follow.  Build it once per graph with :func:`elimination_plan`.
-    """
+    """Elimination order and fill pattern of one graph, as index tables into
+    the solve's state S = [d | x | L].  Build it once with elimination_plan."""
 
     __slots__ = ("n_edges", "n_slots", "rounds")
 
     def __init__(self, g: WeightedGraph):
         n = g.n_vertices
-        adj = [dict(p) for p in g.incidence]  # neighbour -> factor slot
-        n_slots = g.n_edges
-        alive = set(range(n))
-        rounds = []
-        while alive:
-            degree = {v: len(adj[v]) for v in alive}
-            cap = max(2, 2 * min(degree.values()))
-            pivots = []
-            blocked = set()
-            for _, v in sorted((d, v) for v, d in degree.items() if d <= cap):
-                if v not in blocked:
-                    pivots.append(v)
-                    blocked.add(v)
-                    blocked.update(adj[v])
-            slot, piv, nbr, fa, fb, ft = [], [], [], [], [], []
-            for k in pivots:
-                nb = sorted(adj[k].items())
-                base = len(slot)
-                for m, s in nb:
-                    slot.append(s)
-                    piv.append(k)
-                    nbr.append(m)
-                for a, (ma, _) in enumerate(nb):
-                    row = adj[ma]
-                    for b in range(a + 1, len(nb)):
-                        mb = nb[b][0]
-                        t = row.get(mb)
-                        if t is None:
-                            t = n_slots
-                            n_slots += 1
-                            row[mb] = t
-                            adj[mb][ma] = t
-                        fa.append(base + a)
-                        fb.append(base + b)
-                        ft.append(t)
-                for m, _ in nb:
-                    del adj[m][k]
-                adj[k] = {}
-            alive.difference_update(pivots)
-            if slot:  # isolated pivots only need the diagonal solve
-                rounds.append(_Round(slot, piv, nbr, fa, fb, ft))
         self.n_edges = g.n_edges
-        self.n_slots = n_slots
-        self.rounds = tuple(rounds)
+        self.n_slots, rounds = _eliminate(g)
+        size = 2 * n + self.n_slots
+        look = None if size <= _DENSE_STATE else np.empty(size, dtype=np.intp)
+
+        def scatter(into):  # (targets, inverse index), no inverse while dense
+            if look is None:
+                return into, None
+            k = np.arange(len(into))
+            look[into] = k  # one position per target keeps its own index
+            u = into[look[into] == k]
+            look[u] = np.arange(len(u))
+            return u, look[into]
+
+        tables = []
+        for r in rounds:
+            slot, piv, nbr, fa, fb, ft = (np.array(a, dtype=np.intp) for a in r)
+            t = len(slot)
+            s, xn, own = slot + 2 * n, nbr + n, np.arange(t)
+            # G = S[gather] is [h | d[piv] | x[piv]] and update u is
+            # l[left[u]] * G[right[u]]: l h into d, l x[piv] into x, fill into L
+            left = np.concatenate((own, own, fa))
+            right = np.concatenate((own, own + 2 * t, fb))
+            targets = scatter(np.concatenate((nbr, xn, ft + 2 * n)))
+            tables.append(((t, s, np.concatenate((s, piv, piv + n)), left, right, *targets),
+                           (t, np.concatenate((s, xn)), *scatter(piv))))
+        self.rounds = tuple(tables)  # (forward, back) tables per round
 
     def solve(self, diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve H x = rhs, H = diag(diag) plus H[i, j] = H[j, i] = off[e]
         on each edge e = (i, j); H must be symmetric positive definite."""
-        d = np.array(diag, dtype=float)
-        x = np.array(rhs, dtype=float)
-        n = len(d)
-        L = np.zeros(self.n_slots)
-        L[:self.n_edges] = off
+        n = len(diag)
+        S = np.concatenate((diag, rhs, off, np.zeros(self.n_slots - self.n_edges)),
+                           dtype=float)
         # factor, with the forward substitution L z = rhs folded in
-        for r in self.rounds:
-            h = L[r.slot]
-            l = h / d[r.piv]
-            d -= np.bincount(r.nbr, weights=l * h, minlength=n)
-            x -= np.bincount(r.nbr, weights=l * x[r.piv], minlength=n)
-            if len(r.fa):
-                L[r.ft_u] -= np.bincount(r.ft_inv, weights=l[r.fa] * h[r.fb],
-                                         minlength=len(r.ft_u))
-            L[r.slot] = l
-        x /= d
+        for (t, s, gather, left, right, into, inv), _ in self.rounds:
+            G = S[gather]
+            l = G[:t] / G[t:2 * t]
+            w = l[left] * G[right]
+            if inv is None:
+                S -= np.bincount(into, weights=w, minlength=len(S))
+            else:
+                np.subtract.at(S, into, np.bincount(inv, weights=w, minlength=len(into)))
+            S[s] = l
+        x = S[n:2 * n]
+        x /= S[:n]
         # back substitution L^T x = z, latest pivots first
-        for r in reversed(self.rounds):
-            x -= np.bincount(r.piv, weights=L[r.slot] * x[r.nbr], minlength=n)
+        for _, (t, gather, into, inv) in reversed(self.rounds):
+            G = S[gather]
+            w = G[:t] * G[t:]
+            if inv is None:
+                x -= np.bincount(into, weights=w, minlength=n)
+            else:
+                np.subtract.at(x, into, np.bincount(inv, weights=w, minlength=len(into)))
         return x
 
 

@@ -6,7 +6,9 @@ project_oracle solves the projection exactly by enumerating active sets;
 mass_balance recomputes the per-step mass residuals of a trajectory from
 its states; p_flow_cold steps the p-flow with every resolvent started cold;
 growth_per_step and collapse_per_step step the growth model and the
-collapse flow with one projection per step.
+collapse flow with one projection per step; ldl_solve_rounds runs the LDL^T
+solve's elimination rounds as separate diagonal, right-hand-side and fill
+scatters.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, Trajector
     resolvent_p
 from graphsand.calculus import edge_gaps
 from graphsand.evolution import _EVENT_BAND, time_grid
+from graphsand.ldl import _eliminate
 
 
 def time_grid_loop(t_start: float, t_end: float, dt: float,
@@ -234,3 +237,31 @@ def collapse_per_step(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
         grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
     traj = _per_step(g, proj, v, grid, lambda t, v: v / t, sample_every)
     return traj.final_state(), traj
+
+
+def ldl_solve_rounds(g: WeightedGraph, diag, off, rhs) -> np.ndarray:
+    """H x = rhs solved on the elimination order of graphsand.ldl, one
+    np.bincount per round for the diagonal, one for the right-hand side and
+    one over the round's unique fill targets; back substitution scatters
+    into x by pivot.  graphsand.ldl.EliminationPlan.solve must equal it bit
+    for bit."""
+    n_slots, rounds = _eliminate(g)
+    d = np.array(diag, dtype=float)
+    x = np.array(rhs, dtype=float)
+    n = len(d)
+    L = np.zeros(n_slots)
+    L[:g.n_edges] = off
+    rounds = [[np.asarray(a, dtype=np.intp) for a in r] for r in rounds]
+    for slot, piv, nbr, fa, fb, ft in rounds:
+        h = L[slot]
+        l = h / d[piv]
+        d -= np.bincount(nbr, weights=l * h, minlength=n)
+        x -= np.bincount(nbr, weights=l * x[piv], minlength=n)
+        if len(fa):
+            ft_u, ft_inv = np.unique(ft, return_inverse=True)
+            L[ft_u] -= np.bincount(ft_inv, weights=l[fa] * h[fb], minlength=len(ft_u))
+        L[slot] = l
+    x /= d
+    for slot, piv, nbr, *_ in reversed(rounds):
+        x -= np.bincount(piv, weights=L[slot] * x[nbr], minlength=n)
+    return x

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphsand
-from graphsand import build_graph, build_path, build_star, build_truncated_z
+from graphsand import build_graph, build_path, build_star, build_truncated_z, ldl
 from graphsand.ldl import elimination_plan
-from conftest import grid_graph
+from conftest import grid_graph, random_connected_graph
+from reference import ldl_solve_rounds
 
 
 def cyclic_graph(rng, n=40, extra=40):
@@ -96,6 +98,70 @@ def test_path_ordering_is_cyclic_reduction():
     assert len(plan.rounds) <= 10
     # eliminating a path's inner vertex fills one slot between its neighbours
     assert plan.n_slots < 2 * 401
+
+
+# _DENSE_STATE values for the two scatter modes: targets only, whole state
+SCATTER_MODES = (0, 2 ** 62)
+
+
+def solve_in_mode(dense_state, g, diag, off, rhs):
+    """EliminationPlan(g).solve with the plan built under `dense_state`."""
+    saved = ldl._DENSE_STATE
+    ldl._DENSE_STATE = dense_state
+    try:
+        return ldl.EliminationPlan(g).solve(diag, off, rhs)
+    finally:
+        ldl._DENSE_STATE = saved
+
+
+@st.composite
+def spd_systems(draw):
+    """A path, star, grid or random graph with cycles, and a diagonally
+    dominant system on it with entries from 1e-150 to 1e150; the rhs has
+    cells of +-0.0 among cells of either sign."""
+    shape = draw(st.sampled_from(["path", "star", "grid", "cyclic"]))
+    if shape == "path":
+        g = build_path(draw(st.integers(2, 70)))
+    elif shape == "star":
+        g = build_star([1.0] * draw(st.integers(2, 12)))
+    elif shape == "grid":
+        g = grid_graph(draw(st.integers(2, 8)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        g = random_connected_graph(rng, n_max=16)
+    n, e = g.n_vertices, g.n_edges
+    # near-1 values too, so that the order of a round's sums shows in the bits
+    size = st.floats(-150.0, 150.0).map(lambda k: 10.0 ** k) | st.floats(0.5, 2.0)
+    signed = st.tuples(size, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+    coeff = np.array(draw(st.lists(signed, min_size=e, max_size=e)))
+    shift = np.array(draw(st.lists(size, min_size=n, max_size=n)))
+    diag = shift + np.bincount(g.edge_index.ravel(), weights=np.abs(coeff).repeat(2),
+                               minlength=n)
+    cell = st.sampled_from([0.0, -0.0]) | signed
+    return g, diag, coeff, np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(spd_systems())
+def test_solve_equals_the_round_by_round_reference_bit_for_bit(case):
+    g, diag, off, rhs = case
+    # an extreme draw may overflow; its infs and nans must match as well
+    with np.errstate(all="ignore"):
+        ref = ldl_solve_rounds(g, diag, off, rhs)
+        for dense_state in SCATTER_MODES:
+            assert solve_in_mode(dense_state, g, diag, off, rhs).tobytes() == ref.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dense_state", SCATTER_MODES)
+def test_an_overflowing_solve_warns(dense_state):
+    # the 3-path's ends are the first round's pivots: l = 1e150, l * h = 1e310
+    g = build_path(3)
+    system = np.array([1e10, 1.0, 1e10]), np.array([1e160, 1e160]), np.ones(3)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        ldl_solve_rounds(g, *system)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        solve_in_mode(dense_state, g, *system)
 
 
 def test_graphsand_never_imports_scipy():

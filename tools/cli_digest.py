@@ -7,8 +7,10 @@ For each seed, every job of the four mixes in perfbench/workloads.py runs
 in this process through `graphsand.cli.run_command`, with the library of
 this checkout (`src/`).  The digest covers, per job and in order, its name,
 exit code, stdout and stderr (the temporary directory masked) and the bytes
-of its trajectory CSV and mass CSV, where the job writes them.  Run it on
-two checkouts and compare the lines it prints.
+of its trajectory CSV and mass CSV, where the job writes them.  The first
+line it prints is that digest over every job; one line per workload
+follows, the same digest over that workload's jobs alone, so a mismatch
+names the mix to bisect.  Run it on two checkouts and compare the lines.
 """
 
 from __future__ import annotations
@@ -44,21 +46,23 @@ def _run(job, directory: Path) -> list[bytes]:
             stderr.getvalue().encode(), *files]
 
 
-def digest(seeds) -> tuple[str, int]:
-    """(sha256 hex digest, job count) over the mixes at each seed."""
-    sha, count = hashlib.sha256(), 0
+def digest(seeds) -> dict[str, tuple[str, int]]:
+    """(sha256 hex digest, job count) over the mixes at each seed: under
+    "all" for every job, and under each workload's name for its own."""
+    shas = {key: [hashlib.sha256(), 0] for key in ("all", *WORKLOADS)}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for workload in WORKLOADS:
                 directory = Path(tmp) / str(seed) / workload
                 directory.mkdir(parents=True)
                 for job in generate(workload, seed):
-                    parts = [job.name.encode()] + _run(job, directory)
-                    for part in parts:
-                        part = part.replace(tmp.encode(), b"<tmp>")
-                        sha.update(len(part).to_bytes(8, "little") + part)
-                    count += 1
-    return sha.hexdigest(), count
+                    parts = [part.replace(tmp.encode(), b"<tmp>")
+                             for part in [job.name.encode()] + _run(job, directory)]
+                    for key in ("all", workload):
+                        for part in parts:
+                            shas[key][0].update(len(part).to_bytes(8, "little") + part)
+                        shas[key][1] += 1
+    return {key: (sha.hexdigest(), count) for key, (sha, count) in shas.items()}
 
 
 def main(argv=None) -> int:
@@ -70,8 +74,11 @@ def main(argv=None) -> int:
         seeds = [int(tok) for tok in args.seeds.split(",")]
     except ValueError:
         parser.error(f"--seeds: not an integer list: {args.seeds!r}")
-    hexdigest, count = digest(seeds)
+    digests = digest(seeds)
+    hexdigest, count = digests.pop("all")
     print(f"{hexdigest}  {count} jobs, seeds {','.join(map(str, seeds))}")
+    for workload, (hexdigest, count) in digests.items():
+        print(f"{hexdigest}  {count} jobs, {workload}")
     return 0
 
 
