@@ -15,11 +15,11 @@ cyclic reduction: a path of 401 vertices takes 8 rounds.
 
 A solve keeps one state vector S = [d | x | L] (diagonal, right-hand side,
 factor slots).  A forward round is 8 numpy calls (a gather, a divide, a
-product of two gathers, one np.bincount of all its updates, a subtract, the
-write of its factors), a back round 4; each target sums its updates from
-0.0 in round order.  Up to _DENSE_STATE entries the subtract runs over all
-of S, above over the round's own targets only (np.subtract.at), so a round
-costs O(pivots + fill) rather than O(state).
+product of two gathers, one np.bincount of all its updates, a subtract over
+all of S, the write of its factors), a back round 4; each target sums its
+updates from 0.0 in round order, and an entry no update reaches loses
+exactly 0.0.  A round so costs O(state) rather than O(pivots + fill), which
+is cheap up to a few thousand entries (ROADMAP item 10).
 
 H must be symmetric positive definite, for which LDL^T without pivoting is
 backward stable.
@@ -32,10 +32,6 @@ import numpy as np
 from .graph import WeightedGraph
 
 __all__ = ["EliminationPlan", "elimination_plan"]
-
-# state entries up to which a round subtracts over the whole vector: about
-# a path of 1000 vertices or a 16 x 16 grid (tools/ldl_timing.py)
-_DENSE_STATE = 2 ** 12
 
 
 def _eliminate(g: WeightedGraph):
@@ -97,18 +93,6 @@ class EliminationPlan:
         n = g.n_vertices
         self.n_edges = g.n_edges
         self.n_slots, rounds = _eliminate(g)
-        size = 2 * n + self.n_slots
-        look = None if size <= _DENSE_STATE else np.empty(size, dtype=np.intp)
-
-        def scatter(into):  # (targets, inverse index), no inverse while dense
-            if look is None:
-                return into, None
-            k = np.arange(len(into))
-            look[into] = k  # one position per target keeps its own index
-            u = into[look[into] == k]
-            look[u] = np.arange(len(u))
-            return u, look[into]
-
         tables = []
         for r in rounds:
             slot, piv, nbr, fa, fb, ft = (np.array(a, dtype=np.intp) for a in r)
@@ -118,9 +102,9 @@ class EliminationPlan:
             # l[left[u]] * G[right[u]]: l h into d, l x[piv] into x, fill into L
             left = np.concatenate((own, own, fa))
             right = np.concatenate((own, own + 2 * t, fb))
-            targets = scatter(np.concatenate((nbr, xn, ft + 2 * n)))
-            tables.append(((t, s, np.concatenate((s, piv, piv + n)), left, right, *targets),
-                           (t, np.concatenate((s, xn)), *scatter(piv))))
+            into = np.concatenate((nbr, xn, ft + 2 * n))
+            tables.append(((t, s, np.concatenate((s, piv, piv + n)), left, right, into),
+                           (t, np.concatenate((s, xn)), piv)))
         self.rounds = tuple(tables)  # (forward, back) tables per round
 
     def solve(self, diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -130,25 +114,17 @@ class EliminationPlan:
         S = np.concatenate((diag, rhs, off, np.zeros(self.n_slots - self.n_edges)),
                            dtype=float)
         # factor, with the forward substitution L z = rhs folded in
-        for (t, s, gather, left, right, into, inv), _ in self.rounds:
+        for (t, s, gather, left, right, into), _ in self.rounds:
             G = S[gather]
             l = G[:t] / G[t:2 * t]
-            w = l[left] * G[right]
-            if inv is None:
-                S -= np.bincount(into, weights=w, minlength=len(S))
-            else:
-                np.subtract.at(S, into, np.bincount(inv, weights=w, minlength=len(into)))
+            S -= np.bincount(into, weights=l[left] * G[right], minlength=len(S))
             S[s] = l
         x = S[n:2 * n]
         x /= S[:n]
         # back substitution L^T x = z, latest pivots first
-        for _, (t, gather, into, inv) in reversed(self.rounds):
+        for _, (t, gather, into) in reversed(self.rounds):
             G = S[gather]
-            w = G[:t] * G[t:]
-            if inv is None:
-                x -= np.bincount(into, weights=w, minlength=n)
-            else:
-                np.subtract.at(x, into, np.bincount(inv, weights=w, minlength=len(into)))
+            x -= np.bincount(into, weights=G[:t] * G[t:], minlength=n)
         return x
 
 

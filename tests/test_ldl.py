@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphsand
-from graphsand import build_graph, build_path, build_star, build_truncated_z, ldl
-from graphsand.ldl import elimination_plan
+from graphsand import build_graph, build_path, build_star, build_truncated_z
+from graphsand.ldl import EliminationPlan, elimination_plan
 from conftest import grid_graph, random_connected_graph
 from reference import ldl_solve_rounds
 
@@ -100,20 +100,6 @@ def test_path_ordering_is_cyclic_reduction():
     assert plan.n_slots < 2 * 401
 
 
-# _DENSE_STATE values for the two scatter modes: targets only, whole state
-SCATTER_MODES = (0, 2 ** 62)
-
-
-def solve_in_mode(dense_state, g, diag, off, rhs):
-    """EliminationPlan(g).solve with the plan built under `dense_state`."""
-    saved = ldl._DENSE_STATE
-    ldl._DENSE_STATE = dense_state
-    try:
-        return ldl.EliminationPlan(g).solve(diag, off, rhs)
-    finally:
-        ldl._DENSE_STATE = saved
-
-
 @st.composite
 def spd_systems(draw):
     """A path, star, grid or random graph with cycles, and a diagonally
@@ -147,21 +133,19 @@ def test_solve_equals_the_round_by_round_reference_bit_for_bit(case):
     g, diag, off, rhs = case
     # an extreme draw may overflow; its infs and nans must match as well
     with np.errstate(all="ignore"):
-        ref = ldl_solve_rounds(g, diag, off, rhs)
-        for dense_state in SCATTER_MODES:
-            assert solve_in_mode(dense_state, g, diag, off, rhs).tobytes() == ref.tobytes()
+        x = EliminationPlan(g).solve(diag, off, rhs)
+        assert x.tobytes() == ldl_solve_rounds(g, diag, off, rhs).tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("dense_state", SCATTER_MODES)
-def test_an_overflowing_solve_warns(dense_state):
+def test_an_overflowing_solve_warns():
     # the 3-path's ends are the first round's pivots: l = 1e150, l * h = 1e310
     g = build_path(3)
     system = np.array([1e10, 1.0, 1e10]), np.array([1e160, 1e160]), np.ones(3)
     with pytest.raises(RuntimeWarning, match="overflow"):
         ldl_solve_rounds(g, *system)
     with pytest.raises(RuntimeWarning, match="overflow"):
-        solve_in_mode(dense_state, g, *system)
+        EliminationPlan(g).solve(*system)
 
 
 def test_graphsand_never_imports_scipy():

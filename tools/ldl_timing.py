@@ -1,41 +1,37 @@
 """Time the Newton solve's linear layer: the sparse LDL^T plan build and solve.
 
-    python tools/ldl_timing.py [--repeat 7]
+    python tools/ldl_timing.py
 
 Cases: paths of 101, 401, 1601 and 6401 vertices, and uniform m x m grids
 for m in 12, 16, 24, 40 and 60.  Each solves a Newton Hessian
 diag(D) + B' diag(c) B with edge coefficients c = e^U(-30, 30) (seeded).
 One line per case: vertices, elimination rounds, state entries
 (2 n + factor slots), the plan build time and the solve time, each the
-process-time minimum over --repeat tries; a solve try times a batch of
-calls lasting about 20 ms.  It uses the library of its own checkout
-(`src/`): run it on two checkouts, alternately, to compare them.
+process-time minimum over REPEAT tries; a solve try times a batch of
+calls lasting about 20 ms.  It uses the library and the test graph builders
+of its own checkout (`src/`, `tests/conftest.py`, which needs the test
+extras): run it on two checkouts, alternately, to compare them.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from graphsand import build_graph, build_path  # noqa: E402
+from conftest import grid_graph  # noqa: E402
+from graphsand import build_path  # noqa: E402
 from graphsand.ldl import EliminationPlan  # noqa: E402
 
-
-def grid(m: int):
-    """The uniform m x m grid."""
-    return build_graph([(f"g{a}_{b}", f"g{a2}_{b2}", 1.0)
-                        for a in range(m) for b in range(m)
-                        for a2, b2 in ((a + 1, b), (a, b + 1)) if a2 < m and b2 < m])
-
+REPEAT = 7  # tries per timing; the minimum is printed
 
 CASES = [(f"path{n}", lambda n=n: build_path(n)) for n in (101, 401, 1601, 6401)] \
-    + [(f"grid{m}", lambda m=m: grid(m)) for m in (12, 16, 24, 40, 60)]
+    + [(f"grid{m}", lambda m=m: grid_graph(m)) for m in (12, 16, 24, 40, 60)]
 
 
 def newton_system(g, rng):
@@ -46,7 +42,7 @@ def newton_system(g, rng):
     return diag, -c, rng.normal(size=g.n_vertices)
 
 
-def least(fn, repeat: int, calls: int = 1) -> float:
+def least(fn, repeat: int = REPEAT, calls: int = 1) -> float:
     """Process-time minimum over `repeat` tries of `calls` calls, per call."""
     best = float("inf")
     for _ in range(repeat):
@@ -57,20 +53,14 @@ def least(fn, repeat: int, calls: int = 1) -> float:
     return best
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=7,
-                        help="tries per timing; the minimum is printed")
-    args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat: must be at least 1")
+def main() -> int:
     for name, make in CASES:
         g = make()
         system = newton_system(g, np.random.default_rng(0))
-        build = least(lambda: EliminationPlan(g), args.repeat)
+        build = least(lambda: EliminationPlan(g))
         plan = EliminationPlan(g)
         calls = max(1, round(0.02 / least(lambda: plan.solve(*system), 1)))
-        solve = least(lambda: plan.solve(*system), args.repeat, calls)
+        solve = least(lambda: plan.solve(*system), calls=calls)
         print(f"{name:9s} n={g.n_vertices:5d}  rounds={len(plan.rounds):4d}  "
               f"state={2 * g.n_vertices + plan.n_slots:6d}  "
               f"build {build * 1e3:8.2f} ms  solve {solve * 1e6:9.1f} us", flush=True)
