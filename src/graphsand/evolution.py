@@ -46,10 +46,10 @@ _EVENT_BAND = 10.0
 # until they are certified
 _FREE_CELLS = 1 << 15
 
-# the steps growth's active list must have held before a block takes steps
-# that hold a multiplier, and the fewest steps such a block must be able to
-# take before its source field changes: a block's fixed setup costs as much
-# as 4-20 single steps, and on small grids the list changes every few steps
+# the room rule: the fewest steps a growth block that holds a multiplier
+# must be able to take before its source field changes or the cell budget
+# ends it.  On graphs above 1024 vertices (2^15 / n < 32 rows) growth thus
+# keeps single steps, whose project() costs less than a held row there
 _HELD_AFTER = 32
 
 
@@ -220,17 +220,15 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     refuses goes through the single-step path.  A block holds at most
     _FREE_CELLS state cells and runs to the end of the grid (collapse,
     whenever a multiplier is held) or of the source field (growth).
-    Growth takes a block at once while no multiplier is held (free
-    flight), and while one is held once the active list has held for
-    _HELD_AFTER steps and the field holds for as many more, since a
-    block's fixed setup outweighs what its rows save when the list
-    changes every few steps or the block is short.  A block's residuals
-    are formed at once, silently, with np.vecdot, whose rows are deg.dot's
-    dot products bit for bit; where one is not finite, the block's
-    residuals are formed again row by row with the single step's calls,
-    which warn as single steps do.  Its events and samples are taken row
-    by row, so every output, error and numpy warning is the one single
-    steps would give, bit for bit.
+    Growth takes a block on every step: at once while no multiplier is
+    held (free flight), and while one is held where the field and the
+    cell budget leave room for _HELD_AFTER steps (the room rule).  A
+    block's residuals are formed at once, silently, with np.vecdot, whose
+    rows are deg.dot's dot products bit for bit; where one is not finite,
+    the block's residuals are formed again row by row with the single
+    step's calls, which warn as single steps do.  Its events and samples
+    are taken row by row, so every output, error and numpy warning is the
+    one single steps would give, bit for bit.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
@@ -251,17 +249,14 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     binding = None if proj is None else np.abs(edge_gaps(g, u)) >= threshold
     times = grid.tolist()  # Python floats: no numpy scalar arithmetic per step
     cap = max(1, _FREE_CELLS // g.n_vertices)
-    streak = 0  # steps since the active list changed or a block stopped short
     n = 0
     while n < steps:
         k = m = 0
-        # blocks: collapse while a multiplier is held, growth while none is
-        # or once its active list has held for _HELD_AFTER steps
+        # blocks: collapse while a multiplier is held, growth on every step
         held = proj is not None and proj.holds_multipliers()
         if held and source is None:
             fv, m = None, min(cap, steps - n)
-        elif proj is not None and source is not None \
-                and (not held or streak >= _HELD_AFTER):
+        elif proj is not None and source is not None:
             fv, end = source.piece(times[n])
             m = min(bisect_left(times, end, n, steps) - n, cap)
             if held and m < _HELD_AFTER:
@@ -269,16 +264,16 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         if m:
             k, rows, moved, edges = proj.hold(u, grid[n:n + m + 1], fv,
                                               guard, guard_limit)
-            streak = streak + k if k == m else 0
         if k:
             # the single step's residuals, all k at once: a vecdot row is the
             # dot product deg.dot takes, bit for bit; a held step's drive is
             # that of the row before it
+            lengths = grid[n + 1:n + k + 1] - grid[n:n + k]
             with np.errstate(all="ignore"):
                 drive_mass = deg.dot(fv) if source is not None \
                     else np.vecdot(rows[:k] / grid[n:n + k, None], deg)
-                block = np.vecdot(np.diff(rows[:k + 1], axis=0), deg) \
-                    - np.diff(grid[n:n + k + 1]) * drive_mass
+                block = np.vecdot(rows[1:k + 1] - rows[:k], deg) \
+                    - lengths * drive_mass
             if not np.isfinite(block).all():
                 # formed again with the single step's own calls, which warn
                 # alike: every warning comes with a residual that is not
@@ -286,11 +281,10 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                 drives = [fv] * k if source is not None \
                     else rows[:k] / grid[n:n + k, None]
                 block = [float(deg.dot(d) - h * deg.dot(fv)) for d, h, fv in
-                         zip(np.diff(rows[:k + 1], axis=0),
-                             np.diff(grid[n:n + k + 1]).tolist(), drives)]
+                         zip(rows[1:k + 1] - rows[:k], lengths.tolist(), drives)]
             residuals[n:n + k] = block
             now = moved[:k] >= threshold[edges]
-            flips = now != np.vstack([binding[edges], now[:-1]])
+            flips = now != np.concatenate([binding[edges][None], now[:-1]])
             for r, c in zip(*np.nonzero(flips)):
                 kind = "activated" if now[r, c] else "deactivated"
                 events.append((times[n + r + 1], g.edges[edges[c]], kind))
@@ -305,7 +299,6 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         t0, t1 = times[n], times[n + 1]
         h = t1 - t0
         fv = u / t0 if source is None else source(t0)
-        active = None if proj is None else proj._active
         new = advance(u + h * fv, h)
         for i in guard:
             if abs(new[i]) > guard_limit:
@@ -316,7 +309,6 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         residuals[n] = float(deg.dot(new - u) - h * deg.dot(fv))
         u = new
         if proj is not None:
-            streak = streak + 1 if proj._active == active else 0
             now = proj.abs_gaps >= threshold
             if now.tobytes() != binding.tobytes():
                 for e in np.flatnonzero(now != binding):

@@ -101,18 +101,21 @@ def max_relative_slope(u, K: ConstraintSet) -> float:
 
 @dataclass(slots=True)
 class _SweepPlan:
-    """What a sweep, or a held step, over one active list touches."""
+    """What a sweep, or a held step, over one active list touches, walked
+    from g.incidence over the list's ends.  hold builds its tables
+    (_hold_tables) and its row kernel once per drive kind, drive mask and
+    guard list: they live and die with the plan, as the list does."""
     ends: np.ndarray      # vertex ids of the active edges' ends, sorted
     sweep: list           # per active edge: (edge, local i, local j,
                           # 1/d_i + 1/d_j, its inverse, bound, 1/d_i, 1/d_j)
     incident: np.ndarray  # edges with an end among `ends`, sorted
     incident_ends: np.ndarray  # their (i, j) vertex ids
-    at_ends: np.ndarray   # incident, as a mask over all edges
     fold: list = field(default_factory=list)  # hold's fold table, made on
                           # its first use: (edge, local i, local j, d_i, d_j)
     held: int = 0         # rows hold has taken on this plan
-    kernels: dict = field(default_factory=dict)  # hold's row kernels, by
-                          # (collapse drive, drive mask, guard list)
+    tables: dict = field(default_factory=dict)  # hold's tables and row
+    kernels: dict = field(default_factory=dict)  # kernels, by (collapse
+                          # drive, drive mask, guard list)
 
 
 class _Refused(Exception):
@@ -221,6 +224,7 @@ class DykstraProjector:
         inv_di = 1.0 / deg[i]
         inv_dj = 1.0 / deg[j]
         invsum = inv_di + inv_dj
+        self._i, self._j = i, j
         # plain-float copies: the sweep loop indexes scalars, which is
         # much slower on numpy arrays
         self._il = i.tolist()
@@ -233,6 +237,7 @@ class DykstraProjector:
         self._cl = bounds.tolist()
         self.tol = tol
         self._limit = bounds + tol
+        self._limitl = self._limit.tolist()
         self._plan_key = self._plan = None
         self.abs_gaps = None
         self.reset()
@@ -259,15 +264,14 @@ class DykstraProjector:
             invdi, invdj = self._invdil, self._invdjl
             ends = sorted({x for e in active for x in (il[e], jl[e])})
             local = {x: k for k, x in enumerate(ends)}
-            at_end = np.zeros(self.graph.n_vertices, dtype=bool)
-            at_end[ends] = True
-            at_ends = at_end[self.graph.edge_index].any(axis=1)
-            incident = at_ends.nonzero()[0]
+            inc = self.graph.incidence
+            incident = np.array(sorted({e for x in ends for _, e in inc[x]}),
+                                dtype=np.intp)
             self._plan = _SweepPlan(
                 np.array(ends, dtype=np.intp),
                 [(e, local[il[e]], local[jl[e]], invsum[e], coef[e], cl[e],
                   invdi[e], invdj[e]) for e in active],
-                incident, self.graph.edge_index[incident], at_ends)
+                incident, self.graph.edge_index[incident])
             self._plan_key = active
         plan = self._plan
         if held and not plan.fold:
@@ -350,6 +354,46 @@ class DykstraProjector:
                 mu[t[0]] /= s
         return floor, sweeps, change
 
+    def _hold_tables(self, plan: _SweepPlan, support: list, drives: np.ndarray,
+                     guard: list) -> tuple:
+        """hold's tables for one plan, drive mask (off the ends) and guard
+        list, walked from g.incidence over the neighbourhood.  The columns
+        are the ends, then the other vertices the drive moves.  The live
+        edges are those at the columns, which a row moves (rest, free and
+        bound, over the places of their ends among the start cells hold
+        gathers: the columns, then the fixed ones), and the still edges at
+        the other ends of the edges at the ends, which it does not move.
+        """
+        il, jl, limit, inc = self._il, self._jl, self._limitl, self.graph.incidence
+        cols = plan.ends.tolist() + drives.nonzero()[0].tolist()
+        size, width = len(plan.ends), len(cols)
+        local = dict(zip(cols, range(width)))
+        moves = sorted({e for x in cols for _, e in inc[x]})
+        near = set(plan.incident_ends.ravel().tolist())
+        still = sorted({e for x in near for _, e in inc[x]}.difference(moves))
+        at, on = set(plan.incident.tolist()), set(support)
+        rest, free, bound = [], [], []
+        for e in moves:
+            t = (local.setdefault(il[e], len(local)),
+                 local.setdefault(jl[e], len(local)), limit[e])
+            if e in on:
+                bound.append(t + (e,))
+            elif e in at:
+                free.append(t)
+            else:
+                rest.append(t)
+        spots = [local.get(q, width) for q in guard]
+        live = np.array(sorted(moves + still), dtype=np.intp)
+        off_limit = self._limit.copy()  # the limits of the other edges
+        off_limit[live] = math.inf
+        still = np.array(still, dtype=np.intp)
+        return (live, self._i[live], self._j[live], off_limit,
+                np.array(list(local), dtype=np.intp), width, self._i[still],
+                self._j[still], self._limit[still],
+                [q for q, p in zip(guard, spots) if p >= width], rest, free,
+                bound, [p for p in spots if p < size],
+                [p for p in spots if size <= p < width])
+
     def hold(self, start: np.ndarray, times: np.ndarray, f, guard,
              guard_limit: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """(k, rows, moved, live): project() on k steps whose input is
@@ -378,75 +422,49 @@ class DykstraProjector:
         checks of the live edges with no end on the list and of the guard
         off the ends, the fold, the checks of the edges at the ends after
         the fold and after the sweep, _sweep, and the guard at the ends.
-        A check that no step can change is made once.  Once the plan of
-        the active list has held _KERNEL_AFTER rows, over any number of
-        calls, the rest of its rows run in its row kernel (_row_kernel),
-        compiled once per drive kind, drive mask and guard list: the same
-        operations in the same order.  A row whose sweep has not converged
-        within min(FLOOR_AFTER, MAX_SWEEPS) sweeps it refuses, and the
-        generic loop takes it with the rows after it in its batch.  The k
-        rows held are the results: the multipliers, the active list and
-        abs_gaps are left as k project() calls leave them.
+        A check that no step can change is made once.  The tables these
+        read are built once per plan, drive kind, drive mask and guard
+        list (_hold_tables), so a call pays only for its checks of start,
+        its rows and moved.  Once the plan of the active list has held
+        _KERNEL_AFTER rows, over any number of calls, the rest of its rows
+        run in its row kernel (_row_kernel), compiled once per drive kind,
+        drive mask and guard list: the same operations in the same order.
+        A row whose sweep has not converged within min(FLOOR_AFTER,
+        MAX_SWEEPS) sweeps it refuses, and the generic loop takes it with
+        the rows after it in its batch.  The k rows held are the results:
+        the multipliers, the active list and abs_gaps are left as k
+        project() calls leave them.
         """
         g, mu = self.graph, self.mu
         support = [e for e in self._active if mu[e] != 0.0]
         plan = self._sweep_plan(support, held=True)
         drives = start != 0 if f is None else (f != 0) | np.signbit(start)
-        moving = drives.copy()
-        moving[plan.incident_ends] = True
-        at_live = moving[g.edge_index].any(axis=1)
-        live = np.flatnonzero(at_live)
-        vi, vj = g.edge_index[live].T
-        limit = self._limit[live]
+        drives[plan.ends] = False
+        key = (f is None, drives.tobytes(), tuple(guard))
+        if key not in plan.tables:
+            plan.tables[key] = self._hold_tables(plan, support, drives, guard)
+        live, vi, vj, off_limit, gather, width, si, sj, still, outside, rest, \
+            free, bound, at_guard, off_guard = plan.tables[key]
+        cols = gather[:width]
         # every other edge keeps its gap at start, which an initial datum
         # (stable to 1e-8) may hold past the limit
-        a = np.abs(edge_gaps(g, start)) if self.abs_gaps is None \
-            else self.abs_gaps.copy()
-        stop = (a[~at_live] > self._limit[~at_live]).any()
+        a = np.abs(edge_gaps(g, start)) if self.abs_gaps is None else self.abs_gaps
+        stop = (a > off_limit).any()
         if not support and f is not None:
-            cols = np.flatnonzero(moving)
             rows = np.repeat(start[None], len(times), axis=0)
             with np.errstate(over="ignore", invalid="ignore"):  # refused rows
                 rows[:, cols] = np.cumsum(np.vstack(
                     [start[cols], np.diff(times)[:, None] * f[cols]]), axis=0)
                 moved = np.abs(rows[1:, vj] - rows[1:, vi])
-                fits = (moved <= limit).all(axis=1) \
+                fits = (moved <= self._limit[live]).all(axis=1) \
                     & (np.abs(rows[1:, guard]) <= guard_limit).all(axis=1)
             k = 0 if stop else len(fits) if fits.all() else int(fits.argmin())
         else:
-            # a row lists the ends, then the other vertices the drive
-            # moves (cols), then the other ends of the live edges (fixed)
-            size = len(plan.ends)
-            drives[plan.ends] = False
-            cols = np.concatenate([plan.ends, np.flatnonzero(drives)])
-            width = len(cols)
-            fixed = np.zeros(g.n_vertices, dtype=bool)
-            fixed[vi] = fixed[vj] = True
-            fixed[cols] = False
-            fixed = np.flatnonzero(fixed)
-            local = np.full(g.n_vertices, g.n_vertices)
-            local[np.concatenate([cols, fixed])] = np.arange(width + len(fixed))
-            li, lj = local[vi], local[vj]
-            at = plan.at_ends[live]
-            on = np.zeros(g.n_edges, dtype=bool)
-            on[support] = True
-            on = on[live]
-            still = ~at & (li >= width) & (lj >= width)
-            spot = local[guard]
-            stop |= not (np.abs(start[vj[still]] - start[vi[still]])
-                         <= limit[still]).all()
-            stop |= not (np.abs(start[guard])[spot >= width] <= guard_limit).all()
-
-            def table(mask, *more):
-                return list(zip(li[mask].tolist(), lj[mask].tolist(),
-                                limit[mask].tolist(), *more))
-
-            rest, free = table(~at & ~still), table(at & ~on)
-            bound = table(at & on, live[at & on].tolist())
-            at_guard = spot[spot < size].tolist()
-            off_guard = spot[(spot >= size) & (spot < width)].tolist()
+            stop |= not (np.abs(start[sj] - start[si]) <= still).all()
+            stop |= not all(abs(start[q]) <= guard_limit for q in outside)
             sweep, tol, fold, inf = self._sweep, self.tol, plan.fold, math.inf
-            x, fixed = start[cols].tolist(), start[fixed].tolist()
+            vals = start[gather].tolist()
+            x, fixed = vals[:width], vals[width:]
             drive = None if f is None else f[cols].tolist()
             times = times.tolist()  # no numpy scalar arithmetic per step
             rows = np.empty((len(times), g.n_vertices))
@@ -454,7 +472,6 @@ class DykstraProjector:
             k, kernel, retry = 0, None, False
             while not stop and k < len(times) - 1:
                 if kernel is None and plan.held >= _KERNEL_AFTER:
-                    key = (drive is None, drives.tobytes(), tuple(guard))
                     kernel = plan.kernels.get(key)
                     if kernel is None:
                         kernel = plan.kernels[key] = _row_kernel(
@@ -529,8 +546,8 @@ class DykstraProjector:
             # held rows are finite at every live edge, so none can warn
             moved = np.abs(rows[1:k + 1, vj] - rows[1:k + 1, vi])
         if k:
-            a[live] = moved[k - 1]
-            self.abs_gaps, self._active = a, support
+            self.abs_gaps, self._active = a.copy(), support
+            self.abs_gaps[live] = moved[k - 1]
         return k, rows[:k + 1], moved[:k], live
 
     def project(self, z) -> np.ndarray:

@@ -6,9 +6,10 @@ project_oracle solves the projection exactly by enumerating active sets;
 mass_balance recomputes the per-step mass residuals of a trajectory from
 its states; p_flow_cold steps the p-flow with every resolvent started cold;
 growth_per_step and collapse_per_step step the growth model and the
-collapse flow with one projection per step; ldl_solve_rounds runs the LDL^T
-solve's elimination rounds as separate diagonal, right-hand-side and fill
-scatters.
+collapse flow with one projection per step; distance_cone is the exact
+pile that growth from zero leaves under a source at one vertex;
+ldl_solve_rounds runs the LDL^T solve's elimination rounds as separate
+diagonal, right-hand-side and fill scatters.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from graphsand import ConstraintSet, DykstraProjector, SourceSchedule, Trajector
     resolvent_p
 from graphsand.calculus import edge_gaps
 from graphsand.evolution import _EVENT_BAND, time_grid
+from graphsand.graph import distance_rows
 from graphsand.ldl import _eliminate
 
 
@@ -237,6 +239,25 @@ def collapse_per_step(g: WeightedGraph, K: ConstraintSet, u0, dt: float,
         grid, v = time_grid(1.0 / L, 1.0, dt), (1.0 / L) * u0v
     traj = _per_step(g, proj, v, grid, lambda t, v: v / t, sample_every)
     return traj.final_state(), traj
+
+
+def distance_cone(g: WeightedGraph, bounds, x0: int, mass: float) -> np.ndarray:
+    """The pile that growth from zero under a source at x0 alone holds once
+    the source has given it the nu-mass `mass`: (h - d(x0, .))^+, with d
+    the shortest-path distance under the slope bounds as edge lengths and
+    h the height at which sum_x d_x (h - d(x0, x))^+ = mass.  That sum is
+    linear in h between consecutive sorted distances, so h is solved
+    there exactly."""
+    _, d = next(distance_rows(g, bounds, [x0]))
+    order = np.argsort(d, kind="stable")
+    near, weight, moment = d[order].tolist(), 0.0, 0.0
+    for k, x in enumerate(order.tolist()):
+        weight += g.degrees[x]
+        moment += g.degrees[x] * near[k]
+        h = (mass + moment) / weight
+        if k + 1 == len(near) or h <= near[k + 1]:
+            break
+    return np.maximum(h - d, 0.0)
 
 
 def ldl_solve_rounds(g: WeightedGraph, diag, off, rhs) -> np.ndarray:

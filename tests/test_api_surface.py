@@ -118,10 +118,11 @@ def test_solvers_step_through_the_span_targets(monkeypatch):
     assert len(calls) == len(traj.step_times) == 10
     # growth and collapse project exactly the steps that are not taken as
     # blocks by DykstraProjector.hold: growth's while no multiplier is held
-    # (free flight) or once its active list has held for _HELD_AFTER steps,
-    # collapse's while the active list holds.  At x3 = 1 the pile never
-    # binds; at x3 = 10 it binds on steps 3-5 and step 6, the first after
-    # the source, still holds the multipliers
+    # (free flight) or while one is and the source field holds for
+    # _HELD_AFTER more steps, collapse's while the active list holds.  At
+    # x3 = 1 the pile never binds; at x3 = 10 it binds on steps 3-5 and
+    # step 6, the first after the source, still holds the multipliers, but
+    # the field holds for 5 steps at most, too few for a block
     calls = _count_calls(monkeypatch, proximal.DykstraProjector, "project")
     held = []
     hold = proximal.DykstraProjector.hold
@@ -144,14 +145,14 @@ def test_solvers_step_through_the_span_targets(monkeypatch):
     assert len(calls) == 4
     calls.clear()
     held.clear()
-    # under x3 = 10 the pile spreads over the path and then keeps its
-    # active list: once the list has held for _HELD_AFTER steps, one block
-    # takes the rest of the source field with the multipliers held (the
-    # last 39 of 80 steps, 119 of 160, 199 of 240); of 60 steps 19 are
-    # left then, too few for a block
+    # under x3 = 10 for the whole run the pile binds on step 3, which
+    # leaves the free block and is projected; a held block takes the steps
+    # from the next one until the pile spreads, on step 9, which is
+    # projected, and a second block takes the rest (71 of 80 steps, 51 of
+    # 60, 151 of 160, 231 of 240)
     assert evolution._HELD_AFTER == 32
-    for T, blocks, projected in ((4.0, [39], 39), (3.0, [], 58),
-                                 (8.0, [119], 39), (12.0, [199], 39)):
+    for T, blocks, projected in ((4.0, [5, 71], 2), (3.0, [5, 51], 2),
+                                 (8.0, [5, 151], 2), (12.0, [5, 231], 2)):
         steep = SourceSchedule(g, ((0.0, T, {"x3": 10.0}),))
         traj = solve_growth(g, K, np.zeros(5), steep, T, 0.05)
         assert len(calls) + sum(k for _, k in held) == len(traj.step_times)

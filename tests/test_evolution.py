@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphsand import (ConstraintSet, SourceSchedule, build_graph, build_path,
                        build_star, build_truncated_z, collapse_via_p_experiment,
                        converge_p_experiment, field_values, is_stable,
                        nu_norm, solve_collapse, solve_growth, solve_p_flow)
 from graphsand.evolution import MAX_STEPS, Trajectory, TruncationError, time_grid
-from reference import mass_balance, p_flow_cold, time_grid_loop
+from graphsand.proximal import CONSTRAINT_KINDS
+from conftest import grid_graph, weighted_graphs
+from reference import distance_cone, mass_balance, p_flow_cold, time_grid_loop
 
 
 def z_exact(g, t, alpha=1.0):
@@ -190,6 +192,43 @@ def test_vecdot_rows_match_dot_bit_for_bit(rows, cols, seed, lo, hi, zeros):
         got = np.vecdot(M, d)
         want = np.array([d.dot(r) for r in M])
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(["graph", "grid", "z"]), st.sampled_from(sorted(CONSTRAINT_KINDS)),
+       st.sampled_from([0.05, 1 / 16, 0.03, 0.1]), st.data())
+def test_point_source_growth_is_the_distance_cone(shape, kind, dt, data):
+    # growth from zero under one to three segments of a source at one
+    # vertex, on a weighted graph with cycles, a weighted grid or a Z
+    # window: every kept state is the distance cone of the mass the source
+    # has given (reference.distance_cone), to 1e-9 max(1, h)
+    if shape == "graph":
+        g = data.draw(weighted_graphs(cycles=True))
+    elif shape == "grid":
+        g = grid_graph(data.draw(st.integers(2, 5)), 0.5, 2.0,
+                       np.random.default_rng(data.draw(st.integers(0, 2 ** 16))))
+    else:
+        g = build_truncated_z(data.draw(st.integers(5, 10)))
+    K = ConstraintSet.from_kind(g, kind)
+    x0 = g.vertex_id("0") if shape == "z" else \
+        data.draw(st.integers(0, g.n_vertices - 1))
+    segments, t = [], 0.0
+    for _ in range(data.draw(st.integers(1, 3))):
+        a = t + 0.1 * data.draw(st.integers(0, 10))
+        t = a + 0.1 * data.draw(st.integers(1, 60))
+        segments.append((a, t, data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))))
+    T = t + 0.1 * data.draw(st.integers(0, 10))
+
+    def cone(t):
+        given = sum(s * (min(t, b) - a) for a, b, s in segments if t > a)
+        return distance_cone(g, K.bounds, x0, g.degrees[x0] * given)
+
+    assume(not cone(T)[list(g.guard_index)].any())
+    f = SourceSchedule(g, tuple((a, b, {g.vertices[x0]: s}) for a, b, s in segments))
+    traj = solve_growth(g, K, np.zeros(g.n_vertices), f, T, dt)
+    for t, u in zip(traj.times, traj.states):
+        want = cone(t)
+        assert np.abs(u - want).max() <= 1e-9 * max(1.0, want[x0]), t
 
 
 def test_time_grid_exact_division():

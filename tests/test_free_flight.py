@@ -105,9 +105,10 @@ CYCLE = build_graph([("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v3", 1.0),
 SIGNED_ZERO = (CYCLE, ConstraintSet.from_kind(CYCLE, "uniform"),
                np.array([0.0, 0.0, 0.0, -0.0]), SourceSchedule.zero(CYCLE),
                0.05, 0.05, 1e-10, 1)
-# held blocks from the step after the first binds (with _HELD_AFTER = 0): a
-# second source at x10, outside the neighbourhood of the pile at x3, whose
-# edges bind mid-block, so the bulk check of the columns refuses the row
+# held blocks from the step after the first binds (_HELD_AFTER = 0 lifts
+# the room rule for its 10-step field): a second source at x10, outside
+# the neighbourhood of the pile at x3, whose edges bind mid-block, so the
+# bulk check of the columns refuses the row
 PATH = build_path(12)
 SECOND_SOURCE = (PATH, ConstraintSet.from_kind(PATH, "uniform"), np.zeros(12),
                  SourceSchedule(PATH, ((0.0, 1.0, {"x3": 10.0, "x10": 4.0}),)),
@@ -182,10 +183,10 @@ def _bits(a):
 def test_growth_matches_one_projection_per_step(case, cells, after, kernel):
     # a cell budget of 1 or 64 state cells splits each block into blocks
     # of one step or a few steps, and the full budget lets a block run to
-    # the end of its source field; held blocks start once the active list
-    # has held for 0, 1 or 32 steps (and the field holds for as many more),
-    # and take their rows in the row kernel from the first or after the
-    # default count
+    # the end of its source field; held blocks start on any step that
+    # holds a multiplier where the field holds for 0, 1 or 32 more steps
+    # (_HELD_AFTER's room rule), and take their rows in the row kernel from
+    # the first or after the default count
     saved = evolution._FREE_CELLS, evolution._HELD_AFTER, proximal._KERNEL_AFTER
     evolution._FREE_CELLS, evolution._HELD_AFTER, proximal._KERNEL_AFTER = \
         cells, after, kernel

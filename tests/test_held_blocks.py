@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphsand import ConstraintSet, DykstraProjector, ProjectionError, \
@@ -244,6 +245,55 @@ def test_hold_checks_what_no_step_moves_once(monkeypatch):
                 (v, top, guard, 2), (v, wide, [], 2), (v, wide, guard, 0),
                 (past, top, [], 2), (past, top, guard, 0), (over, top, [], 0)):
             assert _copy(proj).hold(start, times, f, band, 0.0)[0] == want
+
+
+def _single_steps(proj, start, times, f, guard, limit):
+    """The rows single projections give from start under the field f while
+    they keep the active list (the support it starts from) and the guard
+    within limit, and the projector after the last of them."""
+    support = [e for e in proj._active if proj.mu[e] != 0.0]
+    ref, rows = _copy(proj), [start]
+    for t0, t1 in zip(times.tolist(), times[1:].tolist()):
+        step = _copy(ref)
+        v = step.project(rows[-1] + (t1 - t0) * f)
+        if step._active != support or not all(abs(v[q]) <= limit for q in guard):
+            break
+        rows.append(v)
+        ref = step
+    return np.array(rows), ref
+
+
+@pytest.mark.parametrize("after", ROW_PATHS)
+def test_hold_keys_its_tables_by_drive_mask_and_guard(monkeypatch, after):
+    # one plan, held in turn on copies that share it and its tables: under
+    # a source at the apex of a held pile, under a second field that also
+    # drives a vertex off the neighbourhood, from a start with -0.0 there
+    # (a drive column, which the step turns to +0.0), and with a guard at
+    # an end of the active list that the second row crosses.  Each call
+    # builds its own tables and takes the rows, multipliers and abs_gaps
+    # single projections give
+    monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
+    g = build_truncated_z(8)
+    proj = DykstraProjector(g, ConstraintSet.from_kind(g, "uniform"))
+    apex = field_values(g, {"0": 1.0})
+    u = np.zeros(g.n_vertices)
+    for _ in range(12):
+        u = proj.project(u + 0.25 * apex)
+    assert proj.holds_multipliers()
+    times = np.arange(13, 19) * 0.25
+    signed = u.copy()
+    signed[g.vertex_id("-4")] = -0.0
+    for start, f, guard, want in (
+            (u, apex, [], 4), (u, field_values(g, {"0": 1.0, "-5": 0.5}), [], 4),
+            (signed, apex, [], 4), (u, apex, [g.vertex_id("1")], 1)):
+        held = _copy(proj)
+        k, rows, _, _ = held.hold(start, times, f, guard, 0.8)
+        single, ref = _single_steps(proj, start, times, f, guard, 0.8)
+        assert k == len(single) - 1 == want
+        assert _bits(rows) == _bits(single)
+        assert held.mu == ref.mu
+        assert _bits(held.abs_gaps) == _bits(ref.abs_gaps)
+    assert held._plan is proj._plan and len(proj._plan.tables) == 4
 
 
 @PROPERTY
