@@ -195,13 +195,15 @@ def test_vecdot_rows_match_dot_bit_for_bit(rows, cols, seed, lo, hi, zeros):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.sampled_from(["graph", "grid", "z"]), st.sampled_from(sorted(CONSTRAINT_KINDS)),
+@given(st.sampled_from(["graph", "grid", "z"]),
+       st.sampled_from(sorted(CONSTRAINT_KINDS) + ["custom"]),
        st.sampled_from([0.05, 1 / 16, 0.03, 0.1]), st.data())
 def test_point_source_growth_is_the_distance_cone(shape, kind, dt, data):
     # growth from zero under one to three segments of a source at one
     # vertex, on a weighted graph with cycles, a weighted grid or a Z
-    # window: every kept state is the distance cone of the mass the source
-    # has given (reference.distance_cone), to 1e-9 max(1, h)
+    # window, under each named kind and a custom table: every kept state is
+    # the distance cone of the mass the source has given
+    # (reference.distance_cone), to 1e-9 max(1, h)
     if shape == "graph":
         g = data.draw(weighted_graphs(cycles=True))
     elif shape == "grid":
@@ -209,7 +211,8 @@ def test_point_source_growth_is_the_distance_cone(shape, kind, dt, data):
                        np.random.default_rng(data.draw(st.integers(0, 2 ** 16))))
     else:
         g = build_truncated_z(data.draw(st.integers(5, 10)))
-    K = ConstraintSet.from_kind(g, kind)
+    K = ConstraintSet(g, np.linspace(0.5, 1.5, g.n_edges)) if kind == "custom" \
+        else ConstraintSet.from_kind(g, kind)
     x0 = g.vertex_id("0") if shape == "z" else \
         data.draw(st.integers(0, g.n_vertices - 1))
     segments, t = [], 0.0
