@@ -267,11 +267,12 @@ def _single_steps(proj, start, times, f, guard, limit):
 def test_hold_keys_its_tables_by_drive_mask_and_guard(monkeypatch, after):
     # one plan, held in turn on copies that share it and its tables: under
     # a source at the apex of a held pile, under a second field that also
-    # drives a vertex off the neighbourhood, from a start with -0.0 there
-    # (a drive column, which the step turns to +0.0), and with a guard at
-    # an end of the active list that the second row crosses.  Each call
-    # builds its own tables and takes the rows, multipliers and abs_gaps
-    # single projections give
+    # drives a vertex off the neighbourhood (x = -5), from a start with
+    # -0.0 at another vertex off it (x = -4: a drive column by its sign
+    # bit, which the step turns to +0.0), and with a guard at an end of
+    # the active list that the second row crosses.  Each call builds its
+    # own tables and takes the rows, multipliers and abs_gaps single
+    # projections give
     monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
     g = build_truncated_z(8)
     proj = DykstraProjector(g, ConstraintSet.from_kind(g, "uniform"))
