@@ -256,7 +256,8 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
         held = proj is not None and proj.holds_multipliers()
         if held and source is None:
             fv, m = None, min(cap, steps - n)
-        elif proj is not None and source is not None:
+        elif proj is not None and source is not None \
+                and (not held or cap >= _HELD_AFTER):
             fv, end = source.piece(times[n])
             m = min(bisect_left(times, end, n, steps) - n, cap)
             if held and m < _HELD_AFTER:
@@ -268,12 +269,11 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
             # the single step's residuals, all k at once: a vecdot row is the
             # dot product deg.dot takes, bit for bit; a held step's drive is
             # that of the row before it
-            lengths = grid[n + 1:n + k + 1] - grid[n:n + k]
             with np.errstate(all="ignore"):
                 drive_mass = deg.dot(fv) if source is not None \
                     else np.vecdot(rows[:k] / grid[n:n + k, None], deg)
-                block = np.vecdot(rows[1:k + 1] - rows[:k], deg) \
-                    - lengths * drive_mass
+                block = np.vecdot(np.diff(rows[:k + 1], axis=0), deg) \
+                    - np.diff(grid[n:n + k + 1]) * drive_mass
             if not np.isfinite(block).all():
                 # formed again with the single step's own calls, which warn
                 # alike: every warning comes with a residual that is not
@@ -281,10 +281,11 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
                 drives = [fv] * k if source is not None \
                     else rows[:k] / grid[n:n + k, None]
                 block = [float(deg.dot(d) - h * deg.dot(fv)) for d, h, fv in
-                         zip(rows[1:k + 1] - rows[:k], lengths.tolist(), drives)]
+                         zip(np.diff(rows[:k + 1], axis=0),
+                             np.diff(grid[n:n + k + 1]).tolist(), drives)]
             residuals[n:n + k] = block
             now = moved[:k] >= threshold[edges]
-            flips = now != np.concatenate([binding[edges][None], now[:-1]])
+            flips = now != np.vstack([binding[edges], now[:-1]])
             for r, c in zip(*np.nonzero(flips)):
                 kind = "activated" if now[r, c] else "deactivated"
                 events.append((times[n + r + 1], g.edges[edges[c]], kind))

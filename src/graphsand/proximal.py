@@ -102,9 +102,7 @@ def max_relative_slope(u, K: ConstraintSet) -> float:
 @dataclass(slots=True)
 class _SweepPlan:
     """What a sweep, or a held step, over one active list touches, walked
-    from g.incidence over the list's ends.  hold builds its tables
-    (_hold_tables) and its row kernel once per drive kind, drive mask and
-    guard list: they live and die with the plan, as the list does."""
+    from g.incidence over the list's ends."""
     ends: np.ndarray      # vertex ids of the active edges' ends, sorted
     sweep: list           # per active edge: (edge, local i, local j,
                           # 1/d_i + 1/d_j, its inverse, bound, 1/d_i, 1/d_j)
@@ -113,9 +111,8 @@ class _SweepPlan:
     fold: list = field(default_factory=list)  # hold's fold table, made on
                           # its first use: (edge, local i, local j, d_i, d_j)
     held: int = 0         # rows hold has taken on this plan
-    tables: dict = field(default_factory=dict)  # hold's tables and row
-    kernels: dict = field(default_factory=dict)  # kernels, by (collapse
-                          # drive, drive mask, guard list)
+    kernels: dict = field(default_factory=dict)  # hold's row kernels, by
+                          # (collapse drive, drive mask, guard list)
 
 
 class _Refused(Exception):
@@ -354,46 +351,6 @@ class DykstraProjector:
                 mu[t[0]] /= s
         return floor, sweeps, change
 
-    def _hold_tables(self, plan: _SweepPlan, support: list, drives: np.ndarray,
-                     guard: list) -> tuple:
-        """hold's tables for one plan, drive mask (off the ends) and guard
-        list, walked from g.incidence over the neighbourhood.  The columns
-        are the ends, then the other vertices the drive moves.  The live
-        edges are those at the columns, which a row moves (rest, free and
-        bound, over the places of their ends among the start cells hold
-        gathers: the columns, then the fixed ones), and the still edges at
-        the other ends of the edges at the ends, which it does not move.
-        """
-        il, jl, limit, inc = self._il, self._jl, self._limitl, self.graph.incidence
-        cols = plan.ends.tolist() + drives.nonzero()[0].tolist()
-        size, width = len(plan.ends), len(cols)
-        local = dict(zip(cols, range(width)))
-        moves = sorted({e for x in cols for _, e in inc[x]})
-        near = set(plan.incident_ends.ravel().tolist())
-        still = sorted({e for x in near for _, e in inc[x]}.difference(moves))
-        at, on = set(plan.incident.tolist()), set(support)
-        rest, free, bound = [], [], []
-        for e in moves:
-            t = (local.setdefault(il[e], len(local)),
-                 local.setdefault(jl[e], len(local)), limit[e])
-            if e in on:
-                bound.append(t + (e,))
-            elif e in at:
-                free.append(t)
-            else:
-                rest.append(t)
-        spots = [local.get(q, width) for q in guard]
-        live = np.array(sorted(moves + still), dtype=np.intp)
-        off_limit = self._limit.copy()  # the limits of the other edges
-        off_limit[live] = math.inf
-        still = np.array(still, dtype=np.intp)
-        return (live, self._i[live], self._j[live], off_limit,
-                np.array(list(local), dtype=np.intp), width, self._i[still],
-                self._j[still], self._limit[still],
-                [q for q, p in zip(guard, spots) if p >= width], rest, free,
-                bound, [p for p in spots if p < size],
-                [p for p in spots if size <= p < width])
-
     def hold(self, start: np.ndarray, times: np.ndarray, f, guard,
              guard_limit: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """(k, rows, moved, live): project() on k steps whose input is
@@ -403,14 +360,14 @@ class DykstraProjector:
 
         times are the step times from t_0, and start the last result, at
         t_0.  rows[r] is the result after r steps (rows[0] is start) and
-        moved[r - 1] its |gaps| on the edges live, those at a vertex a step
-        may move: the neighbourhood (the ends of the edges on the active
-        list, the support as project() starts from it, and the other ends
-        of the edges at them), and a vertex the drive moves: under f one
+        moved[r - 1] its |gaps| on the edges live, those at a vertex a held
+        step moves: an end of the edges on the active list (the support as
+        project() starts from it), or a vertex the drive moves: under f one
         where f is nonzero or start has its sign bit (-0.0 + h * 0.0 is
-        +0.0), under x / t a nonzero one.  Every other vertex keeps its
-        value, and every other edge its gap at start, which must be within
-        its limit.
+        +0.0), under x / t a nonzero one.  A step that would move any
+        other vertex changes the list, and is refused.  Every other vertex
+        keeps its value, and every other edge its gap at start, which must
+        be within its limit.
 
         With no multiplier held (free flight) there are no ends: the
         moving columns are one np.cumsum, adding in the order x + h * f
@@ -422,48 +379,70 @@ class DykstraProjector:
         checks of the live edges with no end on the list and of the guard
         off the ends, the fold, the checks of the edges at the ends after
         the fold and after the sweep, _sweep, and the guard at the ends.
-        A check that no step can change is made once.  The tables these
-        read are built once per plan, drive kind, drive mask and guard
-        list (_hold_tables), so a call pays only for its checks of start,
-        its rows and moved.  Once the plan of the active list has held
-        _KERNEL_AFTER rows, over any number of calls, the rest of its rows
-        run in its row kernel (_row_kernel), compiled once per drive kind,
-        drive mask and guard list: the same operations in the same order.
-        A row whose sweep has not converged within min(FLOOR_AFTER,
-        MAX_SWEEPS) sweeps it refuses, and the generic loop takes it with
-        the rows after it in its batch.  The k rows held are the results:
-        the multipliers, the active list and abs_gaps are left as k
-        project() calls leave them.
+        A check that no step can change is made once, on start: the gaps
+        of the other edges and the guard off the columns.  The tables are
+        walked from g.incidence over the columns.  Once the plan of the
+        active list has held _KERNEL_AFTER rows, over any number of calls,
+        the rest of its rows run in its row kernel (_row_kernel), compiled
+        once per drive kind, drive mask and guard list: the same operations
+        in the same order.  A row whose sweep has not converged within
+        min(FLOOR_AFTER, MAX_SWEEPS) sweeps it refuses, and the generic
+        loop takes it with the rows after it in its batch.  The k rows held
+        are the results: the multipliers, the active list and abs_gaps are
+        left as k project() calls leave them.
         """
         g, mu = self.graph, self.mu
         support = [e for e in self._active if mu[e] != 0.0]
         plan = self._sweep_plan(support, held=True)
         drives = start != 0 if f is None else (f != 0) | np.signbit(start)
         drives[plan.ends] = False
-        key = (f is None, drives.tobytes(), tuple(guard))
-        if key not in plan.tables:
-            plan.tables[key] = self._hold_tables(plan, support, drives, guard)
-        live, vi, vj, off_limit, gather, width, si, sj, still, outside, rest, \
-            free, bound, at_guard, off_guard = plan.tables[key]
-        cols = gather[:width]
+        # a row lists the ends, then the other vertices the drive moves
+        # (cols), then the other ends of the live edges, those at cols
+        il, jl, limit, inc = self._il, self._jl, self._limitl, g.incidence
+        cols = plan.ends.tolist() + drives.nonzero()[0].tolist()
+        size, width = len(plan.ends), len(cols)
+        local = dict(zip(cols, range(width)))
+        live = sorted({e for x in cols for _, e in inc[x]})
+        edges = np.array(live, dtype=np.intp)
+        vi, vj = self._i[edges], self._j[edges]
         # every other edge keeps its gap at start, which an initial datum
         # (stable to 1e-8) may hold past the limit
-        a = np.abs(edge_gaps(g, start)) if self.abs_gaps is None else self.abs_gaps
-        stop = (a > off_limit).any()
+        gaps = np.abs(edge_gaps(g, start))
+        off = self._limit.copy()
+        off[edges] = math.inf
+        stop = (gaps > off).any()
         if not support and f is not None:
             rows = np.repeat(start[None], len(times), axis=0)
+            cols = np.array(cols, dtype=np.intp)
             with np.errstate(over="ignore", invalid="ignore"):  # refused rows
                 rows[:, cols] = np.cumsum(np.vstack(
                     [start[cols], np.diff(times)[:, None] * f[cols]]), axis=0)
                 moved = np.abs(rows[1:, vj] - rows[1:, vi])
-                fits = (moved <= self._limit[live]).all(axis=1) \
+                fits = (moved <= self._limit[edges]).all(axis=1) \
                     & (np.abs(rows[1:, guard]) <= guard_limit).all(axis=1)
             k = 0 if stop else len(fits) if fits.all() else int(fits.argmin())
         else:
-            stop |= not (np.abs(start[sj] - start[si]) <= still).all()
-            stop |= not all(abs(start[q]) <= guard_limit for q in outside)
+            sl = start.tolist()
+            spots = [local.get(q, width) for q in guard]
+            stop |= not all(abs(sl[q]) <= guard_limit
+                            for q, p in zip(guard, spots) if p == width)
+            at_guard = [p for p in spots if p < size]
+            off_guard = [p for p in spots if size <= p < width]
+            # the live edges with no end on the list (rest), and those at
+            # the ends off the support (free) and on it (bound), over the
+            # places of their ends in a row
+            on, rest, free, bound = set(support), [], [], []
+            for e in live:
+                i = local.setdefault(il[e], len(local))
+                j = local.setdefault(jl[e], len(local))
+                if e in on:
+                    bound.append((i, j, limit[e], e))
+                elif i < size or j < size:
+                    free.append((i, j, limit[e]))
+                else:
+                    rest.append((i, j, limit[e]))
             sweep, tol, fold, inf = self._sweep, self.tol, plan.fold, math.inf
-            vals = start[gather].tolist()
+            vals = [sl[q] for q in local]
             x, fixed = vals[:width], vals[width:]
             drive = None if f is None else f[cols].tolist()
             times = times.tolist()  # no numpy scalar arithmetic per step
@@ -472,6 +451,7 @@ class DykstraProjector:
             k, kernel, retry = 0, None, False
             while not stop and k < len(times) - 1:
                 if kernel is None and plan.held >= _KERNEL_AFTER:
+                    key = (drive is None, drives.tobytes(), tuple(guard))
                     kernel = plan.kernels.get(key)
                     if kernel is None:
                         kernel = plan.kernels[key] = _row_kernel(
@@ -546,9 +526,9 @@ class DykstraProjector:
             # held rows are finite at every live edge, so none can warn
             moved = np.abs(rows[1:k + 1, vj] - rows[1:k + 1, vi])
         if k:
-            self.abs_gaps, self._active = a.copy(), support
-            self.abs_gaps[live] = moved[k - 1]
-        return k, rows[:k + 1], moved[:k], live
+            gaps[edges] = moved[k - 1]
+            self.abs_gaps, self._active = gaps, support
+        return k, rows[:k + 1], moved[:k], edges
 
     def project(self, z) -> np.ndarray:
         """Weighted projection of z onto the polytope.

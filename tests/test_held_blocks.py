@@ -264,15 +264,15 @@ def _single_steps(proj, start, times, f, guard, limit):
 
 
 @pytest.mark.parametrize("after", ROW_PATHS)
-def test_hold_keys_its_tables_by_drive_mask_and_guard(monkeypatch, after):
-    # one plan, held in turn on copies that share it and its tables: under
-    # a source at the apex of a held pile, under a second field that also
-    # drives a vertex off the neighbourhood (x = -5), from a start with
-    # -0.0 at another vertex off it (x = -4: a drive column by its sign
-    # bit, which the step turns to +0.0), and with a guard at an end of
-    # the active list that the second row crosses.  Each call builds its
-    # own tables and takes the rows, multipliers and abs_gaps single
-    # projections give
+def test_hold_keys_its_row_kernels_by_drive_mask_and_guard(monkeypatch, after):
+    # one plan, held in turn on copies that share it and its row kernels:
+    # under a source at the apex of a held pile, under a second field that
+    # also drives a vertex off the neighbourhood (x = -5), from a start
+    # with -0.0 at another vertex off it (x = -4: a drive column by its
+    # sign bit, which the step turns to +0.0), and with a guard at an end
+    # of the active list that the second row crosses.  Each call takes the
+    # rows, multipliers and abs_gaps single projections give, in its own
+    # kernel where the kernel runs from the first row
     monkeypatch.setattr(proximal, "_KERNEL_AFTER", after)
     g = build_truncated_z(8)
     proj = DykstraProjector(g, ConstraintSet.from_kind(g, "uniform"))
@@ -294,7 +294,8 @@ def test_hold_keys_its_tables_by_drive_mask_and_guard(monkeypatch, after):
         assert _bits(rows) == _bits(single)
         assert held.mu == ref.mu
         assert _bits(held.abs_gaps) == _bits(ref.abs_gaps)
-    assert held._plan is proj._plan and len(proj._plan.tables) == 4
+    assert held._plan is proj._plan
+    assert len(proj._plan.kernels) == (4 if after == 0 else 0)
 
 
 @PROPERTY

@@ -8,10 +8,10 @@ projection per step; from each, the first state that holds a multiplier
 and keeps its active list for the next ROWS steps.  One line per state:
 the vertices and the ends of the active list, then the time of one
 project() on the state's next step, and of one hold call of 0, 1 and ROWS
-rows on a warm plan (its tables built by an earlier call) and on a fresh
-one (the plan built in the call).  Each time is the process-time minimum
-over REPEAT tries of CALLS calls, per call, every call on its own copy of
-the recorded projector.  It uses the library and the benchmark mixes of
+rows on a warm plan (built, with its fold table, by an earlier call) and
+on a fresh one (the plan built in the call).  Each time is the
+process-time minimum over REPEAT tries of CALLS calls, per call, every
+call on its own copy of the recorded projector.  It uses the library and the benchmark mixes of
 its own checkout (`src/`, `perfbench/`): run it on two checkouts,
 alternately, to compare them.
 """
@@ -86,7 +86,7 @@ def main() -> int:
         proj, u, times, f, guard = recorded(tag)
         z = u + (times[1] - times[0]) * f
         warm = _copy(proj)
-        warm.hold(u, times[:2], f, guard, 0.0)  # builds the plan and its tables
+        warm.hold(u, times[:2], f, guard, 0.0)  # builds the plan and its fold
 
         def warm_copy():
             warm._plan.held = 0  # the generic row loop, not the row kernel
