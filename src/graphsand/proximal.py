@@ -406,11 +406,11 @@ class DykstraProjector:
         edges = np.array(live, dtype=np.intp)
         vi, vj = self._i[edges], self._j[edges]
         # every other edge keeps its gap at start, which an initial datum
-        # (stable to 1e-8) may hold past the limit
+        # (stable to 1e-8) may hold past the limit; the live ones are
+        # checked row by row
         gaps = np.abs(edge_gaps(g, start))
-        off = self._limit.copy()
-        off[edges] = math.inf
-        stop = (gaps > off).any()
+        gaps[edges] = 0.0
+        stop = (gaps > self._limit).any()
         if not support and f is not None:
             rows = np.repeat(start[None], len(times), axis=0)
             cols = np.array(cols, dtype=np.intp)
