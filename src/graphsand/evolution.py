@@ -253,6 +253,7 @@ def _integrate(g: WeightedGraph, u: np.ndarray, grid: np.ndarray, source,
     while n < steps:
         k = m = 0
         # blocks: collapse while a multiplier is held, growth on every step
+        # that the room rule allows
         held = proj is not None and proj.holds_multipliers()
         if held and source is None:
             fv, m = None, min(cap, steps - n)
